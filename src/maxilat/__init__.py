@@ -15,10 +15,9 @@ from .maxitive import (IdealFamily, MapError, MonotoneMap, RationalConeMap,
                        is_pairwise_maxitive, iter_monotone_values,
                        maxitivity_witness)
 from .residuation import (Adjoint, Theorem54Verdict, adjoint_of,
-                          heyting_arrow, is_completely_maxitive,
-                          is_meet_continuous_over, is_residuated, is_sup_map,
-                          theorem_5_4)
-from .mspace import (Generator, MaxMapSpace, build_space, corollary_way_above,
+                          heyting_arrow, is_meet_continuous_over,
+                          is_residuated, is_sup_map, theorem_5_4)
+from .mspace import (Generator, MaxMapSpace, build_space, corollary_above_set,
                      generator_map, generator_values, m_arrow, pointwise_inf,
                      reconstruction, representation, way_above_in_space)
 from .harness import VerdictRecord, run_suite, summarize

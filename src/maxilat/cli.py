@@ -11,10 +11,9 @@ import sys
 
 from .poset import PosetError, classify, dm_completion
 from .selections import SelectionError, continuity_report, is_union_complete
-from .maxitive import (MapError, MonotoneMap, RationalConeMap,
-                       alternating_witness, e_lower_star, e_star,
-                       extend_lower_star, extend_star, is_pairwise_maxitive,
-                       maxitivity_witness)
+from .maxitive import (MapError, MonotoneMap, alternating_witness,
+                       e_lower_star, e_star, extend_lower_star, extend_star,
+                       is_pairwise_maxitive, maxitivity_witness)
 from .residuation import adjoint_of, heyting_arrow, is_residuated
 from .mspace import build_space, m_arrow
 from . import harness, io
@@ -207,53 +206,10 @@ def cmd_mspace_arrow(args):
 
 
 def cmd_mspace_verify(args):
-    from . import mspace as ms
-    from .selections import SelectionKind, build_selection, way_above
     e = io.load_poset(args.source)
     l = io.load_poset(args.target)
     space = build_space(e, l, cap=args.cap)
-    failures = []
-    if args.lemma == "inf":
-        sel = build_selection(space.poset, SelectionKind.FILTERED)
-        for fam in sel.sorted_fsets():
-            inf_map = ms.pointwise_inf(space, fam, sel)
-            if maxitivity_witness(inf_map) is not None:
-                failures.append({"family": sorted(fam)})
-    elif args.lemma == "generator":
-        rel = ms.way_above_in_space(space)
-        sel_l = build_selection(l, SelectionKind.FILTERED)
-        rel_l = way_above(l, sel_l)
-        for k in range(len(space)):
-            for h in range(e.n):
-                for s in range(l.n):
-                    if not rel_l.way_above(s, space.maps[k][h]):
-                        continue
-                    gvals = ms.generator_values(space, ms.Generator(h, s))
-                    if not rel.way_above(space.index_of(gvals), k):
-                        failures.append({"map": list(space.maps[k]),
-                                         "h": h, "s": s})
-    elif args.lemma == "representation":
-        for values in space.maps:
-            gens = ms.representation(space, values)
-            if ms.reconstruction(space, gens) != values:
-                failures.append({"map": list(values)})
-    elif args.lemma == "corollary":
-        rel = ms.way_above_in_space(space)
-        for w in range(len(space)):
-            for k in range(len(space)):
-                if ms.corollary_way_above(space, w, k) != rel.way_above(w, k):
-                    failures.append({"w": list(space.maps[w]),
-                                     "v": list(space.maps[k])})
-    elif args.lemma == "frame":
-        import itertools
-        for u, v in itertools.product(range(len(space)), repeat=2):
-            arrow = space.index_of(m_arrow(space, u, v).values)
-            for w in range(len(space)):
-                lhs = space.poset.leq(v, space.join(u, w))
-                if lhs != space.poset.leq(arrow, w):
-                    failures.append({"u": list(space.maps[u]),
-                                     "v": list(space.maps[v]),
-                                     "w": list(space.maps[w])})
+    failures = list(harness.LEMMAS[args.lemma](space))
     print(f"lemma {args.lemma}: {'ok' if not failures else 'FAILED'} "
           f"({len(failures)} violations, space size {len(space)})")
     _write_out(args, {"lemma": args.lemma, "space": len(space),
@@ -264,7 +220,7 @@ def cmd_mspace_verify(args):
 def cmd_harness_run(args):
     records = list(harness.run_suite(args.claim, max_size=args.max_size,
                                      selections=args.selections,
-                                     depth=args.depth, seed=args.seed))
+                                     depth=args.depth))
     counts = harness.summarize(records)
     for rec in records:
         if rec.verdict == harness.FAIL:
@@ -347,8 +303,7 @@ def build_parser():
     s_verify.add_argument("source")
     s_verify.add_argument("target")
     s_verify.add_argument("--lemma", required=True,
-                          choices=("inf", "generator", "representation",
-                                   "corollary", "frame"))
+                          choices=sorted(harness.LEMMAS))
     s_verify.add_argument("--cap", type=int, default=10 ** 6)
     s_verify.add_argument("--out")
     s_verify.set_defaults(fn=cmd_mspace_verify)
@@ -360,8 +315,6 @@ def build_parser():
     h_run.add_argument("--max-size", type=int, dest="max_size")
     h_run.add_argument("--selections", nargs="+")
     h_run.add_argument("--depth", type=int)
-    h_run.add_argument("--seed", type=int,
-                       help="reserved; current suites are exhaustive")
     h_run.add_argument("--out")
     h_run.set_defaults(fn=cmd_harness_run)
 

@@ -19,9 +19,9 @@ from .maxitive import (MonotoneMap, RationalConeMap, alternating_witness,
                        from_ideal_family, ideal_family_of, is_pairwise_maxitive,
                        iter_monotone_values, MapError, maxitivity_witness)
 from .residuation import heyting_arrow, theorem_5_4
-from .mspace import (Generator, build_space, corollary_way_above,
-                     generator_values, m_arrow, reconstruction,
-                     representation, way_above_in_space)
+from .mspace import (build_space, corollary_above_set, generator_values,
+                     m_arrow, pointwise_inf, reconstruction, representation,
+                     way_above_in_space)
 from . import io as iomod
 
 PASS = "pass"
@@ -367,14 +367,113 @@ def _claim_thm_5_4(bounds):
                 time.perf_counter() - t0)
 
 
+# -- map-space lemmas: one checker each, shared with `mspace verify` ----------
+#
+# A checker takes a built MaxMapSpace and yields one witness dict per
+# violation.  A claim takes the first one as its witness; the CLI lists all.
+
+
+def adjunction_violations(poset, join, arrow):
+    """Yield each (u, v, w) at which v <= u join w and arrow(u, v) <= w
+    disagree; a MapError from the arrow is a violation at (u, v).
+
+    Checking every w covers the rest of the frame statement.  Taking
+    w = arrow(u, v) shows the arrow is admissible, and every admissible w
+    lies above it, so it is the least admissible element.  When u <= v,
+    w = v is admissible, so arrow(u, v) <= v and u join arrow(u, v) = v.
+    """
+    for u, v in itertools.product(range(poset.n), repeat=2):
+        try:
+            a = arrow(u, v)
+        except MapError as exc:
+            yield {"u": u, "v": v, "error": str(exc)}
+            continue
+        for w in range(poset.n):
+            if poset.leq(v, join(u, w)) != poset.leq(a, w):
+                yield {"u": u, "v": v, "w": w}
+
+
+def _check_frame(space):
+    """The residuation u <- v of the space is adjoint to its join."""
+    def arrow(u, v):
+        return space.index_of(m_arrow(space, u, v).values)
+    for bad in adjunction_violations(space.poset, space.join, arrow):
+        yield {k: x if k == "error" else list(space.maps[x])
+               for k, x in bad.items()}
+
+
+def _check_inf(space):
+    """Selected families of maps have maxitive pointwise infima."""
+    sel = build_selection(space.poset, SelectionKind.FILTERED)
+    for fam in sel.sorted_fsets():
+        if maxitivity_witness(pointwise_inf(space, fam, sel)) is not None:
+            yield {"family": sorted(fam)}
+
+
+def _check_generator(space):
+    """Each generator (h, s) of a map v names a map of the space way-above v.
+
+    The constant-bottom map has every pair as a generator, so this also
+    checks that every generator map is maxitive.
+    """
+    rel = way_above_in_space(space)
+    for k, values in enumerate(space.maps):
+        for gen in representation(space, values):
+            g = space.index.get(generator_values(space, gen))
+            if g is None or not rel.way_above(g, k):
+                yield {"map": list(values), "h": gen.h, "s": gen.s}
+
+
+def _check_representation(space):
+    """The pointwise infimum of a map's generators is the map."""
+    for values in space.maps:
+        if reconstruction(space, representation(space, values)) != values:
+            yield {"map": list(values)}
+
+
+def _check_corollary(space):
+    """The generator characterization of way-above agrees with way-above."""
+    rel = way_above_in_space(space)
+    above = [corollary_above_set(space, v) for v in range(len(space))]
+    for w, wvals in enumerate(space.maps):
+        for v, vvals in enumerate(space.maps):
+            if (w in above[v]) != rel.way_above(w, v):
+                yield {"w": list(wvals), "v": list(vvals)}
+
+
+LEMMAS = {
+    "inf": _check_inf,
+    "generator": _check_generator,
+    "representation": _check_representation,
+    "corollary": _check_corollary,
+    "frame": _check_frame,
+}
+
+
+def _space_instances(max_size):
+    sources = list(enumerate_posets(max_size, dedup=True))
+    targets = [l for l in enumerate_posets(max_size, dedup=True)
+               if classify(l).is_complete_lattice]
+    for e in sources:
+        for l in targets:
+            yield e, l
+
+
+def _space_record(claim, e, l, lemmas):
+    """Check the lemmas on the space e -> l; the first violation fails it."""
+    t0 = time.perf_counter()
+    space = build_space(e, l)
+    failure = next((dict(bad, lemma=name) for name in lemmas
+                    for bad in LEMMAS[name](space)), None)
+    return VerdictRecord(
+        claim,
+        {"source": describe_poset(e), "target": describe_poset(l),
+         "space": len(space)},
+        PASS if failure is None else FAIL, failure,
+        time.perf_counter() - t0)
+
+
 # -- claim: frame adjunctions in L and in the map space ----------------------
-
-
-def _least_of(p, members):
-    for m in members:
-        if all(p.leq(m, x) for x in members):
-            return m
-    return None
 
 
 def _claim_frame_adjunction(bounds):
@@ -398,78 +497,15 @@ def _claim_frame_adjunction(bounds):
                     {"reason": "arrow defined on a non-distributive lattice"},
                     time.perf_counter() - t0)
             continue
-        failure = None
-        for r, s in itertools.product(range(l.n), repeat=2):
-            arrow = heyting_arrow(l, r, s)
-            admissible = [t for t in range(l.n) if l.leq(s, l.sup_of((r, t)))]
-            least = _least_of(l, admissible)
-            if arrow != least:
-                failure = {"r": r, "s": s, "arrow": arrow, "least": least}
-                break
-            if not all((t in admissible) == l.leq(arrow, t)
-                       for t in range(l.n)):
-                failure = {"r": r, "s": s, "arrow": arrow,
-                           "reason": "adjunction mismatch"}
-                break
-            if l.leq(r, s):
-                decomposed = l.sup_of((r, arrow))
-                least_dec = _least_of(
-                    l, [t for t in range(l.n) if l.sup_of((r, t)) == s])
-                if decomposed != s or arrow != least_dec:
-                    failure = {"r": r, "s": s, "arrow": arrow,
-                               "reason": "decomposition mismatch"}
-                    break
+        failure = next(adjunction_violations(
+            l, l.join, lambda r, s: heyting_arrow(l, r, s)), None)
         yield VerdictRecord("frame-adjunction", desc,
                             PASS if failure is None else FAIL, failure,
                             time.perf_counter() - t0)
-    yield from _claim_frame_adjunction_in_space(bounds)
-
-
-def _space_instances(max_size):
-    sources = list(enumerate_posets(max_size, dedup=True))
-    targets = [l for l in enumerate_posets(max_size, dedup=True)
-               if classify(l).is_complete_lattice]
-    for e in sources:
-        for l in targets:
-            yield e, l
-
-
-def _claim_frame_adjunction_in_space(bounds):
     max_el = min(bounds.max_size or 3, 3)
     for e, l in _space_instances(max_el):
-        if not classify(l).is_distributive:
-            continue
-        t0 = time.perf_counter()
-        space = build_space(e, l)
-        failure = None
-        for u, v in itertools.product(range(len(space)), repeat=2):
-            arrow = space.index_of(m_arrow(space, u, v).values)
-            admissible = [w for w in range(len(space))
-                          if space.poset.leq(v, space.join(u, w))]
-            least = _least_of(space.poset, admissible)
-            if arrow != least:
-                failure = {"u": list(space.maps[u]), "v": list(space.maps[v]),
-                           "arrow": list(space.maps[arrow]),
-                           "least": None if least is None
-                           else list(space.maps[least])}
-                break
-            if not all((w in admissible) == space.poset.leq(arrow, w)
-                       for w in range(len(space))):
-                failure = {"u": list(space.maps[u]), "v": list(space.maps[v]),
-                           "reason": "adjunction mismatch"}
-                break
-            if space.poset.leq(u, v):
-                if space.join(u, arrow) != v:
-                    failure = {"u": list(space.maps[u]),
-                               "v": list(space.maps[v]),
-                               "reason": "decomposition mismatch"}
-                    break
-        yield VerdictRecord(
-            "frame-adjunction",
-            {"source": describe_poset(e), "target": describe_poset(l),
-             "space": len(space)},
-            PASS if failure is None else FAIL, failure,
-            time.perf_counter() - t0)
+        if classify(l).is_distributive:
+            yield _space_record("frame-adjunction", e, l, ("frame",))
 
 
 # -- claim: generator representation and the way-above corollary -------------
@@ -478,51 +514,8 @@ def _claim_frame_adjunction_in_space(bounds):
 def _claim_representation(bounds):
     max_el = min(bounds.max_size or 3, 3)
     for e, l in _space_instances(max_el):
-        t0 = time.perf_counter()
-        space = build_space(e, l)
-        rel = way_above_in_space(space)
-        failure = None
-        for h in range(e.n):
-            for s in range(l.n):
-                values = generator_values(space, Generator(h, s))
-                if values not in space.index:
-                    failure = {"h": h, "s": s,
-                               "reason": "generator map not maxitive"}
-                    break
-            if failure:
-                break
-        if failure is None:
-            sel_l = build_selection(l, SelectionKind.FILTERED)
-            rel_l = way_above(l, sel_l)
-            for k, values in enumerate(space.maps):
-                gens = representation(space, values, sel_l)
-                if reconstruction(space, gens) != values:
-                    failure = {"values": list(values),
-                               "reason": "reconstruction mismatch"}
-                    break
-                for gen in gens:
-                    gvals = generator_values(space, gen)
-                    if not rel.way_above(space.index_of(gvals), k):
-                        failure = {"values": list(values),
-                                   "h": gen.h, "s": gen.s,
-                                   "reason": "generator not way-above"}
-                        break
-                if failure:
-                    break
-                for w in range(len(space)):
-                    if corollary_way_above(space, w, k) != rel.way_above(w, k):
-                        failure = {"values": list(values),
-                                   "w": list(space.maps[w]),
-                                   "reason": "corollary mismatch"}
-                        break
-                if failure:
-                    break
-        yield VerdictRecord(
-            "representation",
-            {"source": describe_poset(e), "target": describe_poset(l),
-             "space": len(space)},
-            PASS if failure is None else FAIL, failure,
-            time.perf_counter() - t0)
+        yield _space_record("representation", e, l,
+                            ("generator", "representation", "corollary"))
 
 
 # -- registry ----------------------------------------------------------------
@@ -533,7 +526,6 @@ class Bounds:
     max_size: int = None
     selections: tuple = None
     depth: int = None
-    seed: int = None
 
 
 CLAIMS = {
@@ -550,12 +542,8 @@ CLAIMS = {
 }
 
 
-def run_suite(claim, *, max_size=None, selections=None, depth=None, seed=None):
-    """Yield the verdict stream of one claim; deterministic for fixed bounds.
-
-    The seed is accepted for interface stability; every current suite is
-    exhaustive and ignores it.
-    """
+def run_suite(claim, *, max_size=None, selections=None, depth=None):
+    """Yield the verdict stream of one claim; deterministic for fixed bounds."""
     try:
         fn = CLAIMS[claim]
     except KeyError:
@@ -564,7 +552,7 @@ def run_suite(claim, *, max_size=None, selections=None, depth=None, seed=None):
             from None
     if selections is not None:
         selections = tuple(str(SelectionKind(k)) for k in selections)
-    yield from fn(Bounds(max_size, selections, depth, seed))
+    yield from fn(Bounds(max_size, selections, depth))
 
 
 def summarize(records):

@@ -2,9 +2,10 @@
 
 The space is materialized exhaustively and ordered pointwise.  Pointwise
 infima of selected families stay inside the space; joins need not be
-pointwise and are computed as least-upper-bound scans within it.  The
-filtered selection is hard-wired for the way-above and frame claims, which
-on finite posets collapse way-above in the space to its order.
+pointwise and are computed as least-upper-bound scans within it.  Way-above
+in the space, and by default in the target, uses the filtered selection.  A
+finite codirected upper set has a least element, so that selection is the
+principal filters and way-above in the space is its order.
 """
 
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ from .poset import FinitePoset, PosetError, classify
 from .selections import (FilterSelection, SelectionError, SelectionKind,
                          build_selection, way_above)
 from .maxitive import (IdealFamily, MapError, MonotoneMap, from_ideal_family,
-                       is_maxitive, iter_monotone_values, maxitivity_witness)
+                       iter_monotone_values, maxitivity_witness)
 
 DEFAULT_SPACE_CAP = 10 ** 6
 
@@ -162,17 +163,18 @@ def way_above_in_space(space):
     return way_above(space.poset, sel)
 
 
-def corollary_way_above(space, w, v, sel_l=None) -> bool:
-    """The generator characterization: w is way-above v iff w dominates the
-    pointwise infimum of some finite family of generators of v.
+def corollary_above_set(space, v, sel_l=None) -> frozenset:
+    """The generator characterization: the maps w way-above v are those that
+    dominate the pointwise infimum of some finite family of generators of v.
 
     Enlarging the family only lowers the infimum, so a witnessing family
     exists exactly when the full generator family works.
     """
-    gens = representation(space, space.maps[v], sel_l)
-    floor = reconstruction(space, gens)
+    floor = reconstruction(space, representation(space, space.maps[v], sel_l))
     l = space.target
-    return all(l.leq(floor[g], space.maps[w][g]) for g in range(space.source.n))
+    return frozenset(w for w, values in enumerate(space.maps)
+                     if all(l.leq(floor[g], values[g])
+                            for g in range(space.source.n)))
 
 
 def m_arrow(space, u, v) -> MonotoneMap:

@@ -10,16 +10,7 @@ converse needs a meet-continuous completion or a complete source.
 from dataclasses import dataclass
 
 from .poset import FinitePoset, OrderExtension, PosetError, classify
-from .maxitive import MapError, MonotoneMap, maxitivity_witness
-
-
-def is_completely_maxitive(v: MonotoneMap) -> bool:
-    """Preservation of all existing suprema of nonempty families.
-
-    On a finite source every family is finite, so with the nonempty-family
-    convention this coincides with plain maxitivity.
-    """
-    return maxitivity_witness(v) is None
+from .maxitive import MapError, MonotoneMap, is_maxitive, maxitivity_witness
 
 
 def is_sup_map(v: MonotoneMap) -> bool:
@@ -145,9 +136,13 @@ def theorem_5_4(v: MonotoneMap, ext: OrderExtension) -> Theorem54Verdict:
     the nonempty-family variant, or with meet-continuity read on the
     completion alone, finite counterexamples exist (e.g. a one-point source
     into a two-point antichain).  Both readings are reported.
+
+    Complete maxitivity, the preservation of all existing suprema of
+    nonempty families, is plain maxitivity here: on a finite source every
+    family is finite.
     """
     resid = is_residuated(v, ext)
-    cmax = is_completely_maxitive(v)
+    cmax = is_maxitive(v)
     sup_map = is_sup_map(v)
     source_complete = classify(v.source).is_complete_lattice
     mc_plain = classify(ext.complete).is_meet_continuous

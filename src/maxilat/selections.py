@@ -66,20 +66,15 @@ class FilterSelection:
         return sorted(self.fsets, key=lambda f: (len(f), sorted(f)))
 
 
-def _codirected(p, subset):
-    return all(any(p.leq(z, x) and p.leq(z, y) for z in subset)
-               for x in subset for y in subset)
-
-
 def _iter_kind_sets(p, kind):
-    """Stream the sets of a built-in kind; members are upper by construction."""
-    if kind is SelectionKind.PRINCIPAL:
+    """Stream the sets of a built-in kind; members are upper by construction.
+
+    A finite codirected upper set has a least element, so on a finite poset
+    the filtered sets are exactly the principal filters.
+    """
+    if kind in (SelectionKind.PRINCIPAL, SelectionKind.FILTERED):
         for x in range(p.n):
             yield p.up(x)
-    elif kind is SelectionKind.FILTERED:
-        for u in p.iter_upper_sets():
-            if u and _codirected(p, u):
-                yield u
     elif kind is SelectionKind.UPPER:
         yield from p.iter_upper_sets()
     else:  # pragma: no cover

@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
@@ -34,6 +35,18 @@ def m3_lattice():
 @pytest.fixture
 def seven():
     return seven_element()
+
+
+@pytest.fixture
+def three_atoms_under_top():
+    """The map space that is not a frame: E = three atoms a, b, c under a
+    top t, L = the 2-chain.  The space has 5 maps and is shaped like M3.  At
+    u = (1, 1, 0, 1), v = (1, 1, 1, 1) the admissible w have no least
+    element, and m_arrow raises MapError."""
+    source = FinitePoset.from_relation(4, [(0, 3), (1, 3), (2, 3)],
+                                       ("a", "b", "c", "t"))
+    return SimpleNamespace(source=source, target=chain(2),
+                           u=(1, 1, 0, 1), v=(1, 1, 1, 1))
 
 
 # -- test-local oracles, independent of the library internals ----------------
@@ -103,3 +116,17 @@ def oracle_monotone_maps(e, l):
         if all(l.leq(values[g], values[h])
                for g in range(e.n) for h in range(e.n) if e.leq(g, h)):
             yield values
+
+
+def oracle_filtered_sets(p):
+    """Nonempty upper sets in which every two members have a common lower
+    bound inside the set: the filtered selection, by its definition."""
+    out = set()
+    for r in range(1, p.n + 1):
+        for subset in itertools.combinations(range(p.n), r):
+            s = frozenset(subset)
+            if (all(y in s for x in s for y in range(p.n) if p.leq(x, y))
+                    and all(any(p.leq(z, x) and p.leq(z, y) for z in s)
+                            for x in s for y in s)):
+                out.add(s)
+    return out

@@ -1,6 +1,10 @@
+import itertools
+
 import pytest
 
-from maxilat import MonotoneMap, is_maxitive, is_pairwise_maxitive
+from maxilat import (MonotoneMap, build_space, classify, enumerate_posets,
+                     heyting_arrow, is_maxitive, is_pairwise_maxitive, m_arrow)
+from maxilat.cli import main
 from maxilat.harness import (FAIL, PASS, SKIP, HarnessError, VerdictRecord,
                              CLAIMS, run_suite, summarize)
 from maxilat.io import poset_from_dict
@@ -41,9 +45,10 @@ class TestRunSuite:
             second = strip(run_suite(claim, max_size=3))
             assert first == second
 
-    def test_seed_is_accepted_and_ignored(self):
-        records = list(run_suite("seven-element", seed=7))
-        assert records[0].verdict == PASS
+    def test_seed_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["harness", "run", "seven-element", "--seed", "7"])
+        assert exc.value.code == 2
 
     def test_selection_bound_is_respected(self):
         records = list(run_suite("interpolation", max_size=2,
@@ -73,3 +78,36 @@ class TestWitnessReplay:
         for rec in run_suite("extension-extremality", max_size=3):
             if rec.verdict == FAIL:    # pragma: no cover - expected all-pass
                 assert "values" in rec.witness
+
+
+class TestFrameOracle:
+    """What the frame claim's adjunction for every w implies, checked
+    directly: the arrow is the least admissible element, and when u <= v it
+    is the least w with u join w = v."""
+
+    @staticmethod
+    def _check(poset, join, arrow):
+        for u, v in itertools.product(range(poset.n), repeat=2):
+            a = arrow(u, v)
+            admissible = [w for w in range(poset.n)
+                          if poset.leq(v, join(u, w))]
+            assert a in admissible
+            assert all(poset.leq(a, w) for w in admissible)
+            if poset.leq(u, v):
+                exact = [w for w in range(poset.n) if join(u, w) == v]
+                assert a in exact
+                assert all(poset.leq(a, w) for w in exact)
+
+    def test_arrow_is_least_admissible_and_decomposes(self):
+        for l in enumerate_posets(5):
+            profile = classify(l)
+            if l.n and profile.is_lattice and profile.is_distributive:
+                self._check(l, l.join, lambda r, s: heyting_arrow(l, r, s))
+        for e in enumerate_posets(3, dedup=True):
+            for l in enumerate_posets(3, dedup=True):
+                profile = classify(l)
+                if profile.is_complete_lattice and profile.is_distributive:
+                    space = build_space(e, l)
+                    self._check(space.poset, space.join,
+                                lambda u, v: space.index_of(
+                                    m_arrow(space, u, v).values))

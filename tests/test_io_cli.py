@@ -3,7 +3,7 @@ import json
 import pytest
 
 from maxilat import MonotoneMap, RationalConeMap, enumerate_posets
-from maxilat.catalog import chain, seven_element
+from maxilat.catalog import chain, m3, seven_element
 from maxilat.cli import main
 from maxilat.io import (FormatError, fixture, fixture_map, fixture_poset,
                         load_map, load_poset, map_from_dict, map_to_dict,
@@ -235,6 +235,25 @@ class TestCli:
             assert main(["mspace", "verify", str(c2), str(c2),
                          "--lemma", lemma]) == 0
             assert "ok" in capsys.readouterr().out
+
+    def test_mspace_verify_reports_the_frame_counterexample(
+            self, tmp_path, capsys, three_atoms_under_top):
+        cx = three_atoms_under_top
+        e, l, out = (tmp_path / name for name in ("e.json", "l.json",
+                                                  "out.json"))
+        save_poset(cx.source, e)
+        save_poset(cx.target, l)
+        assert main(["mspace", "verify", str(e), str(l), "--lemma", "frame",
+                     "--out", str(out)]) == 1
+        doc = json.loads(out.read_text())
+        assert doc["space"] == 5
+        assert [list(cx.u), list(cx.v)] in [[bad["u"], bad["v"]]
+                                            for bad in doc["violations"]]
+        # a non-distributive target fails the hypothesis, not the lemma
+        save_poset(m3(), l)
+        assert main(["mspace", "verify", str(e), str(l),
+                     "--lemma", "frame"]) == 2
+        assert "distributive" in capsys.readouterr().err
 
     def test_mspace_arrow(self, tmp_path, capsys):
         c2 = {"elements": ["0", "1"], "covers": [["0", "1"]]}

@@ -4,9 +4,9 @@ import pytest
 
 from maxilat import (Adjoint, MapError, MonotoneMap, OrderExtension,
                      PosetError, adjoint_of, classify, dm_completion,
-                     enumerate_posets, heyting_arrow, is_completely_maxitive,
-                     is_maxitive, is_meet_continuous_over, is_residuated,
-                     is_sup_map, iter_monotone_values, theorem_5_4)
+                     enumerate_posets, heyting_arrow, is_maxitive,
+                     is_meet_continuous_over, is_residuated, is_sup_map,
+                     iter_monotone_values, theorem_5_4)
 from maxilat.catalog import antichain, chain, m3, n5
 from maxilat.residuation import sublevel
 
@@ -22,27 +22,27 @@ def seven_indicator(seven):
 
 class TestCompletelyMaxitive:
     def test_identity_on_a_lattice(self, b2):
-        assert is_completely_maxitive(MonotoneMap(b2, b2, tuple(range(4))))
+        assert is_maxitive(MonotoneMap(b2, b2, tuple(range(4))))
 
     def test_seven_element_counterexample(self, seven_indicator):
-        assert not is_completely_maxitive(seven_indicator)
+        assert not is_maxitive(seven_indicator)
 
     def test_coincides_with_maxitivity_on_finite_posets(self):
         for e in enumerate_posets(4, dedup=True):
             for l in enumerate_posets(3, dedup=True):
                 for values in iter_monotone_values(e, l):
                     v = MonotoneMap(e, l, values)
-                    assert is_completely_maxitive(v) == oracle_is_maxitive(v)
+                    assert is_maxitive(v) == oracle_is_maxitive(v)
 
     def test_sup_map_needs_bottom_to_go_to_bottom(self, chain3):
         point = chain(1)
         v = MonotoneMap(point, antichain(2), (0,))
-        assert is_completely_maxitive(v)
+        assert is_maxitive(v)
         assert not is_sup_map(v)    # the target has no bottom
         w = MonotoneMap(chain3, chain3, (0, 0, 1))
         assert is_sup_map(w)
         x = MonotoneMap(chain3, chain3, (1, 1, 2))
-        assert is_completely_maxitive(x) and not is_sup_map(x)
+        assert is_maxitive(x) and not is_sup_map(x)
 
     def test_sup_map_unconstrained_without_a_bottom(self, two_antichain):
         v = MonotoneMap(two_antichain, chain(2), (1, 1))
