@@ -7,13 +7,14 @@ a nonempty family in E into the supremum of the values in L.  On a join
 semilattice this reduces to the pairwise law, but not in general.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .poset import FinitePoset, classify, _SUBSET_SCAN_CAP
-from .selections import (FilterSelection, _inf_allowing_empty,
-                         continuity_report, way_above)
+from .poset import FinitePoset, classify
+from .selections import (FilterSelection, WayAboveRelation,
+                         _inf_allowing_empty, continuity_report)
 
 
 class MapError(ValueError):
@@ -77,21 +78,27 @@ def iter_monotone_values(e, l):
 
 
 def maxitivity_witness(v: MonotoneMap):
-    """The first offending family in a canonical scan, or None if v is maxitive.
+    """An offending family D_t meet down(x), or None if v is maxitive.
 
-    Scans every nonempty subset of the source whose supremum exists and
-    demands that the values join, in the target, exactly to the value at
-    the supremum.
+    A monotone v is maxitive iff every sublevel set D_t = {g : v(g) <= t}
+    is closed under existing sups: then v(s) lies below every upper bound
+    t of the values of a family with sup s.  The lower set D_t fails to be
+    closed iff some x outside it is the sup of D_t meet down(x), and that
+    family then has values below t while v(x) is not.  The scan runs over t,
+    then x, in index order; it costs O(|L| |E|) sups, not 2^|E| subsets.
     """
     e, l = v.source, v.target
-    if e.n > _SUBSET_SCAN_CAP:
-        raise MapError(f"maxitivity scan needs |E| <= {_SUBSET_SCAN_CAP}")
-    for members, sup in e._iter_sups(range(e.n)):
-        if sup is None:
+    seen = set()
+    for t in range(l.n):
+        sublevel = frozenset(g for g in range(e.n) if l.leq(v.values[g], t))
+        if sublevel in seen:
             continue
-        vals = frozenset(v.values[g] for g in members)
-        if l.sup_of(vals) != v.values[sup]:
-            return members
+        seen.add(sublevel)
+        for x in range(e.n):
+            if x not in sublevel:
+                family = sublevel & e.down(x)
+                if family and e.sup_of(family) == x:
+                    return family
     return None
 
 
@@ -137,9 +144,11 @@ class IdealFamily:
         """Indices t with g in the ideal at t."""
         return frozenset(t for t in range(self.target.n) if g in self.family[t])
 
-    def is_right_continuous(self, sel: FilterSelection) -> bool:
-        """True iff each member is the intersection of the members way-above it."""
-        rel = way_above(self.target, sel)
+    def is_right_continuous(self, rel: WayAboveRelation) -> bool:
+        """True iff each member is the intersection of the members way-above
+        it under rel, a way-above relation on the target."""
+        if rel.poset != self.target:
+            raise MapError("way-above relation was built on a different target")
         everything = frozenset(range(self.source.n))
         for t in range(self.target.n):
             inter = everything
@@ -223,11 +232,12 @@ class RationalConeMap:
         return self._joins[g, h]
 
     def is_maxitive(self) -> bool:
-        for members, sup in self.source._iter_sups(range(self.source.n)):
-            if sup is not None and self.values[sup] != max(self.values[g]
-                                                           for g in members):
-                return False
-        return True
+        """The pairwise law through the stored joins; on a join-semilattice
+        every nonempty finite sup is an iterated join, so this is full
+        maxitivity."""
+        values = self.values
+        return all(values[s] == max(values[g], values[h])
+                   for (g, h), s in self._joins.items())
 
 
 def delta(v: RationalConeMap, g, gs):
@@ -244,28 +254,25 @@ def alternating_witness(v: RationalConeMap, depth=4):
 
     The iterated differences commute in the perturbing elements, so tuples
     are scanned as nondecreasing multisets; verdicts are depth-bounded.
+    The differences are linear in the values, so they run on the values
+    times the lcm of their denominators: exact ints with the same signs.
+    Each length's differences come from the previous length's by
+    d(g, gs) = d(g join gs[0], gs[1:]) - d(g, gs[1:]).
     """
     if depth < 1:
         raise MapError("depth must be at least 1")
     n = v.source.n
-    memo = {}
-
-    def d(g, gs):
-        if not gs:
-            return v.values[g]
-        key = (g, gs)
-        found = memo.get(key)
-        if found is None:
-            rest = gs[1:]
-            found = d(v.join(g, gs[0]), rest) - d(g, rest)
-            memo[key] = found
-        return found
-
+    scale = math.lcm(*(x.denominator for x in v.values))
+    level = {(): [x.numerator * (scale // x.denominator) for x in v.values]}
+    joins = [[v.join(g, h) for g in range(n)] for h in range(n)]
     for length in range(1, depth + 1):
         sign = 1 if length % 2 == 1 else -1
+        shorter, level = level, {}
         for gs in combinations_with_replacement(range(n), length):
-            for g in range(n):
-                if sign * d(g, gs) < 0:
+            rest, joined = shorter[gs[1:]], joins[gs[0]]
+            diffs = level[gs] = [rest[joined[g]] - rest[g] for g in range(n)]
+            for g, x in enumerate(diffs):
+                if sign * x < 0:
                     return g, gs
     return None
 
@@ -284,7 +291,8 @@ def e_star(ext, sel_e: FilterSelection) -> frozenset:
         raise MapError("selection was built on a different base poset")
     star = frozenset(a for a in range(ext.complete.n)
                      if (trace := ext.up_in_base(a)) and trace in sel_e.fsets)
-    assert ext.image() <= star
+    if not ext.image() <= star:
+        raise MapError("the star region misses part of the base image")
     return star
 
 
@@ -321,8 +329,9 @@ def extend_star(v: MonotoneMap, ext, sel_e: FilterSelection,
         values.append(m)
     result = MonotoneMap(ext.complete.restrict(star), l, tuple(values))
     index = {a: k for k, a in enumerate(star)}
-    assert all(result.values[index[ext.embed[g]]] == v.values[g]
-               for g in range(v.source.n))
+    for g in range(v.source.n):
+        if result.values[index[ext.embed[g]]] != v.values[g]:
+            raise MapError(f"star extension does not restrict to v at {g}")
     return result
 
 
@@ -334,11 +343,12 @@ def e_lower_star(ext) -> frozenset:
         a for a in range(big.n)
         if all(big.inf_of((ext.embed[g], a)) in image for g in range(ext.base.n)))
     base_profile = classify(ext.base)
-    if base_profile.is_meet_semilattice:
-        assert image <= members
-    if base_profile.is_join_semilattice and classify(big).is_distributive:
-        assert all(big.sup_of((a, b)) in members
-                   for a in members for b in members)
+    if base_profile.is_meet_semilattice and not image <= members:
+        raise MapError("the lower-star region misses part of the base image")
+    if (base_profile.is_join_semilattice and classify(big).is_distributive
+            and not all(big.sup_of((a, b)) in members
+                        for a in members for b in members)):
+        raise MapError("the lower-star region is not closed under joins")
     return members
 
 
@@ -371,6 +381,6 @@ def extend_lower_star(v: MonotoneMap, ext) -> MonotoneMap:
     index = {a: k for k, a in enumerate(members)}
     for g in range(v.source.n):
         a = ext.embed[g]
-        if a in index:
-            assert result.values[index[a]] == v.values[g]
+        if a in index and result.values[index[a]] != v.values[g]:
+            raise MapError(f"lower-star extension does not restrict to v at {g}")
     return result

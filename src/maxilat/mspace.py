@@ -182,10 +182,9 @@ def m_arrow(space, u, v) -> MonotoneMap:
 
     Built through the sublevel-ideal family whose member at t collects the
     g such that v(h) <= u(h) join t for every h below g, then evaluated via
-    the infimum formula; requires a distributive target.
+    the infimum formula; requires a distributive target.  The result equals
+    the pointwise formula g -> sup of heyting_arrow(u(h), v(h)) over h <= g.
     """
-    from .residuation import heyting_arrow  # local: avoids a module cycle
-
     l = space.target
     if not classify(l).is_distributive:
         raise PosetError("the target must be distributive")
@@ -202,8 +201,4 @@ def m_arrow(space, u, v) -> MonotoneMap:
     sel = build_selection(l, SelectionKind.PRINCIPAL)
     arrow = from_ideal_family(fam, sel)
     space.index_of(arrow.values)
-    expected = tuple(l.sup_of(frozenset(heyting_arrow(l, uvals[h], vvals[h])
-                                        for h in e.down(g)))
-                     for g in range(e.n))
-    assert arrow.values == expected
     return arrow

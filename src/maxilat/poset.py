@@ -185,7 +185,8 @@ class FinitePoset:
     # -- ideals -------------------------------------------------------------
 
     def _iter_sups(self, elems):
-        """Yield (members, sup-or-None) for every nonempty subset of elems."""
+        """Yield (members, sup-or-None) for every nonempty subset of elems;
+        the exhaustive scan behind OrderExtension's preservation checks."""
         elems = list(elems)
         k = len(elems)
         if k > _SUBSET_SCAN_CAP:
@@ -202,15 +203,20 @@ class FinitePoset:
             yield members[mask], self.least(bounds[mask])
 
     def is_ideal(self, a):
-        """True iff a is empty, or a lower set closed under existing finite sups."""
+        """True iff a is empty, or a lower set closed under existing finite sups.
+
+        A nonempty family in a with supremum x outside a lies inside
+        a meet down(x), whose supremum is then x too; so a lower set is
+        closed iff no x outside it is the supremum of its part below x.
+        """
         a = self._subset(a)
-        if not a:
-            return True
         if not self.is_lower_set(a):
             return False
-        for _, sup in self._iter_sups(sorted(a)):
-            if sup is not None and sup not in a:
-                return False
+        for x in range(self.n):
+            if x not in a:
+                below = a & self._down[x]
+                if below and self.sup_of(below) == x:
+                    return False
         return True
 
     def iter_lower_sets(self):

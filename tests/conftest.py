@@ -1,3 +1,4 @@
+import functools
 import itertools
 from types import SimpleNamespace
 
@@ -97,18 +98,42 @@ def oracle_inf(p, subset):
     return None
 
 
+@functools.lru_cache(maxsize=None)
+def oracle_sups(p):
+    """Every nonempty subset of p that has a supremum, with that supremum."""
+    out = []
+    for r in range(1, p.n + 1):
+        for family in itertools.combinations(range(p.n), r):
+            sup = oracle_sup(p, family)
+            if sup is not None:
+                out.append((family, sup))
+    return tuple(out)
+
+
 def oracle_is_maxitive(v):
     """Direct quantifier over nonempty subsets, written against definitions."""
-    e, l = v.source, v.target
-    for r in range(1, e.n + 1):
-        for family in itertools.combinations(range(e.n), r):
-            sup = oracle_sup(e, family)
-            if sup is None:
-                continue
-            value_join = oracle_sup(l, set(v.values[g] for g in family))
-            if value_join is None or value_join != v.values[sup]:
-                return False
+    for family, sup in oracle_sups(v.source):
+        value_join = oracle_sup(v.target, set(v.values[g] for g in family))
+        if value_join is None or value_join != v.values[sup]:
+            return False
     return True
+
+
+def oracle_is_ideal(p, a):
+    """Empty, or a lower set holding the supremum of each of its nonempty
+    subsets that has one: the subset scan of the definition."""
+    a = frozenset(a)
+    if any(p.leq(y, x) and y not in a for x in a for y in range(p.n)):
+        return False
+    return all(sup in a for family, sup in oracle_sups(p)
+               if set(family) <= a)
+
+
+def oracle_cone_is_maxitive(v):
+    """A cone map is maxitive iff each nonempty family with a supremum s in
+    the source has its largest value at s."""
+    return all(v.values[sup] == max(v.values[g] for g in family)
+               for family, sup in oracle_sups(v.source))
 
 
 def oracle_monotone_maps(e, l):

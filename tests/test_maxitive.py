@@ -9,10 +9,36 @@ from maxilat import (IdealFamily, MapError, MonotoneMap, OrderExtension,
                      enumerate_posets, extend_lower_star, extend_star,
                      from_ideal_family, ideal_family_of, is_alternating,
                      is_maxitive, is_pairwise_maxitive, iter_monotone_values,
-                     maxitivity_witness)
+                     maxitivity_witness, way_above)
 from maxilat.catalog import antichain, chain, diamond, m3
 
-from conftest import oracle_is_maxitive, oracle_monotone_maps
+from conftest import (oracle_cone_is_maxitive, oracle_is_maxitive,
+                      oracle_monotone_maps, oracle_sup)
+
+
+def assert_agrees_with_oracle(v):
+    """The verdict matches the oracle, and a witness is a real offending
+    family: its supremum s exists in the source, and the supremum of its
+    values in the target is missing or differs from v(s)."""
+    witness = maxitivity_witness(v)
+    assert (witness is None) == oracle_is_maxitive(v)
+    if witness is not None:
+        s = oracle_sup(v.source, witness)
+        assert s is not None
+        assert oracle_sup(v.target, {v.values[g] for g in witness}) != v.values[s]
+
+
+def reference_alternating_witness(v, depth):
+    """The scan order of alternating_witness, each sign read off the
+    Fraction-valued definitional delta."""
+    n = v.source.n
+    for length in range(1, depth + 1):
+        sign = 1 if length % 2 == 1 else -1
+        for gs in itertools.combinations_with_replacement(range(n), length):
+            for g in range(n):
+                if sign * delta(v, g, gs) < 0:
+                    return g, gs
+    return None
 
 
 @pytest.fixture
@@ -56,11 +82,23 @@ class TestMaxitivity:
         assert is_maxitive(MonotoneMap(b2, b2, tuple(range(b2.n))))
 
     def test_agrees_with_the_definitional_oracle(self):
-        for e in enumerate_posets(3, dedup=True):
-            for l in enumerate_posets(3, dedup=True):
+        checked = 0
+        for e in enumerate_posets(4, dedup=True):
+            for l in enumerate_posets(4, dedup=True):
                 for values in iter_monotone_values(e, l):
-                    v = MonotoneMap(e, l, values)
-                    assert is_maxitive(v) == oracle_is_maxitive(v)
+                    assert_agrees_with_oracle(MonotoneMap(e, l, values))
+                    checked += 1
+        assert checked == 19702
+
+    def test_agrees_with_the_oracle_on_labeled_5_posets_into_c2(self):
+        c2 = chain(2)
+        checked = 0
+        for e in enumerate_posets(5):
+            if e.n == 5:
+                for values in iter_monotone_values(e, c2):
+                    assert_agrees_with_oracle(MonotoneMap(e, c2, values))
+                    checked += 1
+        assert checked == 46922
 
     def test_pairwise_equals_maxitive_on_join_semilattices(self):
         for e in enumerate_posets(5, dedup=True):
@@ -128,24 +166,26 @@ class TestIdealFamilies:
         fam = IdealFamily(c2, chain3, (frozenset(), frozenset(), frozenset()))
         v = from_ideal_family(fam, sel)
         assert v.values == (2, 2)
-        assert not fam.is_right_continuous(sel)
+        assert not fam.is_right_continuous(way_above(chain3, sel))
 
     def test_round_trip_on_all_small_maxitive_maps(self):
         for e in enumerate_posets(3, dedup=True):
             for l in enumerate_posets(3, dedup=True):
                 sel = build_selection(l, "filtered")
+                rel = way_above(l, sel)
                 for values in iter_monotone_values(e, l):
                     v = MonotoneMap(e, l, values)
                     if not is_maxitive(v):
                         continue
                     fam = ideal_family_of(v)
                     assert from_ideal_family(fam, sel).values == v.values
-                    assert fam.is_right_continuous(sel)
+                    assert fam.is_right_continuous(rel)
 
     def test_right_continuous_families_evaluate_to_maxitive_maps(self):
         # the construction direction of the representation result
         c3 = chain(3)
         sel = build_selection(c3, "filtered")
+        rel = way_above(c3, sel)
         for e in enumerate_posets(3, dedup=True):
             ideals = [i for i in e.iter_lower_sets() if e.is_ideal(i)]
             for fam_tuple in itertools.product(ideals, repeat=3):
@@ -153,7 +193,7 @@ class TestIdealFamilies:
                     fam = IdealFamily(e, c3, fam_tuple)
                 except MapError:
                     continue
-                if not fam.is_right_continuous(sel):
+                if not fam.is_right_continuous(rel):
                     continue
                 try:
                     v = from_ideal_family(fam, sel)
@@ -207,11 +247,46 @@ class TestRationalCone:
                 if cone.is_maxitive():
                     assert is_alternating(cone, depth=4)
 
+    def test_is_maxitive_agrees_with_the_subset_scan(self):
+        # every cone of the alternating claim at size <= 4
+        value_range = chain(4)
+        for p in enumerate_posets(4):
+            if not classify(p).is_join_semilattice:
+                continue
+            for values in iter_monotone_values(p, value_range):
+                cone = RationalConeMap(p, values)
+                assert cone.is_maxitive() == oracle_cone_is_maxitive(cone)
+
+    def test_integer_scan_agrees_with_fraction_deltas(self):
+        # every monotone cone of the claim, maxitive or not, divided by 2, 3
+        # and 6, which mixes denominators 1, 2, 3 and 6 in one tuple; the
+        # non-maxitive cones on size-4 lattices supply failing witnesses
+        value_range = chain(4)
+        failures = 0
+        for p in enumerate_posets(4, dedup=True):
+            if not classify(p).is_join_semilattice:
+                continue
+            depth = 4 if p.n <= 3 else 2
+            for values in iter_monotone_values(p, value_range):
+                for d in (2, 3, 6):
+                    cone = RationalConeMap(p, [Fraction(x, d) for x in values])
+                    found = alternating_witness(cone, depth)
+                    assert found == reference_alternating_witness(cone, depth)
+                    failures += found is not None
+        assert failures == 45
+
     def test_non_maxitive_map_fails_alternation(self, b2):
         # modular-looking values: v(top) exceeds the max of the atoms
         cone = RationalConeMap(b2, (0, 1, 1, 3))
         assert not cone.is_maxitive()
         assert alternating_witness(cone, depth=2) == (0, (1, 2))
+
+    def test_non_maxitive_fraction_map_fails_alternation(self, b2):
+        cone = RationalConeMap(b2, (0, Fraction(1, 2), Fraction(1, 3),
+                                    Fraction(3, 2)))
+        assert not cone.is_maxitive()
+        assert alternating_witness(cone, depth=4) == (0, (1, 2))
+        assert reference_alternating_witness(cone, 4) == (0, (1, 2))
 
     def test_depth_must_be_positive(self, chain3):
         with pytest.raises(MapError, match="depth"):

@@ -5,9 +5,9 @@ import pytest
 from maxilat import (Generator, MapError, MonotoneMap, PosetError,
                      SelectionError, build_selection, build_space, classify,
                      corollary_above_set, enumerate_posets, generator_map,
-                     generator_values, is_maxitive, iter_monotone_values,
-                     m_arrow, maxitivity_witness, pointwise_inf,
-                     reconstruction, representation, way_above_in_space)
+                     generator_values, heyting_arrow, m_arrow,
+                     maxitivity_witness, pointwise_inf, reconstruction,
+                     representation, way_above_in_space)
 from maxilat.catalog import antichain, chain, m3
 
 from conftest import oracle_is_maxitive, oracle_monotone_maps
@@ -207,6 +207,22 @@ class TestMArrow:
                              if all(space.poset.leq(m, w)
                                     for w in admissible))
                 assert arrow == least
+
+    def test_equals_the_pointwise_heyting_formula(self):
+        # every (u, v) on each space of size <= 3 into a distributive
+        # target, and on A3 -> C4
+        spaces = [space for space in small_spaces()
+                  if classify(space.target).is_distributive]
+        spaces.append(build_space(antichain(3), chain(4)))
+        for space in spaces:
+            e, l = space.source, space.target
+            for u, v in itertools.product(range(len(space)), repeat=2):
+                uvals, vvals = space.maps[u], space.maps[v]
+                expected = tuple(
+                    l.sup_of(frozenset(heyting_arrow(l, uvals[h], vvals[h])
+                                       for h in e.down(g)))
+                    for g in range(e.n))
+                assert m_arrow(space, u, v).values == expected
 
     def test_decomposition_when_above(self):
         space = build_space(chain(2), chain(3))

@@ -8,7 +8,7 @@ from maxilat import (FinitePoset, OrderExtension, PosetError, classify,
                      dm_completion, enumerate_posets)
 from maxilat.catalog import antichain, chain
 
-from conftest import brute_force_posets, oracle_inf, oracle_sup
+from conftest import brute_force_posets, oracle_inf, oracle_is_ideal, oracle_sup
 
 
 def relabeled(p, perm):
@@ -141,6 +141,14 @@ class TestIdeals:
         # {a, b, c} has supremum z, which is missing
         members = {seven.index_of(x) for x in ("a", "b", "c")}
         assert not seven.is_ideal(members)
+
+    def test_is_ideal_agrees_with_the_definitional_oracle(self):
+        checked = 0
+        for p in enumerate_posets(5):
+            for low in p.iter_lower_sets():
+                assert p.is_ideal(low) == oracle_is_ideal(p, low)
+                checked += 1
+        assert checked == 48710
 
     def test_iter_lower_sets_matches_definition(self):
         for p in enumerate_posets(4):
