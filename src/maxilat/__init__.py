@@ -8,9 +8,10 @@ from .selections import (ContinuityReport, FilterSelection, SelectionError,
                          SelectionKind, WayAboveRelation, build_selection,
                          continuity_report, fmap, is_union_complete,
                          way_above)
-from .maxitive import (IdealFamily, MapError, MonotoneMap, RationalConeMap,
-                       alternating_witness, delta, e_lower_star, e_star,
-                       extend_lower_star, extend_star, from_ideal_family,
+from .maxitive import (IdealFamily, InvariantError, MapError, MonotoneMap,
+                       RationalConeMap, alternating_witness, delta,
+                       e_lower_star, e_star, extend_lower_star, extend_star,
+                       from_ideal_family,
                        ideal_family_of, is_alternating, is_maxitive,
                        is_pairwise_maxitive, iter_monotone_values,
                        maxitivity_witness)

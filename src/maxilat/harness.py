@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from .poset import FinitePoset, classify, dm_completion, enumerate_posets
 from .selections import (SelectionKind, build_selection, continuity_report,
                          is_union_complete, way_above)
-from .maxitive import (MonotoneMap, RationalConeMap, alternating_witness,
-                       e_lower_star, e_star, extend_lower_star, extend_star,
-                       from_ideal_family, ideal_family_of, is_pairwise_maxitive,
+from .maxitive import (InvariantError, MonotoneMap, RationalConeMap,
+                       alternating_witness, e_lower_star, e_star,
+                       extend_lower_star, extend_star, from_ideal_family,
+                       ideal_family_of, is_pairwise_maxitive,
                        iter_monotone_values, MapError, maxitivity_witness)
 from .residuation import heyting_arrow, theorem_5_4
 from .mspace import (build_space, corollary_above_set, generator_values,
@@ -278,7 +279,12 @@ def _claim_extension_extremality(bounds):
                     continue
                 checked += 1
                 if e_joins:
-                    vstar = extend_star(v, ext, sel_e, sel_l)
+                    try:
+                        vstar = extend_star(v, ext, sel_e, sel_l)
+                    except InvariantError as exc:
+                        failure = {"values": list(values), "side": "star",
+                                   "error": str(exc)}
+                        break
                     star_checked += 1
                     for w in star_groups.get(tuple(values), ()):
                         if not all(l.leq(w[k], vstar.values[k])
@@ -292,6 +298,10 @@ def _claim_extension_extremality(bounds):
                 if lower_groups is not None:
                     try:
                         vlow = extend_lower_star(v, ext)
+                    except InvariantError as exc:
+                        failure = {"values": list(values), "side": "lower",
+                                   "error": str(exc)}
+                        break
                     except MapError:
                         lower_skipped += 1
                         continue

@@ -21,6 +21,12 @@ class MapError(ValueError):
     """A map violates monotonicity, maxitivity or an extension hypothesis."""
 
 
+class InvariantError(RuntimeError):
+    """A consequence of a proved result failed on inputs that meet its
+    hypotheses: a defect in this library or a counterexample, never a
+    hypothesis failure, so callers must not treat it as a MapError."""
+
+
 @dataclass(frozen=True)
 class MonotoneMap:
     """An order-preserving map, stored as one target index per source element."""
@@ -88,17 +94,11 @@ def maxitivity_witness(v: MonotoneMap):
     then x, in index order; it costs O(|L| |E|) sups, not 2^|E| subsets.
     """
     e, l = v.source, v.target
-    seen = set()
     for t in range(l.n):
         sublevel = frozenset(g for g in range(e.n) if l.leq(v.values[g], t))
-        if sublevel in seen:
-            continue
-        seen.add(sublevel)
-        for x in range(e.n):
-            if x not in sublevel:
-                family = sublevel & e.down(x)
-                if family and e.sup_of(family) == x:
-                    return family
+        family = e._unclosed_family(sublevel)
+        if family is not None:
+            return family
     return None
 
 
@@ -292,7 +292,7 @@ def e_star(ext, sel_e: FilterSelection) -> frozenset:
     star = frozenset(a for a in range(ext.complete.n)
                      if (trace := ext.up_in_base(a)) and trace in sel_e.fsets)
     if not ext.image() <= star:
-        raise MapError("the star region misses part of the base image")
+        raise InvariantError("the star region misses part of the base image")
     return star
 
 
@@ -331,7 +331,7 @@ def extend_star(v: MonotoneMap, ext, sel_e: FilterSelection,
     index = {a: k for k, a in enumerate(star)}
     for g in range(v.source.n):
         if result.values[index[ext.embed[g]]] != v.values[g]:
-            raise MapError(f"star extension does not restrict to v at {g}")
+            raise InvariantError(f"star extension does not restrict to v at {g}")
     return result
 
 
@@ -344,11 +344,11 @@ def e_lower_star(ext) -> frozenset:
         if all(big.inf_of((ext.embed[g], a)) in image for g in range(ext.base.n)))
     base_profile = classify(ext.base)
     if base_profile.is_meet_semilattice and not image <= members:
-        raise MapError("the lower-star region misses part of the base image")
+        raise InvariantError("the lower-star region misses part of the base image")
     if (base_profile.is_join_semilattice and classify(big).is_distributive
             and not all(big.sup_of((a, b)) in members
                         for a in members for b in members)):
-        raise MapError("the lower-star region is not closed under joins")
+        raise InvariantError("the lower-star region is not closed under joins")
     return members
 
 
@@ -382,5 +382,5 @@ def extend_lower_star(v: MonotoneMap, ext) -> MonotoneMap:
     for g in range(v.source.n):
         a = ext.embed[g]
         if a in index and result.values[index[a]] != v.values[g]:
-            raise MapError(f"lower-star extension does not restrict to v at {g}")
+            raise InvariantError(f"lower-star extension does not restrict to v at {g}")
     return result

@@ -210,14 +210,17 @@ class FinitePoset:
         closed iff no x outside it is the supremum of its part below x.
         """
         a = self._subset(a)
-        if not self.is_lower_set(a):
-            return False
+        return self.is_lower_set(a) and self._unclosed_family(a) is None
+
+    def _unclosed_family(self, a):
+        """The first a meet down(x), over x outside the lower set a in index
+        order, whose supremum is x; None if a is closed under existing sups."""
         for x in range(self.n):
             if x not in a:
                 below = a & self._down[x]
                 if below and self.sup_of(below) == x:
-                    return False
-        return True
+                    return below
+        return None
 
     def iter_lower_sets(self):
         """All lower sets, each exactly once, in a deterministic order."""

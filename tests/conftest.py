@@ -155,3 +155,23 @@ def oracle_filtered_sets(p):
                             for x in s for y in s)):
                 out.add(s)
     return out
+
+
+class WholeBaseTraces:
+    """An order extension whose upper and lower traces are the whole base.
+
+    Deliberately wrong: the star and lower-star extensions built on it no
+    longer restrict to the map, so their invariant checks must fire.
+    """
+
+    def __init__(self, ext):
+        self._ext = ext
+
+    def __getattr__(self, name):
+        return getattr(self._ext, name)
+
+    def up_in_base(self, a):
+        return frozenset(range(self._ext.base.n))
+
+    def down_in_base(self, a):
+        return frozenset(range(self._ext.base.n))

@@ -4,10 +4,13 @@ import pytest
 
 from maxilat import (MonotoneMap, build_space, classify, enumerate_posets,
                      heyting_arrow, is_maxitive, is_pairwise_maxitive, m_arrow)
+from maxilat import harness
 from maxilat.cli import main
 from maxilat.harness import (FAIL, PASS, SKIP, HarnessError, VerdictRecord,
                              CLAIMS, run_suite, summarize)
 from maxilat.io import poset_from_dict
+
+from conftest import WholeBaseTraces
 
 
 class TestVerdictRecord:
@@ -78,6 +81,22 @@ class TestWitnessReplay:
         for rec in run_suite("extension-extremality", max_size=3):
             if rec.verdict == FAIL:    # pragma: no cover - expected all-pass
                 assert "values" in rec.witness
+
+    @pytest.mark.parametrize("side, name", [("star", "extend_star"),
+                                            ("lower", "extend_lower_star")])
+    def test_failed_restriction_is_a_fail_not_a_skip(self, monkeypatch,
+                                                     side, name):
+        real = getattr(harness, name)
+        monkeypatch.setattr(harness, name,
+                            lambda v, ext, *sels: real(v, WholeBaseTraces(ext),
+                                                       *sels))
+        failed = [rec for rec in run_suite("extension-extremality", max_size=2)
+                  if rec.verdict == FAIL]
+        assert failed
+        for rec in failed:
+            assert rec.witness["side"] == side
+            assert "does not restrict" in rec.witness["error"]
+            assert len(set(rec.witness["values"])) > 1
 
 
 class TestFrameOracle:

@@ -2,13 +2,17 @@ import json
 
 import pytest
 
-from maxilat import MonotoneMap, RationalConeMap, enumerate_posets
+from maxilat import (InvariantError, MonotoneMap, RationalConeMap,
+                     enumerate_posets)
+from maxilat import cli
 from maxilat.catalog import chain, m3, seven_element
 from maxilat.cli import main
 from maxilat.io import (FormatError, fixture, fixture_map, fixture_poset,
                         load_map, load_poset, map_from_dict, map_to_dict,
                         parse_selection_spec, poset_from_dict, poset_to_dict,
                         save_map, save_poset, selection_from_dict)
+
+from conftest import WholeBaseTraces
 
 
 class TestPosetFiles:
@@ -211,6 +215,19 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert main(["map", "extend", str(path), "--mode", "star"]) == 0
         assert "star region" in capsys.readouterr().out
+
+    def test_map_extend_invariant_failure_is_not_a_usage_error(
+            self, tmp_path, monkeypatch):
+        doc = {"source": {"elements": ["0", "1"], "covers": [["0", "1"]]},
+               "target": {"elements": ["0", "1"], "covers": [["0", "1"]]},
+               "values": {"0": "0", "1": "1"}}
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps(doc))
+        real = cli.extend_lower_star
+        monkeypatch.setattr(cli, "extend_lower_star",
+                            lambda v, ext: real(v, WholeBaseTraces(ext)))
+        with pytest.raises(InvariantError, match="does not restrict"):
+            main(["map", "extend", str(path), "--mode", "lower-star"])
 
     def test_map_residuated_and_adjoint(self, tmp_path, capsys):
         doc = {"source": {"elements": ["0", "1"], "covers": [["0", "1"]]},

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from maxilat import (IdealFamily, MapError, MonotoneMap, OrderExtension,
-                     RationalConeMap, alternating_witness, build_selection,
+from maxilat import (IdealFamily, InvariantError, MapError, MonotoneMap,
+                     OrderExtension, RationalConeMap, alternating_witness, build_selection,
                      classify, delta, dm_completion, e_lower_star, e_star,
                      enumerate_posets, extend_lower_star, extend_star,
                      from_ideal_family, ideal_family_of, is_alternating,
@@ -12,8 +12,8 @@ from maxilat import (IdealFamily, MapError, MonotoneMap, OrderExtension,
                      maxitivity_witness, way_above)
 from maxilat.catalog import antichain, chain, diamond, m3
 
-from conftest import (oracle_cone_is_maxitive, oracle_is_maxitive,
-                      oracle_monotone_maps, oracle_sup)
+from conftest import (WholeBaseTraces, oracle_cone_is_maxitive,
+                      oracle_is_maxitive, oracle_monotone_maps, oracle_sup)
 
 
 def assert_agrees_with_oracle(v):
@@ -348,8 +348,25 @@ class TestStarRegion:
         for g in range(base.n):
             assert vstar.values[star.index(ext.embed[g])] == v.values[g]
 
+    def test_failed_restriction_is_an_invariant_error(self):
+        c2 = chain(2)
+        ext = WholeBaseTraces(dm_completion(c2))
+        v = MonotoneMap(c2, c2, (0, 1))
+        sel = build_selection(c2, "principal")
+        with pytest.raises(InvariantError, match="does not restrict") as info:
+            extend_star(v, ext, sel, sel)
+        assert not isinstance(info.value, MapError)
+
 
 class TestLowerStarRegion:
+    def test_failed_restriction_is_an_invariant_error(self):
+        c2 = chain(2)
+        ext = WholeBaseTraces(dm_completion(c2))
+        v = MonotoneMap(c2, c2, (0, 1))
+        with pytest.raises(InvariantError, match="does not restrict") as info:
+            extend_lower_star(v, ext)
+        assert not isinstance(info.value, MapError)
+
     def test_complete_base_keeps_everything(self, chain3):
         ext = OrderExtension.identity(chain3)
         assert e_lower_star(ext) == frozenset(range(3))
