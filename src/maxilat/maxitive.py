@@ -181,14 +181,23 @@ def from_ideal_family(fam: IdealFamily, sel_l: FilterSelection) -> MonotoneMap:
 
 
 def ideal_family_of(v: MonotoneMap) -> IdealFamily:
-    """The canonical family of sublevel ideals of a maxitive map."""
-    witness = maxitivity_witness(v)
-    if witness is not None:
-        raise MapError(f"map is not maxitive; offending family {sorted(witness)}")
+    """The canonical family of sublevel ideals of a maxitive map.
+
+    IdealFamily's check that every member is an ideal is the sublevel test
+    of maxitivity_witness, so the witness is computed only to name the
+    offending family when that check fails.
+    """
     family = tuple(frozenset(g for g in range(v.source.n)
                              if v.target.leq(v.values[g], t))
                    for t in range(v.target.n))
-    return IdealFamily(v.source, v.target, family)
+    try:
+        return IdealFamily(v.source, v.target, family)
+    except MapError:
+        witness = maxitivity_witness(v)
+        if witness is None:
+            raise
+        raise MapError("map is not maxitive; offending family "
+                       f"{sorted(witness)}") from None
 
 
 # -- the rational cone ----------------------------------------------------

@@ -9,6 +9,7 @@ principal filters and way-above in the space is its order.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .poset import FinitePoset, PosetError, classify
 from .selections import (FilterSelection, SelectionError, SelectionKind,
@@ -177,6 +178,15 @@ def corollary_above_set(space, v, sel_l=None) -> frozenset:
                             for g in range(space.source.n)))
 
 
+@lru_cache(maxsize=64)
+def _arrow_tables(l):
+    """The binary joins of a target and its principal selection, built once
+    per target for m_arrow."""
+    joins = tuple(tuple(l.sup_of((a, b)) for b in range(l.n))
+                  for a in range(l.n))
+    return joins, build_selection(l, SelectionKind.PRINCIPAL)
+
+
 def m_arrow(space, u, v) -> MonotoneMap:
     """Residuation u <- v inside the space: the least w with v <= u join w.
 
@@ -188,17 +198,16 @@ def m_arrow(space, u, v) -> MonotoneMap:
     l = space.target
     if not classify(l).is_distributive:
         raise PosetError("the target must be distributive")
+    joins, sel = _arrow_tables(l)
     uvals = space.maps[u] if isinstance(u, int) else tuple(u)
     vvals = space.maps[v] if isinstance(v, int) else tuple(v)
     e = space.source
     family = []
     for t in range(l.n):
-        family.append(frozenset(
-            g for g in range(e.n)
-            if all(l.leq(vvals[h], l.sup_of((uvals[h], t)))
-                   for h in e.down(g))))
+        fits = frozenset(h for h in range(e.n)
+                         if l.leq(vvals[h], joins[uvals[h]][t]))
+        family.append(frozenset(g for g in range(e.n) if e.down(g) <= fits))
     fam = IdealFamily(e, l, tuple(family))
-    sel = build_selection(l, SelectionKind.PRINCIPAL)
     arrow = from_ideal_family(fam, sel)
     space.index_of(arrow.values)
     return arrow

@@ -119,12 +119,10 @@ class WayAboveRelation:
     gg: tuple
 
     def __post_init__(self):
-        if self.selection.kind in BUILTIN_KINDS:
-            for y in range(self.poset.n):
-                for x in range(self.poset.n):
-                    if self.gg[y][x] and not self.poset.leq(x, y):
-                        raise SelectionError(
-                            f"way-above escapes the order at ({y}, {x})")
+        n = self.poset.n
+        _check_within_order(self.poset, self.selection,
+                            [_bits(y for y in range(n) if self.gg[y][x])
+                             for x in range(n)])
 
     def way_above(self, y, x):
         return self.gg[y][x]
@@ -142,24 +140,57 @@ class WayAboveRelation:
                    for x in range(p.n) for y in range(p.n))
 
 
-def way_above(p, sel) -> WayAboveRelation:
-    """Compute the way-above relation of p under the selection sel."""
+def _bits(subset):
+    mask = 0
+    for i in subset:
+        mask |= 1 << i
+    return mask
+
+
+def _check_within_order(p, sel, cols):
+    """For the built-in kinds, y way-above x implies x <= y; cols[x] is the
+    bitmask of the y way-above x."""
+    if sel.kind in BUILTIN_KINDS:
+        for x in range(p.n):
+            escaped = cols[x] & ~_bits(p.up(x))
+            if escaped:
+                y = (escaped & -escaped).bit_length() - 1
+                raise SelectionError(f"way-above escapes the order at ({y}, {x})")
+
+
+def _way_above_columns(p, sel):
+    """One pass over the selected sets, as int bitmasks.
+
+    Returns the way-above columns, cols[x] holding the y way-above x, and
+    the infimum of each selected set keyed by its bitmask (None if missing;
+    the top for the empty set).
+    """
     if sel.poset is not p and sel.poset != p:
         raise SelectionError("selection was built on a different poset")
     n = p.n
-    constraints = []
-    for f in sel.sorted_fsets():
-        m = _inf_allowing_empty(p, f)
+    full = (1 << n) - 1
+    down = [_bits(p.down(x)) for x in range(n)]
+    cols = [full] * n
+    infs = {}
+    for f in sel.fsets:
+        mask, lower = 0, full
+        for y in f:
+            mask |= 1 << y
+            lower &= down[y]
+        m = next((z for z in range(n)
+                  if lower >> z & 1 and not lower & ~down[z]), None)
+        infs[mask] = m
         if m is not None:
-            constraints.append((m, f))
-    columns = []
-    for x in range(n):
-        allowed = frozenset(range(n))
-        for m, f in constraints:
-            if p.leq(m, x):
-                allowed &= f
-        columns.append(allowed)
-    gg = tuple(tuple(y in columns[x] for x in range(n)) for y in range(n))
+            for x in p.up(m):
+                cols[x] &= mask
+    return cols, infs
+
+
+def way_above(p, sel) -> WayAboveRelation:
+    """Compute the way-above relation of p under the selection sel."""
+    cols = _way_above_columns(p, sel)[0]
+    gg = tuple(tuple(bool(cols[x] >> y & 1) for x in range(p.n))
+               for y in range(p.n))
     return WayAboveRelation(p, sel, gg)
 
 
@@ -184,54 +215,62 @@ def continuity_report(p, sel) -> ContinuityReport:
 
     Continuity requires, for each x, that the set of elements way-above x is
     a selected set whose infimum is x; a domain additionally requires every
-    selected set to have an infimum.
+    selected set to have an infimum.  Interpolation asks for each y way-above
+    x some z with y way-above z way-above x.
     """
-    rel = way_above(p, sel)
-    continuity_failures = []
-    for x in range(p.n):
-        above = rel.above_set(x)
-        if above not in sel.fsets or _inf_allowing_empty(p, above) != x:
-            continuity_failures.append(x)
-    missing = tuple(tuple(sorted(f)) for f in sel.sorted_fsets()
-                    if _inf_allowing_empty(p, f) is None)
+    cols, infs = _way_above_columns(p, sel)
+    _check_within_order(p, sel, cols)
+    n = p.n
+    continuity_failures = tuple(x for x in range(n) if infs.get(cols[x]) != x)
+    missing = tuple(sorted(
+        (tuple(y for y in range(n) if mask >> y & 1)
+         for mask, m in infs.items() if m is None),
+        key=lambda f: (len(f), f)))
     interp_failures = []
-    for x in range(p.n):
-        for y in range(p.n):
-            if rel.gg[y][x] and not any(rel.gg[y][z] and rel.gg[z][x]
-                                        for z in range(p.n)):
-                interp_failures.append((y, x))
+    for x in range(n):
+        reach = 0
+        for z in range(n):
+            if cols[x] >> z & 1:
+                reach |= cols[z]
+        unmet = cols[x] & ~reach
+        interp_failures.extend((y, x) for y in range(n) if unmet >> y & 1)
     is_continuous = not continuity_failures
     return ContinuityReport(
         is_continuous=is_continuous,
         is_domain=is_continuous and not missing,
         has_interpolation=not interp_failures,
-        continuity_failures=tuple(continuity_failures),
+        continuity_failures=continuity_failures,
         missing_infima=missing,
         interpolation_failures=tuple(interp_failures),
     )
 
 
-def _selection_poset(sel):
-    """The family of selected sets as a poset under reverse inclusion."""
-    fsets = sel.sorted_fsets()
-    rows = tuple(tuple(a >= b for b in fsets) for a in fsets)
-    return FinitePoset(rows), fsets
-
-
 def is_union_complete(sel) -> bool:
     """True iff unions of selected families of selected sets are selected.
 
-    The family of sets is ordered by reverse inclusion and re-selected with
+    The selected sets are ordered by reverse inclusion and re-selected with
     the same kind (for explicit selections, with the recursion kind); every
     member of that second-level selection must union back into the first.
+    This is decided by closure, without building the second level:
+
+    - principal or filtered: the principal filter of f one level up is
+      {g selected : g inside f}, whose union is f itself, so the check holds;
+    - upper: an upper set one level up is a family closed under selected
+      subsets, and any family has the same union as the one it generates, so
+      every subfamily must union into the selection.  By induction on its
+      size, that is: the empty set is selected, and so is the union of any
+      two selected sets.
     """
-    level_poset, fsets = _selection_poset(sel)
     kind = sel.kind if sel.kind in BUILTIN_KINDS else sel.recursion_kind
-    for v in _iter_kind_sets(level_poset, kind):
-        union = frozenset().union(*(fsets[i] for i in v)) if v else frozenset()
-        if union not in sel.fsets:
-            return False
-    return True
+    if kind in (SelectionKind.PRINCIPAL, SelectionKind.FILTERED):
+        return True
+    if kind is not SelectionKind.UPPER:
+        raise SelectionError(f"{kind} has no implicit set family")
+    masks = [_bits(f) for f in sel.fsets]
+    selected = set(masks)
+    return 0 in selected and all(a | b in selected
+                                 for i, a in enumerate(masks)
+                                 for b in masks[i + 1:])
 
 
 def fmap(sel_p, sel_q, f, fset) -> frozenset:

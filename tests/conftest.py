@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from maxilat import FinitePoset
+from maxilat import ContinuityReport, FinitePoset, SelectionKind
 from maxilat.catalog import antichain, chain, diamond, m3, n5, seven_element
 
 
@@ -155,6 +155,69 @@ def oracle_filtered_sets(p):
                             for x in s for y in s)):
                 out.add(s)
     return out
+
+
+def _sorted_sets(sets):
+    return sorted(sets, key=lambda f: (len(f), sorted(f)))
+
+
+def _inf_or_top(p, subset):
+    return p.inf_of(subset) if subset else p.top()
+
+
+def oracle_is_union_complete(sel):
+    """Union-completeness by enumeration: order the selected sets by reverse
+    inclusion, select one level up with the same kind (the recursion kind
+    for explicit selections), and require every member's union to be
+    selected.  Finite codirected upper sets are principal, so the filtered
+    kind one level up is its principal filters."""
+    fsets = _sorted_sets(sel.fsets)
+    level = FinitePoset(tuple(tuple(a >= b for b in fsets) for a in fsets))
+    kind = sel.recursion_kind if sel.kind is SelectionKind.EXPLICIT else sel.kind
+    if kind is SelectionKind.UPPER:
+        members = level.iter_upper_sets()
+    else:
+        members = (level.up(i) for i in range(level.n))
+    return all(frozenset().union(*(fsets[i] for i in v)) in sel.fsets
+               for v in members)
+
+
+def oracle_way_above(p, sel):
+    """gg[y][x]: every selected set whose infimum is below x contains y."""
+    constraints = [(m, f) for f in _sorted_sets(sel.fsets)
+                   for m in (_inf_or_top(p, f),) if m is not None]
+    columns = []
+    for x in range(p.n):
+        allowed = frozenset(range(p.n))
+        for m, f in constraints:
+            if p.leq(m, x):
+                allowed &= f
+        columns.append(allowed)
+    return tuple(tuple(y in columns[x] for x in range(p.n))
+                 for y in range(p.n))
+
+
+def oracle_continuity_report(p, sel):
+    """Continuity, domain and interpolation on the frozenset relation."""
+    gg = oracle_way_above(p, sel)
+    failures = []
+    for x in range(p.n):
+        above = frozenset(y for y in range(p.n) if gg[y][x])
+        if above not in sel.fsets or _inf_or_top(p, above) != x:
+            failures.append(x)
+    missing = tuple(tuple(sorted(f)) for f in _sorted_sets(sel.fsets)
+                    if _inf_or_top(p, f) is None)
+    interpolation = tuple((y, x) for x in range(p.n) for y in range(p.n)
+                          if gg[y][x] and not any(gg[y][z] and gg[z][x]
+                                                  for z in range(p.n)))
+    return ContinuityReport(
+        is_continuous=not failures,
+        is_domain=not failures and not missing,
+        has_interpolation=not interpolation,
+        continuity_failures=tuple(failures),
+        missing_infima=missing,
+        interpolation_failures=interpolation,
+    )
 
 
 class WholeBaseTraces:

@@ -10,6 +10,7 @@ from maxilat import (IdealFamily, InvariantError, MapError, MonotoneMap,
                      from_ideal_family, ideal_family_of, is_alternating,
                      is_maxitive, is_pairwise_maxitive, iter_monotone_values,
                      maxitivity_witness, way_above)
+from maxilat import maxitive
 from maxilat.catalog import antichain, chain, diamond, m3
 
 from conftest import (WholeBaseTraces, oracle_cone_is_maxitive,
@@ -131,6 +132,23 @@ class TestIdealFamilies:
     def test_rejects_non_maxitive_map(self, seven_indicator):
         with pytest.raises(MapError, match="not maxitive"):
             ideal_family_of(seven_indicator)
+
+    def test_witness_only_on_the_failure_path(self, monkeypatch, chain3,
+                                              seven_indicator):
+        # IdealFamily's ideal check decides maxitivity; the witness only
+        # names the offending family in the error
+        calls = []
+        witness = maxitive.maxitivity_witness
+        monkeypatch.setattr(maxitive, "maxitivity_witness",
+                            lambda v: calls.append(v) or witness(v))
+        ideal_family_of(MonotoneMap(chain3, chain3, (0, 1, 1)))
+        assert calls == []
+        expected = sorted(witness(seven_indicator))
+        with pytest.raises(MapError) as err:
+            ideal_family_of(seven_indicator)
+        assert str(err.value) == (
+            f"map is not maxitive; offending family {expected}")
+        assert calls == [seven_indicator]
 
     def test_rejects_non_ideal_members(self, b2, chain3):
         atoms = frozenset({b2.index_of("a"), b2.index_of("b")})

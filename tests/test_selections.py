@@ -3,15 +3,38 @@ import itertools
 import pytest
 
 from maxilat import (MonotoneMap, SelectionError, SelectionKind,
-                     build_selection, classify, continuity_report,
-                     enumerate_posets, fmap, is_union_complete, way_above)
+                     WayAboveRelation, build_selection, classify,
+                     continuity_report, enumerate_posets, fmap,
+                     is_union_complete, way_above)
 from maxilat.catalog import antichain, chain
 
-from conftest import oracle_filtered_sets
+from conftest import (oracle_continuity_report, oracle_filtered_sets,
+                      oracle_is_union_complete, oracle_way_above)
 
 
 def fsets_as_sets(sel):
     return {tuple(sorted(f)) for f in sel.fsets}
+
+
+def builtin_selections():
+    """Every built-in selection of the 4,473 labeled posets of size <= 5."""
+    for p in enumerate_posets(5):
+        for kind in ("principal", "filtered", "upper"):
+            yield p, build_selection(p, kind)
+
+
+def explicit_selections():
+    """Every explicit selection of the unlabeled posets of size <= 4: each
+    family of non-principal upper sets, under principal and upper recursion."""
+    for p in enumerate_posets(4, dedup=True):
+        principal = {p.up(x) for x in range(p.n)}
+        extra = [f for f in p.iter_upper_sets() if f not in principal]
+        for r in range(len(extra) + 1):
+            for family in itertools.combinations(extra, r):
+                for recursion in (SelectionKind.PRINCIPAL, SelectionKind.UPPER):
+                    yield p, build_selection(p, "explicit",
+                                             explicit_sets=family,
+                                             recursion_kind=recursion)
 
 
 class TestBuildSelection:
@@ -76,6 +99,15 @@ class TestWayAbove:
             for x in range(p.n):
                 assert large.above_set(x) <= small.above_set(x)
 
+    def test_relation_outside_the_order_is_rejected(self, chain3):
+        sel = build_selection(chain3, "principal")
+        gg = [list(row) for row in way_above(chain3, sel).gg]
+        gg[0][2] = True
+        with pytest.raises(SelectionError, match=r"escapes the order at \(0, 2\)"):
+            WayAboveRelation(chain3, sel, tuple(map(tuple, gg)))
+        explicit = build_selection(chain3, "explicit", explicit_sets=[])
+        WayAboveRelation(chain3, explicit, tuple(map(tuple, gg)))
+
     def test_within_order_for_builtin_kinds(self):
         for p in enumerate_posets(3):
             for kind in ("principal", "filtered", "upper"):
@@ -139,6 +171,47 @@ class TestUnionCompleteness:
         sel = build_selection(two_antichain, "explicit", explicit_sets=[],
                               recursion_kind=SelectionKind.UPPER)
         assert not is_union_complete(sel)
+
+    def test_explicit_with_upper_recursion_needs_binary_unions(
+            self, two_antichain):
+        # the empty set is selected, but {a} union {b} is not
+        sel = build_selection(two_antichain, "explicit", explicit_sets=[[]],
+                              recursion_kind=SelectionKind.UPPER)
+        assert frozenset() in sel
+        assert not is_union_complete(sel)
+        assert not oracle_is_union_complete(sel)
+
+    def test_explicit_recursion_needs_an_implicit_kind(self, two_antichain):
+        sel = build_selection(two_antichain, "explicit", explicit_sets=[],
+                              recursion_kind=SelectionKind.EXPLICIT)
+        with pytest.raises(SelectionError, match="no implicit set family"):
+            is_union_complete(sel)
+
+
+class TestAgainstOracles:
+    # the library decides union-completeness by closure and way-above by
+    # one bitmask pass; the conftest oracles enumerate the selection one
+    # level up and intersect frozensets
+
+    @staticmethod
+    def assert_agrees(p, sel):
+        assert is_union_complete(sel) == oracle_is_union_complete(sel)
+        assert way_above(p, sel).gg == oracle_way_above(p, sel)
+        assert continuity_report(p, sel) == oracle_continuity_report(p, sel)
+
+    def test_builtin_selections_of_labeled_5_posets(self):
+        for p, sel in builtin_selections():
+            self.assert_agrees(p, sel)
+
+    def test_explicit_selections_of_unlabeled_4_posets(self):
+        verdicts = set()
+        for p, sel in explicit_selections():
+            self.assert_agrees(p, sel)
+            verdicts.add((sel.recursion_kind, is_union_complete(sel)))
+        # both recursion kinds are exercised, and upper recursion both ways
+        assert verdicts == {(SelectionKind.PRINCIPAL, True),
+                            (SelectionKind.UPPER, False),
+                            (SelectionKind.UPPER, True)}
 
 
 class TestFmap:
