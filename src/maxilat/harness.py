@@ -7,7 +7,6 @@ that replays through the library.
 """
 
 import hashlib
-import itertools
 import time
 from dataclasses import dataclass
 
@@ -393,15 +392,20 @@ def adjunction_violations(poset, join, arrow):
     lies above it, so it is the least admissible element.  When u <= v,
     w = v is admissible, so arrow(u, v) <= v and u join arrow(u, v) = v.
     """
-    for u, v in itertools.product(range(poset.n), repeat=2):
-        try:
-            a = arrow(u, v)
-        except MapError as exc:
-            yield {"u": u, "v": v, "error": str(exc)}
-            continue
-        for w in range(poset.n):
-            if poset.leq(v, join(u, w)) != poset.leq(a, w):
-                yield {"u": u, "v": v, "w": w}
+    n = poset.n
+    for u in range(n):
+        joins = None
+        for v in range(n):
+            try:
+                a = arrow(u, v)
+            except MapError as exc:
+                yield {"u": u, "v": v, "error": str(exc)}
+                continue
+            if joins is None:
+                joins = [join(u, w) for w in range(n)]
+            for w in range(n):
+                if poset.leq(v, joins[w]) != poset.leq(a, w):
+                    yield {"u": u, "v": v, "w": w}
 
 
 def _check_frame(space):

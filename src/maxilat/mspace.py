@@ -1,15 +1,15 @@
 """The space of all maxitive maps from a poset into a complete lattice.
 
 The space is materialized exhaustively and ordered pointwise.  Pointwise
-infima of selected families stay inside the space; joins need not be
-pointwise and are computed as least-upper-bound scans within it.  Way-above
+infima of selected families stay inside the space, and so do pointwise
+joins, because sups commute with sups; the join is a table lookup.  Way-above
 in the space, and by default in the target, uses the filtered selection.  A
 finite codirected upper set has a least element, so that selection is the
 principal filters and way-above in the space is its order.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .poset import FinitePoset, PosetError, classify
 from .selections import (FilterSelection, SelectionError, SelectionKind,
@@ -32,9 +32,9 @@ class Generator:
 class MaxMapSpace:
     """All maxitive maps source -> target, ordered pointwise.
 
-    Maps are value tuples sorted lexicographically; ``poset`` carries the
-    pointwise order on them, so the whole selection and way-above machinery
-    applies to the space itself.
+    Maps are value tuples sorted lexicographically.  ``poset`` carries the
+    pointwise order on them, built on first use, so the whole selection and
+    way-above machinery applies to the space itself.
     """
 
     def __init__(self, source, target, maps):
@@ -42,12 +42,16 @@ class MaxMapSpace:
         self.target = target
         self.maps = tuple(tuple(m) for m in maps)
         self.index = {m: k for k, m in enumerate(self.maps)}
-        rows = tuple(tuple(all(target.leq(a[g], b[g]) for g in range(source.n))
+        self._joins = {}
+
+    @cached_property
+    def poset(self):
+        target, n = self.target, self.source.n
+        rows = tuple(tuple(all(target.leq(a[g], b[g]) for g in range(n))
                            for b in self.maps) for a in self.maps)
         labels = tuple("(" + ",".join(target.label_of(t) for t in m) + ")"
                        for m in self.maps)
-        self.poset = FinitePoset(rows, labels)
-        self._joins = {}
+        return FinitePoset(rows, labels)
 
     def __len__(self):
         return len(self.maps)
@@ -63,18 +67,17 @@ class MaxMapSpace:
             raise MapError(f"{values} is not a maxitive map of this space") from None
 
     def join(self, i, j):
-        """Join inside the space: the least maxitive map above both."""
+        """Join inside the space: the pointwise join, which is maxitive."""
         key = (i, j) if i <= j else (j, i)
         found = self._joins.get(key)
         if found is None:
-            found = self.poset.sup_of(key)
+            joins = _arrow_tables(self.target)[0]
+            found = self.index.get(tuple(
+                joins[a][b] for a, b in zip(self.maps[i], self.maps[j])))
             if found is None:
                 raise MapError("the space is missing a join; target not complete?")
             self._joins[key] = found
         return found
-
-    def meet(self, i, j):
-        return self.poset.inf_of((i, j))
 
 
 def build_space(e, l, cap=DEFAULT_SPACE_CAP) -> MaxMapSpace:
@@ -181,7 +184,7 @@ def corollary_above_set(space, v, sel_l=None) -> frozenset:
 @lru_cache(maxsize=64)
 def _arrow_tables(l):
     """The binary joins of a target and its principal selection, built once
-    per target for m_arrow."""
+    per target for m_arrow and the space's join."""
     joins = tuple(tuple(l.sup_of((a, b)) for b in range(l.n))
                   for a in range(l.n))
     return joins, build_selection(l, SelectionKind.PRINCIPAL)

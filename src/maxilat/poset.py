@@ -363,6 +363,12 @@ def classify(p: FinitePoset) -> PosetProfile:
     top and a bottom; the exhaustive all-subsets characterization is kept as
     a test oracle.  Distributivity and meet-continuity are only meaningful
     for lattices and default to False otherwise.
+
+    Every finite lattice is meet-continuous, so that flag is the lattice
+    flag.  A nonempty ideal I is closed under binary joins, so it holds
+    s = sup I and equals down(s); the part of I below x is then
+    down(x meet s), whose supremum is x meet s.  The lower-set scan of the
+    definition is the test oracle.
     """
     n = p.n
     pairs = list(itertools.combinations(range(n), 2))
@@ -397,26 +403,8 @@ def classify(p: FinitePoset) -> PosetProfile:
                 is_distributive = False
                 break
 
-    is_meet_continuous = is_lattice
-    if is_lattice:
-        # in a lattice, closure under binary joins already gives an ideal
-        for low in p.iter_lower_sets():
-            members = sorted(low)
-            if not members or not all(jn(a, b) in low
-                                      for a, b in itertools.combinations(members, 2)):
-                continue
-            s = p.sup_of(low)
-            for x in range(n):
-                sub = p.down(x) & low
-                rhs = p.sup_of(sub) if sub else None
-                if mt(x, s) != rhs:
-                    is_meet_continuous = False
-                    break
-            if not is_meet_continuous:
-                break
-
     return PosetProfile(is_join, is_meet, is_lattice, is_complete,
-                        is_distributive, is_meet_continuous)
+                        is_distributive, is_lattice)
 
 
 def _ensure_complete_lattice(p):

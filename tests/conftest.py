@@ -110,6 +110,27 @@ def oracle_sups(p):
     return tuple(out)
 
 
+def oracle_is_meet_continuous(p):
+    """Meet-continuity by its definition, False off lattices: for every ideal
+    I (a nonempty lower set closed under binary joins) and every x, the part
+    of I below x has supremum x meet sup I."""
+    pairs = list(itertools.combinations(range(p.n), 2))
+    if any(oracle_sup(p, pair) is None or oracle_inf(p, pair) is None
+           for pair in pairs):
+        return False
+    for low in p.iter_lower_sets():
+        if not low or any(oracle_sup(p, pair) not in low
+                          for pair in itertools.combinations(sorted(low), 2)):
+            continue
+        s = oracle_sup(p, low)
+        for x in range(p.n):
+            below = [y for y in low if p.leq(y, x)]
+            rhs = oracle_sup(p, below) if below else None
+            if oracle_inf(p, (x, s)) != rhs:
+                return False
+    return True
+
+
 def oracle_is_maxitive(v):
     """Direct quantifier over nonempty subsets, written against definitions."""
     for family, sup in oracle_sups(v.source):

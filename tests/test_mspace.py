@@ -60,14 +60,31 @@ class TestBuildSpace:
             if classify(space.target).is_distributive:
                 assert classify(space.poset).is_distributive
 
-    def test_join_is_the_least_upper_bound_in_the_space(self):
-        space = build_space(chain(2), chain(3))
-        for i, j in itertools.combinations(range(len(space)), 2):
-            k = space.join(i, j)
-            assert space.poset.leq(i, k) and space.poset.leq(j, k)
-            for w in range(len(space)):
-                if space.poset.leq(i, w) and space.poset.leq(j, w):
-                    assert space.poset.leq(k, w)
+    def test_join_is_the_least_upper_bound_in_the_space(
+            self, three_atoms_under_top):
+        # every space of size <= 3, A3 -> C4, the M3-shaped space, and a
+        # target that is not a chain
+        cx = three_atoms_under_top
+        spaces = [*small_spaces(), build_space(antichain(3), chain(4)),
+                  build_space(cx.source, cx.target),
+                  build_space(chain(2), m3())]
+        for space in spaces:
+            for i, j in itertools.product(range(len(space)), repeat=2):
+                assert space.join(i, j) == space.poset.sup_of((i, j))
+
+    def test_order_is_built_on_first_use(self):
+        space = build_space(antichain(5), chain(4))
+        assert len(space) == 4 ** 5 and "poset" not in vars(space)
+        small = build_space(antichain(3), chain(4))
+        for sp in (space, small):
+            sp.join(1, 2)
+            m_arrow(sp, len(sp) - 1, 0)
+            representation(sp, sp.maps[1])
+            assert "poset" not in vars(sp)
+        l, n = small.target, small.source.n
+        assert small.poset.matrix == tuple(
+            tuple(all(l.leq(a[g], b[g]) for g in range(n)) for b in small.maps)
+            for a in small.maps)
 
 
 class TestPointwiseInf:

@@ -8,7 +8,8 @@ from maxilat import (FinitePoset, OrderExtension, PosetError, classify,
                      dm_completion, enumerate_posets)
 from maxilat.catalog import antichain, chain
 
-from conftest import brute_force_posets, oracle_inf, oracle_is_ideal, oracle_sup
+from conftest import (brute_force_posets, oracle_inf, oracle_is_ideal,
+                      oracle_is_meet_continuous, oracle_sup)
 
 
 def relabeled(p, perm):
@@ -210,10 +211,15 @@ class TestClassify:
             assert profile.is_distributive == expected
 
     def test_every_finite_lattice_is_meet_continuous(self):
+        # the flag against the lower-set oracle on all 4,473 labeled posets
+        checked = 0
         for p in enumerate_posets(5):
             profile = classify(p)
+            assert profile.is_meet_continuous == oracle_is_meet_continuous(p)
             if profile.is_lattice:
                 assert profile.is_meet_continuous
+            checked += 1
+        assert checked == 4473
 
 
 class TestDMCompletion:
