@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .poset import FinitePoset, classify
+from .poset import FinitePoset, _indices, classify
 from .selections import (FilterSelection, WayAboveRelation,
                          _inf_allowing_empty, continuity_report)
 
@@ -94,11 +94,14 @@ def maxitivity_witness(v: MonotoneMap):
     then x, in index order; it costs O(|L| |E|) sups, not 2^|E| subsets.
     """
     e, l = v.source, v.target
-    for t in range(l.n):
-        sublevel = frozenset(g for g in range(e.n) if l.leq(v.values[g], t))
+    for below_t in l._downm:
+        sublevel = 0
+        for g, s in enumerate(v.values):
+            if below_t >> s & 1:
+                sublevel |= 1 << g
         family = e._unclosed_family(sublevel)
         if family is not None:
-            return family
+            return frozenset(_indices(family))
     return None
 
 
@@ -208,7 +211,9 @@ class RationalConeMap:
     """A monotone map from a join-semilattice into the nonnegative rationals.
 
     Values are exact (ints or Fractions); no floating point enters the sign
-    tests of the alternating property.
+    tests of the alternating property.  Those tests, and the order and
+    maxitivity checks, run on the values times the lcm of their
+    denominators: exact ints with the same signs and order, scaled once.
     """
 
     source: FinitePoset
@@ -219,7 +224,10 @@ class RationalConeMap:
         object.__setattr__(self, "values", values)
         if len(values) != self.source.n:
             raise MapError(f"expected {self.source.n} values, got {len(values)}")
-        if any(x < 0 for x in values):
+        scale = math.lcm(*(x.denominator for x in values))
+        scaled = tuple(x.numerator * (scale // x.denominator) for x in values)
+        object.__setattr__(self, "_scaled", scaled)
+        if any(x < 0 for x in scaled):
             raise MapError("cone values must be nonnegative")
         joins = {}
         for g in range(self.source.n):
@@ -231,7 +239,7 @@ class RationalConeMap:
         object.__setattr__(self, "_joins", joins)
         for g in range(self.source.n):
             for h in self.source.up(g):
-                if values[g] > values[h]:
+                if scaled[g] > scaled[h]:
                     raise MapError(f"not order-preserving on ({g}, {h})")
 
     def __call__(self, g):
@@ -244,7 +252,7 @@ class RationalConeMap:
         """The pairwise law through the stored joins; on a join-semilattice
         every nonempty finite sup is an iterated join, so this is full
         maxitivity."""
-        values = self.values
+        values = self._scaled
         return all(values[s] == max(values[g], values[h])
                    for (g, h), s in self._joins.items())
 
@@ -263,16 +271,15 @@ def alternating_witness(v: RationalConeMap, depth=4):
 
     The iterated differences commute in the perturbing elements, so tuples
     are scanned as nondecreasing multisets; verdicts are depth-bounded.
-    The differences are linear in the values, so they run on the values
-    times the lcm of their denominators: exact ints with the same signs.
-    Each length's differences come from the previous length's by
+    The differences are linear in the values, so they run on the cone's
+    scaled ints, which have the same signs.  Each length's differences come
+    from the previous length's by
     d(g, gs) = d(g join gs[0], gs[1:]) - d(g, gs[1:]).
     """
     if depth < 1:
         raise MapError("depth must be at least 1")
     n = v.source.n
-    scale = math.lcm(*(x.denominator for x in v.values))
-    level = {(): [x.numerator * (scale // x.denominator) for x in v.values]}
+    level = {(): list(v._scaled)}
     joins = [[v.join(g, h) for g in range(n)] for h in range(n)]
     for length in range(1, depth + 1):
         sign = 1 if length % 2 == 1 else -1

@@ -1,6 +1,11 @@
 """Finite posets, their subsets, completions, classification and enumeration.
 
-Elements are dense indices 0..n-1; the order is a full boolean matrix.
+Elements are dense indices 0..n-1.  The order is kept as int bitmasks of
+each element's principal filter and ideal (bit i for element i), built once
+at construction; the order axioms, bounds, sups, infs and the set tests run
+on those masks.  The boolean relation matrix stays for I/O, equality and
+`matrix`.  Subsets passed to the public methods are range-checked as their
+mask is built; the library's own masks are not checked again.
 Everything here is immutable after construction and safe to share.
 """
 
@@ -16,32 +21,98 @@ class PosetError(ValueError):
     """Data fails the partial-order axioms or an indexing/size rule."""
 
 
-class FinitePoset:
-    """A partial order on {0, ..., n-1}, stored as an n x n relation matrix.
+def _bits(elems):
+    """The bitmask of an iterable of indices, unchecked."""
+    mask = 0
+    for i in elems:
+        mask |= 1 << i
+    return mask
 
-    The relation is checked for reflexivity, antisymmetry and transitivity
-    at construction time.  Optional labels name elements for I/O; they play
-    no role in the order itself.
+
+def _indices(mask):
+    """The indices set in mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _frozen(mask):
+    """The frozenset of the indices in mask, one object per mask: posets of
+    one size share their few distinct principal filters and ideals."""
+    return frozenset(_indices(mask))
+
+
+# The order core.  masks is a poset's tuple of up-masks or of down-masks and
+# mask a subset the library built or already range-checked.
+
+
+def _union(masks, mask):
+    """The union of masks[i] over the i in mask: its upper (lower) closure."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= masks[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _common(masks, mask, n):
+    """The intersection of masks[i] over the i in mask, all n elements if
+    mask is empty: its upper (lower) bounds."""
+    out = (1 << n) - 1
+    while mask:
+        low = mask & -mask
+        out &= masks[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _bounding_member(masks, mask):
+    """The member m of mask with mask inside masks[m], or None: its least
+    (greatest) element."""
+    rest = mask
+    while rest:
+        low = rest & -rest
+        m = low.bit_length() - 1
+        if not mask & ~masks[m]:
+            return m
+        rest ^= low
+    return None
+
+
+class FinitePoset:
+    """A partial order on {0, ..., n-1}.
+
+    The relation is given as an n x n boolean matrix.  Its up/down bitmasks
+    are built once, checked for reflexivity, antisymmetry and transitivity,
+    and carry the bounds, sups and infs; the matrix stays for I/O and
+    `matrix`.  The frozensets returned by `up` and `down` are shared between
+    posets.  Optional labels name elements for I/O; they play no role in
+    the order itself.
     """
 
-    __slots__ = ("n", "_rows", "_up", "_down", "labels", "_label_index",
-                 "_top", "_bottom", "_canon", "_hash")
+    __slots__ = ("n", "_rows", "_up", "_down", "_upm", "_downm", "labels",
+                 "_label_index", "_top", "_bottom", "_canon", "_hash")
 
     def __init__(self, leq, labels=None):
         rows = tuple(tuple(bool(x) for x in row) for row in leq)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise PosetError("relation matrix must be square")
-        up = tuple(frozenset(j for j in range(n) if rows[i][j]) for i in range(n))
-        down = tuple(frozenset(j for j in range(n) if rows[j][i]) for i in range(n))
+        up = tuple(_bits(j for j, x in enumerate(row) if x) for row in rows)
+        down = tuple(_bits(j for j in range(n) if rows[j][i]) for i in range(n))
         for i in range(n):
             if not rows[i][i]:
                 raise PosetError(f"relation not reflexive at {i}")
-            for j in up[i]:
+            for j in _indices(up[i]):
                 if i != j and rows[j][i]:
                     raise PosetError(f"relation not antisymmetric on ({i}, {j})")
-                if not up[j] <= up[i]:
-                    k = min(up[j] - up[i])
+                if up[j] & ~up[i]:
+                    k = _indices(up[j] & ~up[i])[0]
                     raise PosetError(f"relation not transitive: {i} <= {j} <= {k}")
         if labels is not None:
             labels = tuple(str(x) for x in labels)
@@ -51,8 +122,10 @@ class FinitePoset:
                 raise PosetError("labels must be distinct")
         self.n = n
         self._rows = rows
-        self._up = up
-        self._down = down
+        self._upm = up
+        self._downm = down
+        self._up = tuple(_frozen(m) for m in up)
+        self._down = tuple(_frozen(m) for m in down)
         self.labels = labels
         self._label_index = None
         self._top = self._bottom = self._canon = self._hash = None
@@ -94,77 +167,58 @@ class FinitePoset:
     def label_of(self, i):
         return self.labels[i] if self.labels is not None else str(i)
 
-    def _subset(self, a):
-        a = frozenset(a)
+    def _mask(self, a):
+        """Bitmask of the subset a, range-checking each index as it is set."""
+        n = self.n
+        mask = 0
         for i in a:
-            if not 0 <= i < self.n:
-                raise PosetError(f"element index {i} out of range for n={self.n}")
-        return a
+            if not 0 <= i < n:
+                raise PosetError(f"element index {i} out of range for n={n}")
+            mask |= 1 << i
+        return mask
 
     # -- closures and bounds ----------------------------------------------
 
     def upper_closure(self, a):
         """Upper set generated by a: all y with some x in a, x <= y."""
-        a = self._subset(a)
-        return frozenset().union(*(self._up[i] for i in a)) if a else frozenset()
+        return frozenset(_indices(_union(self._upm, self._mask(a))))
 
     def lower_closure(self, a):
-        a = self._subset(a)
-        return frozenset().union(*(self._down[i] for i in a)) if a else frozenset()
+        return frozenset(_indices(_union(self._downm, self._mask(a))))
 
     def is_upper_set(self, a):
-        a = self._subset(a)
-        return all(self._up[i] <= a for i in a)
+        mask = self._mask(a)
+        return _union(self._upm, mask) == mask
 
     def is_lower_set(self, a):
-        a = self._subset(a)
-        return all(self._down[i] <= a for i in a)
+        mask = self._mask(a)
+        return _union(self._downm, mask) == mask
 
     def upper_bounds(self, a):
-        a = self._subset(a)
-        if not a:
-            return frozenset(range(self.n))
-        bounds = frozenset(range(self.n))
-        for i in a:
-            bounds &= self._up[i]
-        return bounds
+        return frozenset(_indices(_common(self._upm, self._mask(a), self.n)))
 
     def lower_bounds(self, a):
-        a = self._subset(a)
-        if not a:
-            return frozenset(range(self.n))
-        bounds = frozenset(range(self.n))
-        for i in a:
-            bounds &= self._down[i]
-        return bounds
+        return frozenset(_indices(_common(self._downm, self._mask(a), self.n)))
 
     def least(self, a):
         """Least element of the subset a, or None."""
-        a = self._subset(a)
-        for m in a:
-            if all(self._rows[m][x] for x in a):
-                return m
-        return None
+        return _bounding_member(self._upm, self._mask(a))
 
     def greatest(self, a):
-        a = self._subset(a)
-        for m in a:
-            if all(self._rows[x][m] for x in a):
-                return m
-        return None
+        return _bounding_member(self._downm, self._mask(a))
 
     def sup_of(self, a):
         """Least upper bound of the nonempty subset a, or None if missing."""
-        a = self._subset(a)
-        if not a:
+        mask = self._mask(a)
+        if not mask:
             raise PosetError("supremum of the empty subset is not defined here")
-        return self.least(self.upper_bounds(a))
+        return _bounding_member(self._upm, _common(self._upm, mask, self.n))
 
     def inf_of(self, a):
-        a = self._subset(a)
-        if not a:
+        mask = self._mask(a)
+        if not mask:
             raise PosetError("infimum of the empty subset is not defined here")
-        return self.greatest(self.lower_bounds(a))
+        return _bounding_member(self._downm, _common(self._downm, mask, self.n))
 
     def join(self, i, j):
         return self.sup_of((i, j))
@@ -174,12 +228,12 @@ class FinitePoset:
 
     def top(self):
         if self._top is None:
-            self._top = (self.greatest(range(self.n)),)
+            self._top = (_bounding_member(self._downm, (1 << self.n) - 1),)
         return self._top[0]
 
     def bottom(self):
         if self._bottom is None:
-            self._bottom = (self.least(range(self.n)),)
+            self._bottom = (_bounding_member(self._upm, (1 << self.n) - 1),)
         return self._bottom[0]
 
     # -- ideals -------------------------------------------------------------
@@ -192,15 +246,15 @@ class FinitePoset:
         if k > _SUBSET_SCAN_CAP:
             raise PosetError(f"subset scan over {k} elements exceeds the desk-scale "
                              f"cap of {_SUBSET_SCAN_CAP}")
-        bounds = [None] * (1 << k)
-        bounds[0] = frozenset(range(self.n))
+        bounds = [0] * (1 << k)
+        bounds[0] = (1 << self.n) - 1
         members = [frozenset()] * (1 << k)
         for mask in range(1, 1 << k):
             low = (mask & -mask).bit_length() - 1
             rest = mask & (mask - 1)
-            bounds[mask] = bounds[rest] & self._up[elems[low]]
+            bounds[mask] = bounds[rest] & self._upm[elems[low]]
             members[mask] = members[rest] | {elems[low]}
-            yield members[mask], self.least(bounds[mask])
+            yield members[mask], _bounding_member(self._upm, bounds[mask])
 
     def is_ideal(self, a):
         """True iff a is empty, or a lower set closed under existing finite sups.
@@ -209,16 +263,20 @@ class FinitePoset:
         a meet down(x), whose supremum is then x too; so a lower set is
         closed iff no x outside it is the supremum of its part below x.
         """
-        a = self._subset(a)
-        return self.is_lower_set(a) and self._unclosed_family(a) is None
+        mask = self._mask(a)
+        return (_union(self._downm, mask) == mask
+                and self._unclosed_family(mask) is None)
 
-    def _unclosed_family(self, a):
-        """The first a meet down(x), over x outside the lower set a in index
-        order, whose supremum is x; None if a is closed under existing sups."""
-        for x in range(self.n):
-            if x not in a:
-                below = a & self._down[x]
-                if below and self.sup_of(below) == x:
+    def _unclosed_family(self, mask):
+        """The first mask meet down(x), over x outside the lower set mask in
+        index order, whose supremum is x, as a mask; None if mask is closed
+        under existing sups.  x bounds that part, so it is its supremum iff
+        every upper bound of the part lies above x."""
+        up, down, n = self._upm, self._downm, self.n
+        for x in range(n):
+            if not mask >> x & 1:
+                below = mask & down[x]
+                if below and not _common(up, below, n) & ~up[x]:
                     return below
         return None
 
@@ -253,7 +311,7 @@ class FinitePoset:
 
     def restrict(self, elements):
         """Induced subposet on the given elements, reindexed in sorted order."""
-        elems = sorted(self._subset(elements))
+        elems = _indices(self._mask(elements))
         rows = tuple(tuple(self._rows[i][j] for j in elems) for i in elems)
         labels = tuple(self.labels[i] for i in elems) if self.labels else None
         return FinitePoset(rows, labels)
@@ -269,8 +327,7 @@ class FinitePoset:
             for j in self._up[i]:
                 if i == j:
                     continue
-                if not any(k != i and k != j and self._rows[k][j]
-                           for k in self._up[i]):
+                if not self._upm[i] & self._downm[j] & ~(1 << i | 1 << j):
                     out.append((i, j))
         return out
 
@@ -474,7 +531,7 @@ class OrderExtension:
 
     def is_principal_ideal(self, a):
         """True iff the ideal a of the base equals down(abar) meet E for some abar."""
-        a = self.base._subset(a)
+        a = frozenset(a)
         if not self.base.is_ideal(a):
             raise PosetError(f"{sorted(a)} is not an ideal of the base poset")
         return any(self.down_in_base(abar) == a for abar in range(self.complete.n))

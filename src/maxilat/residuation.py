@@ -8,6 +8,7 @@ converse needs a meet-continuous completion or a complete source.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .poset import FinitePoset, OrderExtension, PosetError, classify
 from .maxitive import MapError, MonotoneMap, is_maxitive, maxitivity_witness
@@ -50,6 +51,13 @@ def is_meet_continuous_over(ext: OrderExtension) -> bool:
             if big.inf_of((x, s)) != rhs:
                 return False
     return True
+
+
+@lru_cache(maxsize=64)
+def _meet_continuous_over_once(ext: OrderExtension) -> bool:
+    """is_meet_continuous_over, computed once per extension: it depends only
+    on the extension, and theorem_5_4 is asked about every map on it."""
+    return is_meet_continuous_over(ext)
 
 
 def sublevel(v: MonotoneMap, t) -> frozenset:
@@ -146,7 +154,7 @@ def theorem_5_4(v: MonotoneMap, ext: OrderExtension) -> Theorem54Verdict:
     sup_map = is_sup_map(v)
     source_complete = classify(v.source).is_complete_lattice
     mc_plain = classify(ext.complete).is_meet_continuous
-    mc_over = is_meet_continuous_over(ext)
+    mc_over = _meet_continuous_over_once(ext)
     applicable = source_complete or mc_over
     return Theorem54Verdict(
         residuated=resid,

@@ -10,7 +10,7 @@ to apply one level up when testing union-completeness.
 import enum
 from dataclasses import dataclass
 
-from .poset import FinitePoset
+from .poset import FinitePoset, _bits
 
 
 class SelectionError(ValueError):
@@ -140,19 +140,12 @@ class WayAboveRelation:
                    for x in range(p.n) for y in range(p.n))
 
 
-def _bits(subset):
-    mask = 0
-    for i in subset:
-        mask |= 1 << i
-    return mask
-
-
 def _check_within_order(p, sel, cols):
     """For the built-in kinds, y way-above x implies x <= y; cols[x] is the
     bitmask of the y way-above x."""
     if sel.kind in BUILTIN_KINDS:
         for x in range(p.n):
-            escaped = cols[x] & ~_bits(p.up(x))
+            escaped = cols[x] & ~p._upm[x]
             if escaped:
                 y = (escaped & -escaped).bit_length() - 1
                 raise SelectionError(f"way-above escapes the order at ({y}, {x})")
@@ -169,7 +162,7 @@ def _way_above_columns(p, sel):
         raise SelectionError("selection was built on a different poset")
     n = p.n
     full = (1 << n) - 1
-    down = [_bits(p.down(x)) for x in range(n)]
+    down = p._downm
     cols = [full] * n
     infs = {}
     for f in sel.fsets:

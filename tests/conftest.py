@@ -110,6 +110,60 @@ def oracle_sups(p):
     return tuple(out)
 
 
+class FrozensetBounds:
+    """The frozenset implementations that the bitmask core of FinitePoset
+    replaced, kept as oracles: each method takes a frozenset of indices."""
+
+    def __init__(self, p):
+        self.p = p
+        self.full = frozenset(range(p.n))
+
+    def upper_bounds(self, a):
+        bounds = self.full
+        for i in a:
+            bounds &= self.p.up(i)
+        return bounds
+
+    def lower_bounds(self, a):
+        bounds = self.full
+        for i in a:
+            bounds &= self.p.down(i)
+        return bounds
+
+    def least(self, a):
+        for m in a:
+            if a <= self.p.up(m):
+                return m
+        return None
+
+    def greatest(self, a):
+        for m in a:
+            if a <= self.p.down(m):
+                return m
+        return None
+
+    def sup_of(self, a):
+        return self.least(self.upper_bounds(a))
+
+    def inf_of(self, a):
+        return self.greatest(self.lower_bounds(a))
+
+    def is_upper_set(self, a):
+        return all(self.p.up(i) <= a for i in a)
+
+    def is_lower_set(self, a):
+        return all(self.p.down(i) <= a for i in a)
+
+    def unclosed_family(self, a):
+        """The first a meet down(x), x outside a, whose supremum is x."""
+        for x in range(self.p.n):
+            if x not in a:
+                below = a & self.p.down(x)
+                if below and self.sup_of(below) == x:
+                    return below
+        return None
+
+
 def oracle_is_meet_continuous(p):
     """Meet-continuity by its definition, False off lattices: for every ideal
     I (a nonempty lower set closed under binary joins) and every x, the part

@@ -232,6 +232,8 @@ class TestRationalCone:
     def test_rejects_non_monotone(self, chain3):
         with pytest.raises(MapError, match="order-preserving"):
             RationalConeMap(chain3, (1, 0, 2))
+        with pytest.raises(MapError, match="not order-preserving"):
+            RationalConeMap(chain(2), (Fraction(1, 2), Fraction(1, 3)))
 
     def test_delta_of_repeated_element_vanishes(self, b2):
         v = RationalConeMap(b2, (0, 1, 2, 2))
@@ -266,14 +268,22 @@ class TestRationalCone:
                     assert is_alternating(cone, depth=4)
 
     def test_is_maxitive_agrees_with_the_subset_scan(self):
-        # every cone of the alternating claim at size <= 4
+        # every cone of the alternating claim at size <= 4, and the same
+        # values divided by 2, 3 and 6 (which mixes denominators 1, 2, 3 and
+        # 6 in one tuple): the scaled ints keep every verdict
         value_range = chain(4)
+        verdicts = set()
         for p in enumerate_posets(4):
             if not classify(p).is_join_semilattice:
                 continue
             for values in iter_monotone_values(p, value_range):
-                cone = RationalConeMap(p, values)
-                assert cone.is_maxitive() == oracle_cone_is_maxitive(cone)
+                verdict = RationalConeMap(p, values).is_maxitive()
+                verdicts.add(verdict)
+                for d in (1, 2, 3, 6):
+                    cone = RationalConeMap(p, [Fraction(x, d) for x in values])
+                    assert cone.is_maxitive() == verdict
+                    assert oracle_cone_is_maxitive(cone) == verdict
+        assert verdicts == {True, False}
 
     def test_integer_scan_agrees_with_fraction_deltas(self):
         # every monotone cone of the claim, maxitive or not, divided by 2, 3

@@ -8,8 +8,8 @@ from maxilat import (FinitePoset, OrderExtension, PosetError, classify,
                      dm_completion, enumerate_posets)
 from maxilat.catalog import antichain, chain
 
-from conftest import (brute_force_posets, oracle_inf, oracle_is_ideal,
-                      oracle_is_meet_continuous, oracle_sup)
+from conftest import (FrozensetBounds, brute_force_posets, oracle_inf,
+                      oracle_is_ideal, oracle_is_meet_continuous, oracle_sup)
 
 
 def relabeled(p, perm):
@@ -118,6 +118,36 @@ class TestBounds:
                     if s is not None:
                         assert all(p.leq(x, s) for x in subset)
                     assert p.inf_of(subset) == oracle_inf(p, subset)
+
+    def test_bad_subsets_raise_poset_errors(self, chain3):
+        n = chain3.n
+        for call, arg, message in ((chain3.sup_of, {-1}, "out of range"),
+                                   (chain3.inf_of, {n}, "out of range"),
+                                   (chain3.sup_of, [], "empty"),
+                                   (chain3.inf_of, (), "empty"),
+                                   (chain3.is_upper_set, {n}, "out of range")):
+            with pytest.raises(PosetError, match=message):
+                call(arg)
+
+    def test_bitmask_core_agrees_with_the_frozenset_code(self):
+        # every nonempty subset of every labeled poset of size <= 5
+        names = ("sup_of", "inf_of", "upper_bounds", "lower_bounds", "least",
+                 "greatest", "is_upper_set", "is_lower_set")
+        subsets = {n: [(mask, frozenset(i for i in range(n) if mask >> i & 1))
+                       for mask in range(1, 1 << n)] for n in range(1, 6)}
+        checked = 0
+        for p in enumerate_posets(5):
+            old = FrozensetBounds(p)
+            pairs = [(getattr(p, name), getattr(old, name)) for name in names]
+            for mask, a in subsets[p.n]:
+                for new_way, old_way in pairs:
+                    assert new_way(a) == old_way(a)
+                family = p._unclosed_family(mask)
+                expected = old.unclosed_family(a)
+                assert family == (None if expected is None
+                                  else sum(1 << i for i in expected))
+                checked += 1
+        assert checked == 134589
 
     def test_top_bottom(self, chain3, two_antichain):
         assert chain3.top() == 2 and chain3.bottom() == 0

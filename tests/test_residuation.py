@@ -7,7 +7,9 @@ from maxilat import (Adjoint, MapError, MonotoneMap, OrderExtension,
                      enumerate_posets, heyting_arrow, is_maxitive,
                      is_meet_continuous_over, is_residuated, is_sup_map,
                      iter_monotone_values, theorem_5_4)
+from maxilat import residuation
 from maxilat.catalog import antichain, chain, m3, n5
+from maxilat.harness import run_suite
 from maxilat.residuation import sublevel
 
 from conftest import oracle_is_maxitive
@@ -120,6 +122,25 @@ class TestMeetContinuityOverBase:
         for e in enumerate_posets(4, dedup=True):
             if classify(e).is_complete_lattice:
                 assert is_meet_continuous_over(dm_completion(e))
+
+    def test_computed_once_per_extension_in_the_thm_5_4_claim(self, monkeypatch):
+        calls = []
+        original = residuation.is_meet_continuous_over
+
+        def counted(ext):
+            calls.append(ext)
+            return original(ext)
+
+        monkeypatch.setattr(residuation, "is_meet_continuous_over", counted)
+        residuation._meet_continuous_over_once.cache_clear()
+        try:
+            records = list(run_suite("thm-5-4", max_size=4))
+        finally:
+            residuation._meet_continuous_over_once.cache_clear()
+        sources = list(enumerate_posets(4, dedup=True))
+        assert len(records) == 192
+        assert [ext.base for ext in calls] == sources
+        assert len(set(calls)) == len(sources) == 24
 
 
 class TestTheorem54:
