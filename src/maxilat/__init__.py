@@ -20,7 +20,7 @@ from .residuation import (Adjoint, Theorem54Verdict, adjoint_of,
                           is_residuated, is_sup_map, theorem_5_4)
 from .mspace import (Generator, MaxMapSpace, build_space, corollary_above_set,
                      generator_map, generator_values, m_arrow, pointwise_inf,
-                     reconstruction, representation, way_above_in_space)
+                     reconstruction, representation)
 from .harness import VerdictRecord, run_suite, summarize
 
 __version__ = "0.1.0"

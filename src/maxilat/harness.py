@@ -10,7 +10,8 @@ import hashlib
 import time
 from dataclasses import dataclass
 
-from .poset import FinitePoset, classify, dm_completion, enumerate_posets
+from .poset import (FinitePoset, _bits, _indices, _union, classify,
+                    dm_completion, enumerate_posets, join_table)
 from .selections import (SelectionKind, build_selection, continuity_report,
                          is_union_complete, way_above)
 from .maxitive import (InvariantError, MonotoneMap, RationalConeMap,
@@ -63,11 +64,6 @@ def describe_poset(p) -> dict:
             "elements": list(labels),
             "covers": [[labels[i], labels[j]] for i, j in covers],
             "key": hashlib.sha1(payload).hexdigest()[:12]}
-
-
-def poset_key(p) -> str:
-    """Stable short digest of a poset presentation."""
-    return describe_poset(p)["key"]
 
 
 def _labelled(p, elems):
@@ -388,46 +384,61 @@ def _claim_thm_5_4(bounds):
 # violation.  A claim takes the first one as its witness; the CLI lists all.
 
 
-def adjunction_violations(poset, join, arrow):
-    """Yield each (u, v, w) at which v <= u join w and arrow(u, v) <= w
-    disagree; a MapError from the arrow is a violation at (u, v).
+def adjunction_violations(n, admissible, up, arrow):
+    """Yield each (u, v, w) at which v <= u join w, the mask admissible(u, v),
+    and arrow(u, v) <= w, the mask up(a), disagree; a MapError from the
+    arrow is a violation at (u, v).
 
-    Checking every w covers the rest of the frame statement.  Taking
-    w = arrow(u, v) shows the arrow is admissible, and every admissible w
-    lies above it, so it is the least admissible element.  When u <= v,
-    w = v is admissible, so arrow(u, v) <= v and u join arrow(u, v) = v.
+    Checking every w covers the rest of the frame statement: w = arrow(u, v)
+    shows the arrow is admissible, and every admissible w lies above it.
+    When u <= v, w = v is admissible, so u join arrow(u, v) = v.
     """
-    n = poset.n
     for u in range(n):
-        joins = None
         for v in range(n):
             try:
                 a = arrow(u, v)
             except MapError as exc:
                 yield {"u": u, "v": v, "error": str(exc)}
                 continue
-            if joins is None:
-                joins = [join(u, w) for w in range(n)]
-            for w in range(n):
-                if poset.leq(v, joins[w]) != poset.leq(a, w):
-                    yield {"u": u, "v": v, "w": w}
+            for w in _indices(admissible(u, v) ^ up(a)):
+                yield {"u": u, "v": v, "w": w}
+
+
+def _admissible_table(l):
+    """table[r][s]: the mask of the t with s <= r join t, from the order and
+    joins of l alone, so that it checks heyting_arrow independently."""
+    joins = join_table(l)
+    return [[_bits(t for t in range(l.n) if l.leq(s, joins[r][t]))
+             for s in range(l.n)] for r in range(l.n)]
 
 
 def _check_frame(space):
-    """The residuation u <- v of the space is adjoint to its join."""
+    """The residuation u <- v of the space is adjoint to its join.  Joins are
+    pointwise, so w is admissible iff each w(g) is in table[u(g)][v(g)]."""
+    table = _admissible_table(space.target)
+    valued_in = [[[_union(column, ts) for ts in row] for row in table]
+                 for column in space.at_least]
+
+    def admissible(u, v):
+        mask = (1 << len(space)) - 1
+        for masks, r, s in zip(valued_in, space.maps[u], space.maps[v]):
+            mask &= masks[r][s]
+        return mask
+
     def arrow(u, v):
         return space.index_of(m_arrow(space, u, v).values)
-    for bad in adjunction_violations(space.poset, space.join, arrow):
+    for bad in adjunction_violations(len(space), admissible, space.up, arrow):
         yield {k: x if k == "error" else list(space.maps[x])
                for k, x in bad.items()}
 
 
 def _check_inf(space):
-    """Selected families of maps have maxitive pointwise infima."""
-    sel = build_selection(space.poset, SelectionKind.FILTERED)
-    for fam in sel.sorted_fsets():
-        if maxitivity_witness(pointwise_inf(space, fam, sel)) is not None:
-            yield {"family": sorted(fam)}
+    """Selected families of maps have maxitive pointwise infima.  The
+    filtered selection is the principal filters, in sorted_fsets order."""
+    for fam in sorted((_indices(space.up(k)) for k in range(len(space))),
+                      key=lambda fam: (len(fam), fam)):
+        if maxitivity_witness(pointwise_inf(space, fam)) is not None:
+            yield {"family": fam}
 
 
 def _check_generator(space):
@@ -436,11 +447,11 @@ def _check_generator(space):
     The constant-bottom map has every pair as a generator, so this also
     checks that every generator map is maxitive.
     """
-    rel = way_above_in_space(space)
+    above = way_above_in_space(space)
     for k, values in enumerate(space.maps):
         for gen in representation(space, values):
             g = space.index.get(generator_values(space, gen))
-            if g is None or not rel.way_above(g, k):
+            if g is None or not above[k] >> g & 1:
                 yield {"map": list(values), "h": gen.h, "s": gen.s}
 
 
@@ -453,12 +464,12 @@ def _check_representation(space):
 
 def _check_corollary(space):
     """The generator characterization of way-above agrees with way-above."""
-    rel = way_above_in_space(space)
-    above = [corollary_above_set(space, v) for v in range(len(space))]
-    for w, wvals in enumerate(space.maps):
-        for v, vvals in enumerate(space.maps):
-            if (w in above[v]) != rel.way_above(w, v):
-                yield {"w": list(wvals), "v": list(vvals)}
+    above = way_above_in_space(space)
+    bad = sorted((w, v) for v in range(len(space))
+                 for w in _indices(_bits(corollary_above_set(space, v))
+                                   ^ above[v]))
+    for w, v in bad:
+        yield {"w": list(space.maps[w]), "v": list(space.maps[v])}
 
 
 LEMMAS = {
@@ -517,8 +528,10 @@ def _claim_frame_adjunction(bounds):
                     {"reason": "arrow defined on a non-distributive lattice"},
                     time.perf_counter() - t0)
             continue
+        table = _admissible_table(l)
         failure = next(adjunction_violations(
-            l, l.join, lambda r, s: heyting_arrow(l, r, s)), None)
+            l.n, lambda r, s: table[r][s], lambda a: _bits(l.up(a)),
+            lambda r, s: heyting_arrow(l, r, s)), None)
         yield VerdictRecord("frame-adjunction", desc,
                             PASS if failure is None else FAIL, failure,
                             time.perf_counter() - t0)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .poset import FinitePoset, _indices, classify
+from .poset import FinitePoset, _indices, classify, join_table
 from .selections import (FilterSelection, WayAboveRelation,
                          _inf_allowing_empty, continuity_report)
 
@@ -50,12 +50,6 @@ class MonotoneMap:
 
     def __call__(self, g):
         return self.values[g]
-
-    def pointwise_leq(self, other):
-        if self.source != other.source or self.target != other.target:
-            raise MapError("maps live on different posets")
-        return all(self.target.leq(a, b)
-                   for a, b in zip(self.values, other.values))
 
 
 def iter_monotone_values(e, l):
@@ -214,6 +208,7 @@ class RationalConeMap:
     tests of the alternating property.  Those tests, and the order and
     maxitivity checks, run on the values times the lcm of their
     denominators: exact ints with the same signs and order, scaled once.
+    Joins come from the source's `join_table`, built once for all its cones.
     """
 
     source: FinitePoset
@@ -229,13 +224,9 @@ class RationalConeMap:
         object.__setattr__(self, "_scaled", scaled)
         if any(x < 0 for x in scaled):
             raise MapError("cone values must be nonnegative")
-        joins = {}
-        for g in range(self.source.n):
-            for h in range(g, self.source.n):
-                sup = self.source.sup_of((g, h))
-                if sup is None:
-                    raise MapError("the source must be a join-semilattice")
-                joins[g, h] = joins[h, g] = sup
+        joins = join_table(self.source)
+        if any(None in row for row in joins):
+            raise MapError("the source must be a join-semilattice")
         object.__setattr__(self, "_joins", joins)
         for g in range(self.source.n):
             for h in self.source.up(g):
@@ -246,15 +237,16 @@ class RationalConeMap:
         return self.values[g]
 
     def join(self, g, h):
-        return self._joins[g, h]
+        return self._joins[g][h]
 
     def is_maxitive(self) -> bool:
-        """The pairwise law through the stored joins; on a join-semilattice
-        every nonempty finite sup is an iterated join, so this is full
-        maxitivity."""
+        """The pairwise law through the source's join table; on a
+        join-semilattice every nonempty finite sup is an iterated join, so
+        this is full maxitivity."""
         values = self._scaled
         return all(values[s] == max(values[g], values[h])
-                   for (g, h), s in self._joins.items())
+                   for g, row in enumerate(self._joins)
+                   for h, s in enumerate(row))
 
 
 def delta(v: RationalConeMap, g, gs):
@@ -280,7 +272,7 @@ def alternating_witness(v: RationalConeMap, depth=4):
         raise MapError("depth must be at least 1")
     n = v.source.n
     level = {(): list(v._scaled)}
-    joins = [[v.join(g, h) for g in range(n)] for h in range(n)]
+    joins = v._joins
     for length in range(1, depth + 1):
         sign = 1 if length % 2 == 1 else -1
         shorter, level = level, {}

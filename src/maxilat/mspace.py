@@ -1,21 +1,23 @@
 """The space of all maxitive maps from a poset into a complete lattice.
 
-The space is materialized exhaustively and ordered pointwise.  Pointwise
+The space is materialized exhaustively and ordered pointwise, through int
+bitmasks over the map indices rather than a poset of maps.  Pointwise
 infima of selected families stay inside the space, and so do pointwise
-joins, because sups commute with sups; the join is a table lookup.  Way-above
-in the space, and by default in the target, uses the filtered selection.  A
-finite codirected upper set has a least element, so that selection is the
-principal filters and way-above in the space is its order.
+joins, because sups commute with sups.  Way-above in the space, and by
+default in the target, uses the filtered selection.  A finite codirected
+upper set has a least element, so that selection is the principal filters
+and way-above in the space is its pointwise order.
 """
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .poset import FinitePoset, PosetError, classify
+from .poset import PosetError, _indices, _union, classify, join_table
 from .selections import (FilterSelection, SelectionError, SelectionKind,
                          build_selection, way_above)
-from .maxitive import (IdealFamily, MapError, MonotoneMap, from_ideal_family,
-                       iter_monotone_values, maxitivity_witness)
+from .maxitive import (MapError, MonotoneMap, iter_monotone_values,
+                       maxitivity_witness)
+from .residuation import heyting_arrow
 
 DEFAULT_SPACE_CAP = 10 ** 6
 
@@ -32,9 +34,8 @@ class Generator:
 class MaxMapSpace:
     """All maxitive maps source -> target, ordered pointwise.
 
-    Maps are value tuples sorted lexicographically.  ``poset`` carries the
-    pointwise order on them, built on first use, so the whole selection and
-    way-above machinery applies to the space itself.
+    Maps are value tuples sorted lexicographically; a set of maps is an int
+    bitmask over their indices.
     """
 
     def __init__(self, source, target, maps):
@@ -42,22 +43,30 @@ class MaxMapSpace:
         self.target = target
         self.maps = tuple(tuple(m) for m in maps)
         self.index = {m: k for k, m in enumerate(self.maps)}
-        self._joins = {}
 
     @cached_property
-    def poset(self):
-        target, n = self.target, self.source.n
-        rows = tuple(tuple(all(target.leq(a[g], b[g]) for g in range(n))
-                           for b in self.maps) for a in self.maps)
-        labels = tuple("(" + ",".join(target.label_of(t) for t in m) + ")"
-                       for m in self.maps)
-        return FinitePoset(rows, labels)
+    def at_least(self):
+        """at_least[g][t]: the mask of the maps whose value at g is >= t."""
+        exact = [[0] * self.target.n for _ in range(self.source.n)]
+        for k, values in enumerate(self.maps):
+            for g, t in enumerate(values):
+                exact[g][t] |= 1 << k
+        return tuple(tuple(_union(row, up) for up in self.target._upm)
+                     for row in exact)
+
+    def above(self, values):
+        """The mask of the maps that lie pointwise above a value tuple."""
+        mask = (1 << len(self.maps)) - 1
+        for column, t in zip(self.at_least, values):
+            mask &= column[t]
+        return mask
+
+    def up(self, k):
+        """The mask of the maps above map k, its principal filter."""
+        return self.above(self.maps[k])
 
     def __len__(self):
         return len(self.maps)
-
-    def map_at(self, k) -> MonotoneMap:
-        return MonotoneMap(self.source, self.target, self.maps[k])
 
     def index_of(self, values):
         values = tuple(getattr(values, "values", values))
@@ -68,15 +77,11 @@ class MaxMapSpace:
 
     def join(self, i, j):
         """Join inside the space: the pointwise join, which is maxitive."""
-        key = (i, j) if i <= j else (j, i)
-        found = self._joins.get(key)
+        joins = join_table(self.target)
+        found = self.index.get(tuple(
+            joins[a][b] for a, b in zip(self.maps[i], self.maps[j])))
         if found is None:
-            joins = _arrow_tables(self.target)[0]
-            found = self.index.get(tuple(
-                joins[a][b] for a, b in zip(self.maps[i], self.maps[j])))
-            if found is None:
-                raise MapError("the space is missing a join; target not complete?")
-            self._joins[key] = found
+            raise MapError("the space is missing a join; target not complete?")
         return found
 
 
@@ -94,19 +99,16 @@ def build_space(e, l, cap=DEFAULT_SPACE_CAP) -> MaxMapSpace:
     return MaxMapSpace(e, l, maps)
 
 
-def pointwise_inf(space, family, sel: FilterSelection) -> MonotoneMap:
-    """Pointwise infimum of a selected family of maps in the space.
+def pointwise_inf(space, family) -> MonotoneMap:
+    """Pointwise infimum of a nonempty family of map indices.
 
-    The family must be a nonempty selected set of the space's poset; the
-    result is again maxitive and is the family's infimum in the space.
+    For a filtered family, a principal filter of the space, it is maxitive
+    and is the family's infimum in the space; other families can leave the
+    space (see the upper-set counterexample in the tests).
     """
     family = frozenset(family)
-    if sel.poset != space.poset:
-        raise SelectionError("selection was built on a different space")
     if not family:
         raise SelectionError("the empty family has no pointwise infimum here")
-    if family not in sel.fsets:
-        raise SelectionError("family is not a selected set of the space")
     values = []
     for g in range(space.source.n):
         m = space.target.inf_of(frozenset(space.maps[k][g] for k in family))
@@ -162,55 +164,47 @@ def reconstruction(space, gens):
 
 
 def way_above_in_space(space):
-    """Way-above on the space's poset under the filtered selection."""
-    sel = build_selection(space.poset, SelectionKind.FILTERED)
-    return way_above(space.poset, sel)
+    """Way-above in the space under the filtered selection: entry v is the
+    mask of the maps way-above v, which is the principal filter of v."""
+    return tuple(space.up(k) for k in range(len(space)))
 
 
-def corollary_above_set(space, v, sel_l=None) -> frozenset:
+def corollary_above_set(space, v) -> frozenset:
     """The generator characterization: the maps w way-above v are those that
     dominate the pointwise infimum of some finite family of generators of v.
 
     Enlarging the family only lowers the infimum, so a witnessing family
     exists exactly when the full generator family works.
     """
-    floor = reconstruction(space, representation(space, space.maps[v], sel_l))
-    l = space.target
-    return frozenset(w for w, values in enumerate(space.maps)
-                     if all(l.leq(floor[g], values[g])
-                            for g in range(space.source.n)))
+    floor = reconstruction(space, representation(space, space.maps[v]))
+    return frozenset(_indices(space.above(floor)))
 
 
 @lru_cache(maxsize=64)
-def _arrow_tables(l):
-    """The binary joins of a target and its principal selection, built once
-    per target for m_arrow and the space's join."""
-    joins = tuple(tuple(l.sup_of((a, b)) for b in range(l.n))
-                  for a in range(l.n))
-    return joins, build_selection(l, SelectionKind.PRINCIPAL)
+def _heyting_table(l):
+    """table[r][s] = heyting_arrow(l, r, s), built once per target."""
+    return tuple(tuple(heyting_arrow(l, r, s) for s in range(l.n))
+                 for r in range(l.n))
 
 
 def m_arrow(space, u, v) -> MonotoneMap:
     """Residuation u <- v inside the space: the least w with v <= u join w.
 
-    Built through the sublevel-ideal family whose member at t collects the
-    g such that v(h) <= u(h) join t for every h below g, then evaluated via
-    the infimum formula; requires a distributive target.  The result equals
-    the pointwise formula g -> sup of heyting_arrow(u(h), v(h)) over h <= g.
+    The formula g -> sup of heyting_arrow(u(h), v(h)) over h <= g, for a
+    distributive target.  Joins are pointwise, so an admissible monotone w
+    has w(h) >= u(h) <- v(h) everywhere and lies above that map, the arrow
+    when it is maxitive; otherwise MapError names its values.
     """
     l = space.target
     if not classify(l).is_distributive:
         raise PosetError("the target must be distributive")
-    joins, sel = _arrow_tables(l)
-    uvals = space.maps[u] if isinstance(u, int) else tuple(u)
-    vvals = space.maps[v] if isinstance(v, int) else tuple(v)
-    e = space.source
-    family = []
-    for t in range(l.n):
-        fits = frozenset(h for h in range(e.n)
-                         if l.leq(vvals[h], joins[uvals[h]][t]))
-        family.append(frozenset(g for g in range(e.n) if e.down(g) <= fits))
-    fam = IdealFamily(e, l, tuple(family))
-    arrow = from_ideal_family(fam, sel)
-    space.index_of(arrow.values)
-    return arrow
+    arrows, joins = _heyting_table(l), join_table(l)
+    pointwise = [arrows[a][b] for a, b in zip(space.maps[u], space.maps[v])]
+    values = []
+    for g in range(space.source.n):
+        t = pointwise[g]
+        for h in space.source.down(g):
+            t = joins[t][pointwise[h]]
+        values.append(t)
+    space.index_of(values)
+    return MonotoneMap(space.source, l, tuple(values))

@@ -135,9 +135,6 @@ class FinitePoset:
     def leq(self, i, j):
         return self._rows[i][j]
 
-    def lt(self, i, j):
-        return i != j and self._rows[i][j]
-
     def up(self, i):
         """Principal filter of i (elements above i, inclusive)."""
         return self._up[i]
@@ -145,10 +142,6 @@ class FinitePoset:
     def down(self, i):
         """Principal ideal of i (elements below i, inclusive)."""
         return self._down[i]
-
-    @property
-    def elements(self):
-        return range(self.n)
 
     @property
     def matrix(self):
@@ -222,9 +215,6 @@ class FinitePoset:
 
     def join(self, i, j):
         return self.sup_of((i, j))
-
-    def meet(self, i, j):
-        return self.inf_of((i, j))
 
     def top(self):
         if self._top is None:
@@ -462,6 +452,16 @@ def classify(p: FinitePoset) -> PosetProfile:
 
     return PosetProfile(is_join, is_meet, is_lattice, is_complete,
                         is_distributive, is_lattice)
+
+
+@lru_cache(maxsize=4096)
+def join_table(p: FinitePoset):
+    """The binary joins of p, None where missing: one sup_of per pair."""
+    table = [[None] * p.n for _ in range(p.n)]
+    for a in range(p.n):
+        for b in range(a, p.n):
+            table[a][b] = table[b][a] = p.sup_of((a, b))
+    return tuple(map(tuple, table))
 
 
 def _ensure_complete_lattice(p):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .poset import FinitePoset, OrderExtension, PosetError, classify
-from .maxitive import MapError, MonotoneMap, is_maxitive, maxitivity_witness
+from .maxitive import MapError, MonotoneMap, maxitivity_witness
 
 
 def is_sup_map(v: MonotoneMap) -> bool:
@@ -22,13 +22,13 @@ def is_sup_map(v: MonotoneMap) -> bool:
     bottom to land on a bottom.  This stronger variant is what the
     residuated/completely-maxitive equivalence needs.
     """
-    if maxitivity_witness(v) is not None:
-        return False
+    return maxitivity_witness(v) is None and _keeps_bottom(v)
+
+
+def _keeps_bottom(v: MonotoneMap) -> bool:
+    """The empty-family half of is_sup_map: a bottom goes to a bottom."""
     b = v.source.bottom()
-    if b is None:
-        return True
-    lb = v.target.bottom()
-    return lb is not None and v.values[b] == lb
+    return b is None or v.values[b] == v.target.bottom()
 
 
 def is_meet_continuous_over(ext: OrderExtension) -> bool:
@@ -147,11 +147,11 @@ def theorem_5_4(v: MonotoneMap, ext: OrderExtension) -> Theorem54Verdict:
 
     Complete maxitivity, the preservation of all existing suprema of
     nonempty families, is plain maxitivity here: on a finite source every
-    family is finite.
+    family is finite.  One maxitivity scan serves it and the sup-map variant.
     """
     resid = is_residuated(v, ext)
-    cmax = is_maxitive(v)
-    sup_map = is_sup_map(v)
+    cmax = maxitivity_witness(v) is None
+    sup_map = cmax and _keeps_bottom(v)
     source_complete = classify(v.source).is_complete_lattice
     mc_plain = classify(ext.complete).is_meet_continuous
     mc_over = _meet_continuous_over_once(ext)

@@ -131,9 +131,6 @@ class WayAboveRelation:
         """Elements way-above x."""
         return frozenset(y for y in range(self.poset.n) if self.gg[y][x])
 
-    def below_set(self, y):
-        return frozenset(x for x in range(self.poset.n) if self.gg[y][x])
-
     def equals_order(self):
         p = self.poset
         return all(self.gg[y][x] == p.leq(x, y)

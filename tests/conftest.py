@@ -4,7 +4,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from maxilat import ContinuityReport, FinitePoset, SelectionKind
+from maxilat import (ContinuityReport, FinitePoset, IdealFamily, MapError,
+                     PosetError, SelectionError, SelectionKind,
+                     build_selection, classify, from_ideal_family,
+                     pointwise_inf, way_above)
 from maxilat.catalog import antichain, chain, diamond, m3, n5, seven_element
 
 
@@ -313,3 +316,74 @@ class WholeBaseTraces:
 
     def down_in_base(self, a):
         return frozenset(range(self._ext.base.n))
+
+
+# -- map-space oracles: the poset and selection route that the pointwise
+# masks of MaxMapSpace replaced ----------------------------------------------
+
+
+@functools.lru_cache(maxsize=16)
+def oracle_space_poset(space):
+    """The space's pointwise order as a FinitePoset on its map indices,
+    labeled by value tuples."""
+    target, n = space.target, space.source.n
+    rows = tuple(tuple(all(target.leq(a[g], b[g]) for g in range(n))
+                       for b in space.maps) for a in space.maps)
+    labels = tuple("(" + ",".join(target.label_of(t) for t in m) + ")"
+                   for m in space.maps)
+    return FinitePoset(rows, labels)
+
+
+def oracle_way_above_in_space(space):
+    """Way-above on the space's poset under the filtered selection."""
+    poset = oracle_space_poset(space)
+    return way_above(poset, build_selection(poset, SelectionKind.FILTERED))
+
+
+def oracle_pointwise_inf(space, family, sel):
+    """pointwise_inf of a family that must be a nonempty selected set of sel,
+    a selection on the space's poset."""
+    family = frozenset(family)
+    if sel.poset != oracle_space_poset(space):
+        raise SelectionError("selection was built on a different space")
+    if not family:
+        raise SelectionError("the empty family has no pointwise infimum here")
+    if family not in sel.fsets:
+        raise SelectionError("family is not a selected set of the space")
+    return pointwise_inf(space, family)
+
+
+def oracle_m_arrow(space, u, v):
+    """The residuation u <- v through the sublevel-ideal family whose member
+    at t collects the g with v(h) <= u(h) join t for every h below g,
+    evaluated by from_ideal_family under the principal selection of the
+    target; MapError when the family or its map leaves the space."""
+    e, l = space.source, space.target
+    if not classify(l).is_distributive:
+        raise PosetError("the target must be distributive")
+    uvals, vvals = space.maps[u], space.maps[v]
+    family = []
+    for t in range(l.n):
+        fits = frozenset(h for h in range(e.n)
+                         if l.leq(vvals[h], l.sup_of((uvals[h], t))))
+        family.append(frozenset(g for g in range(e.n) if e.down(g) <= fits))
+    arrow = from_ideal_family(IdealFamily(e, l, tuple(family)),
+                              build_selection(l, SelectionKind.PRINCIPAL))
+    space.index_of(arrow.values)
+    return arrow
+
+
+def oracle_adjunction_violations(poset, join, arrow):
+    """The N^3 scan of the frame adjunction on a poset: each (u, v, w) at
+    which v <= u join w and arrow(u, v) <= w disagree, with a MapError from
+    the arrow as a violation at (u, v)."""
+    for u in range(poset.n):
+        for v in range(poset.n):
+            try:
+                a = arrow(u, v)
+            except MapError as exc:
+                yield {"u": u, "v": v, "error": str(exc)}
+                continue
+            for w in range(poset.n):
+                if poset.leq(v, join(u, w)) != poset.leq(a, w):
+                    yield {"u": u, "v": v, "w": w}

@@ -9,8 +9,10 @@ from maxilat.cli import main
 from maxilat.harness import (FAIL, PASS, SKIP, HarnessError, VerdictRecord,
                              CLAIMS, run_suite, summarize)
 from maxilat.io import poset_from_dict
+from maxilat.poset import FinitePoset, _bits
 
-from conftest import WholeBaseTraces
+from conftest import (WholeBaseTraces, oracle_adjunction_violations,
+                      oracle_space_poset)
 
 
 class TestVerdictRecord:
@@ -127,6 +129,81 @@ class TestFrameOracle:
                 profile = classify(l)
                 if profile.is_complete_lattice and profile.is_distributive:
                     space = build_space(e, l)
-                    self._check(space.poset, space.join,
+                    self._check(oracle_space_poset(space), space.join,
                                 lambda u, v: space.index_of(
                                     m_arrow(space, u, v).values))
+
+    def test_mask_check_matches_the_cubic_scan(self, three_atoms_under_top):
+        # the same violations in the same order, for the arrow under test and
+        # for a wrong one, on every space of size <= 3, on the M3-shaped
+        # counterexample and on every lattice of size <= 5 with an arrow
+        cx = three_atoms_under_top
+        for space in [*(build_space(e, l)
+                        for e in enumerate_posets(3, dedup=True)
+                        for l in enumerate_posets(3, dedup=True)
+                        if classify(l).is_complete_lattice),
+                      build_space(cx.source, cx.target)]:
+            def arrow(u, v):
+                return space.index_of(m_arrow(space, u, v).values)
+            expected = [{k: x if k == "error" else list(space.maps[x])
+                         for k, x in bad.items()}
+                        for bad in oracle_adjunction_violations(
+                            oracle_space_poset(space), space.join, arrow)]
+            assert list(harness.LEMMAS["frame"](space)) == expected
+            assert bool(expected) == (space.source == cx.source)
+            wrong = list(oracle_adjunction_violations(
+                oracle_space_poset(space), lambda u, w: w, lambda u, v: u))
+            assert list(harness.adjunction_violations(
+                len(space), lambda u, v: space.up(v), space.up,
+                lambda u, v: u)) == wrong
+            assert bool(wrong) == (len(space) > 1)
+        for l in enumerate_posets(5):
+            profile = classify(l)
+            if not (l.n and profile.is_lattice and profile.is_distributive):
+                continue
+            table = harness._admissible_table(l)
+            for arrow, fails in ((lambda r, s: heyting_arrow(l, r, s), False),
+                                 (lambda r, s: s, l.n > 1)):
+                masked = list(harness.adjunction_violations(
+                    l.n, lambda r, s: table[r][s], lambda a: _bits(l.up(a)),
+                    arrow))
+                assert masked == list(
+                    oracle_adjunction_violations(l, l.join, arrow))
+                assert bool(masked) == fails
+
+
+class TestWorkCounts:
+    """Counted runs of the claims whose repeated work was removed."""
+
+    def test_thm_5_4_scans_each_map_once(self, monkeypatch):
+        from maxilat import maxitive, residuation
+        calls = []
+        real = maxitive.maxitivity_witness
+
+        def counted(v):
+            calls.append(v)
+            return real(v)
+        for module in (maxitive, residuation):
+            monkeypatch.setattr(module, "maxitivity_witness", counted)
+        records = list(run_suite("thm-5-4", max_size=4))
+        assert sum(r.instance["monotone_maps"] for r in records) == 2436
+        assert len(calls) == 2436
+
+    def test_alternating_builds_one_join_table_per_source(self, monkeypatch):
+        # classify, cached per poset, is warmed first so that only the joins
+        # of the cones and of the Choquet differences are counted
+        from maxilat import poset
+        for p in enumerate_posets(4):
+            classify(p)
+        poset.join_table.cache_clear()
+        calls = {}
+        real = FinitePoset.sup_of
+
+        def counted(p, a):
+            calls[p] = calls.get(p, 0) + 1
+            return real(p, a)
+        monkeypatch.setattr(FinitePoset, "sup_of", counted)
+        records = list(run_suite("alternating", max_size=4, depth=4))
+        assert len(records) == len(calls) == 88
+        assert all(count <= p.n * (p.n + 1) // 2
+                   for p, count in calls.items())

@@ -5,7 +5,7 @@ import pytest
 from maxilat import (InvariantError, MonotoneMap, RationalConeMap,
                      enumerate_posets)
 from maxilat import cli
-from maxilat.catalog import chain, m3, seven_element
+from maxilat.catalog import antichain, chain, m3, seven_element
 from maxilat.cli import main
 from maxilat.io import (FormatError, fixture, fixture_map, fixture_poset,
                         load_map, load_poset, map_from_dict, map_to_dict,
@@ -271,6 +271,18 @@ class TestCli:
         assert main(["mspace", "verify", str(e), str(l),
                      "--lemma", "frame"]) == 2
         assert "distributive" in capsys.readouterr().err
+
+    def test_mspace_verify_frame_on_the_256_map_space(self, tmp_path, capsys):
+        # A4 -> C4: 65,536 arrows and their adjunctions, on the masks
+        e, l, out = (tmp_path / name for name in ("e.json", "l.json",
+                                                  "out.json"))
+        save_poset(antichain(4), e)
+        save_poset(chain(4), l)
+        assert main(["mspace", "verify", str(e), str(l), "--lemma", "frame",
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert (doc["space"], doc["violations"]) == (256, [])
+        assert "ok (0 violations, space size 256)" in capsys.readouterr().out
 
     def test_mspace_arrow(self, tmp_path, capsys):
         c2 = {"elements": ["0", "1"], "covers": [["0", "1"]]}

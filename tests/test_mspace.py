@@ -2,15 +2,19 @@ import itertools
 
 import pytest
 
-from maxilat import (Generator, MapError, MonotoneMap, PosetError,
-                     SelectionError, build_selection, build_space, classify,
-                     corollary_above_set, enumerate_posets, generator_map,
-                     generator_values, heyting_arrow, m_arrow,
+from maxilat import (FinitePoset, Generator, MapError, MonotoneMap,
+                     PosetError, SelectionError, build_selection, build_space,
+                     classify, corollary_above_set, enumerate_posets,
+                     generator_map, generator_values, heyting_arrow, m_arrow,
                      maxitivity_witness, pointwise_inf, reconstruction,
-                     representation, way_above_in_space)
+                     representation, way_above)
 from maxilat.catalog import antichain, chain, m3
+from maxilat.mspace import way_above_in_space
+from maxilat.poset import _bits
 
-from conftest import oracle_is_maxitive, oracle_monotone_maps
+from conftest import (oracle_is_maxitive, oracle_m_arrow, oracle_monotone_maps,
+                      oracle_pointwise_inf, oracle_space_poset,
+                      oracle_way_above_in_space)
 
 
 def small_spaces(max_size=3):
@@ -53,12 +57,12 @@ class TestBuildSpace:
 
     def test_space_is_a_complete_lattice(self):
         for space in small_spaces():
-            assert classify(space.poset).is_complete_lattice
+            assert classify(oracle_space_poset(space)).is_complete_lattice
 
     def test_space_inherits_distributivity(self):
         for space in small_spaces():
             if classify(space.target).is_distributive:
-                assert classify(space.poset).is_distributive
+                assert classify(oracle_space_poset(space)).is_distributive
 
     def test_join_is_the_least_upper_bound_in_the_space(
             self, three_atoms_under_top):
@@ -69,22 +73,28 @@ class TestBuildSpace:
                   build_space(cx.source, cx.target),
                   build_space(chain(2), m3())]
         for space in spaces:
+            poset = oracle_space_poset(space)
             for i, j in itertools.product(range(len(space)), repeat=2):
-                assert space.join(i, j) == space.poset.sup_of((i, j))
+                assert space.join(i, j) == poset.sup_of((i, j))
 
-    def test_order_is_built_on_first_use(self):
+    def test_order_is_built_on_first_use(self, three_atoms_under_top):
+        # no poset over the maps at all; the pointwise masks only on demand,
+        # and then they are the principal filters of the order
         space = build_space(antichain(5), chain(4))
-        assert len(space) == 4 ** 5 and "poset" not in vars(space)
         small = build_space(antichain(3), chain(4))
         for sp in (space, small):
             sp.join(1, 2)
             m_arrow(sp, len(sp) - 1, 0)
             representation(sp, sp.maps[1])
-            assert "poset" not in vars(sp)
-        l, n = small.target, small.source.n
-        assert small.poset.matrix == tuple(
-            tuple(all(l.leq(a[g], b[g]) for g in range(n)) for b in small.maps)
-            for a in small.maps)
+            assert not hasattr(sp, "poset") and "at_least" not in vars(sp)
+        assert len(space) == 4 ** 5
+        cx = three_atoms_under_top
+        for sp in [small, *small_spaces(), build_space(cx.source, cx.target),
+                   build_space(chain(2), m3())]:
+            poset = oracle_space_poset(sp)
+            for k in range(len(sp)):
+                assert sp.up(k) == _bits(poset.up(k))
+                assert sp.above(sp.maps[k]) == sp.up(k)
 
 
 class TestPointwiseInf:
@@ -92,39 +102,56 @@ class TestPointwiseInf:
         # selected sets are upper sets, so the only selected singleton is
         # the top map's
         space = build_space(chain(2), chain(3))
-        sel = build_selection(space.poset, "filtered")
         top = space.index_of((2, 2))
-        assert pointwise_inf(space, {top}, sel).values == (2, 2)
+        assert pointwise_inf(space, {top}).values == (2, 2)
 
     def test_principal_filter_gives_its_generator(self):
         space = build_space(chain(2), chain(3))
-        sel = build_selection(space.poset, "filtered")
+        poset = oracle_space_poset(space)
         for k in range(len(space)):
-            fam = space.poset.up(k)
-            assert pointwise_inf(space, fam, sel).values == space.maps[k]
+            fam = poset.up(k)
+            assert pointwise_inf(space, fam).values == space.maps[k]
 
     def test_selected_families_have_maxitive_infima(self):
         for space in small_spaces():
-            sel = build_selection(space.poset, "filtered")
+            poset = oracle_space_poset(space)
+            sel = build_selection(poset, "filtered")
             for fam in sel.sorted_fsets():
-                inf_map = pointwise_inf(space, fam, sel)
+                inf_map = oracle_pointwise_inf(space, fam, sel)
                 assert maxitivity_witness(inf_map) is None
                 k = space.index_of(inf_map.values)
-                assert all(space.poset.leq(k, v) for v in fam)
+                assert all(poset.leq(k, v) for v in fam)
 
     def test_unselected_family_is_rejected(self):
+        # the selection check lives in the oracle; the library takes any
+        # family, as the upper-set counterexample below needs
         space = build_space(chain(2), chain(3))
-        sel = build_selection(space.poset, "filtered")
+        sel = build_selection(oracle_space_poset(space), "filtered")
         bottom = space.index_of((0, 0))
         top = space.index_of((2, 2))
         with pytest.raises(SelectionError, match="selected"):
-            pointwise_inf(space, {bottom, top}, sel)
+            oracle_pointwise_inf(space, {bottom, top}, sel)
+        assert pointwise_inf(space, {bottom, top}).values == (0, 0)
+
+    def test_an_upper_family_that_is_not_filtered_leaves_the_space(self):
+        # why the lemma asks for filtered families: two atoms a, b under a
+        # top, into C2
+        e = FinitePoset.from_relation(3, [(0, 2), (1, 2)], ("a", "b", "top"))
+        space = build_space(e, chain(2))
+        poset = oracle_space_poset(space)
+        family = {space.index_of(values)
+                  for values in ((0, 1, 1), (1, 0, 1), (1, 1, 1))}
+        assert family in build_selection(poset, "upper")
+        assert family not in build_selection(poset, "filtered")
+        inf_map = pointwise_inf(space, family)
+        assert inf_map.values == (0, 0, 1)
+        assert maxitivity_witness(inf_map) is not None
+        assert inf_map.values not in space.index
 
     def test_empty_family_is_rejected(self):
         space = build_space(chain(2), chain(2))
-        sel = build_selection(space.poset, "upper")
         with pytest.raises(SelectionError, match="empty"):
-            pointwise_inf(space, frozenset(), sel)
+            pointwise_inf(space, frozenset())
 
 
 class TestGenerators:
@@ -151,9 +178,8 @@ class TestGenerators:
 
     def test_way_above_lemma(self):
         for space in small_spaces():
-            rel = way_above_in_space(space)
+            rel = oracle_way_above_in_space(space)
             sel_l = build_selection(space.target, "filtered")
-            from maxilat import way_above
             rel_l = way_above(space.target, sel_l)
             for k, values in enumerate(space.maps):
                 for h in range(space.source.n):
@@ -189,11 +215,14 @@ class TestRepresentation:
 
     def test_way_above_collapses_under_filtered_selection(self):
         for space in small_spaces():
-            assert way_above_in_space(space).equals_order()
+            rel = oracle_way_above_in_space(space)
+            assert rel.equals_order()
+            assert way_above_in_space(space) == tuple(
+                _bits(rel.above_set(v)) for v in range(len(space)))
 
     def test_corollary_agrees_with_definitional_way_above(self):
         for space in small_spaces():
-            rel = way_above_in_space(space)
+            rel = oracle_way_above_in_space(space)
             for v in range(len(space)):
                 above = corollary_above_set(space, v)
                 for w in range(len(space)):
@@ -216,13 +245,13 @@ class TestMArrow:
         for space in small_spaces():
             if not classify(space.target).is_distributive:
                 continue
+            poset = oracle_space_poset(space)
             for u, v in itertools.product(range(len(space)), repeat=2):
                 arrow = space.index_of(m_arrow(space, u, v).values)
                 admissible = [w for w in range(len(space))
-                              if space.poset.leq(v, space.join(u, w))]
+                              if poset.leq(v, space.join(u, w))]
                 least = next(m for m in admissible
-                             if all(space.poset.leq(m, w)
-                                    for w in admissible))
+                             if all(poset.leq(m, w) for w in admissible))
                 assert arrow == least
 
     def test_equals_the_pointwise_heyting_formula(self):
@@ -243,11 +272,39 @@ class TestMArrow:
 
     def test_decomposition_when_above(self):
         space = build_space(chain(2), chain(3))
+        poset = oracle_space_poset(space)
         for u, v in itertools.product(range(len(space)), repeat=2):
-            if not space.poset.leq(u, v):
+            if not poset.leq(u, v):
                 continue
             arrow = space.index_of(m_arrow(space, u, v).values)
             assert space.join(u, arrow) == v
+
+    def test_agrees_with_the_ideal_family_oracle(self):
+        # every (u, v) of every unlabeled source of size <= 4 into C2 and C3:
+        # the same values, and a MapError on exactly the same pairs
+        pairs = raised = 0
+        for e in enumerate_posets(4, dedup=True):
+            for l in (chain(2), chain(3)):
+                space = build_space(e, l)
+                for u, v in itertools.product(range(len(space)), repeat=2):
+                    outcomes = []
+                    for arrow in (m_arrow, oracle_m_arrow):
+                        try:
+                            outcomes.append(arrow(space, u, v).values)
+                        except MapError:
+                            outcomes.append(None)
+                    assert outcomes[0] == outcomes[1], (e, l, u, v)
+                    pairs += 1
+                    raised += outcomes[0] is None
+        assert (pairs, raised) == (21244, 70)
+
+    def test_a_result_outside_the_space_names_its_values(
+            self, three_atoms_under_top):
+        cx = three_atoms_under_top
+        space = build_space(cx.source, cx.target)
+        u, v = space.index_of(cx.u), space.index_of(cx.v)
+        with pytest.raises(MapError, match=r"^\(0, 0, 1, 1\) is not a max"):
+            m_arrow(space, u, v)
 
     def test_non_distributive_target_is_rejected(self):
         space = build_space(chain(1), m3())
