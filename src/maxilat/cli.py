@@ -6,8 +6,11 @@ error.
 """
 
 import argparse
+import collections
 import json
+import os
 import sys
+from collections.abc import Iterator
 
 from .poset import PosetError, classify, dm_completion
 from .selections import SelectionError, continuity_report, is_union_complete
@@ -20,10 +23,43 @@ from . import harness, io
 
 
 def _write_out(args, payload):
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
+    """Write the dict payload to --out as JSON, when --out is given.
+
+    A value given as an iterator is consumed even without --out.  With
+    --out it is written as a list, one item per line as each arrives, and
+    the values after it are encoded once it is spent, so they may total
+    what it produced.  If that fails, no file is left at --out.
+    """
+    out = getattr(args, "out", None)
+    streams = [v for v in payload.values() if isinstance(v, Iterator)]
+    if not out:
+        for stream in streams:
+            collections.deque(stream, maxlen=0)
+    elif not streams:
+        with open(out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
+    else:
+        fh = open(out, "w", encoding="utf-8")
+        try:
+            with fh:
+                sep = "{"
+                for key, value in payload.items():
+                    fh.write(f"{sep}{json.dumps(key)}: ")
+                    if isinstance(value, Iterator):
+                        fh.write("[")
+                        item_sep = "\n"
+                        for item in value:
+                            fh.write(item_sep + json.dumps(item))
+                            item_sep = ",\n"
+                        fh.write("\n]")
+                    else:
+                        fh.write(json.dumps(value))
+                    sep = ", "
+                fh.write("}\n")
+        except BaseException:
+            os.remove(out)
+            raise
 
 
 def _load_extension(map_source, spec):
@@ -218,20 +254,25 @@ def cmd_mspace_verify(args):
 
 
 def cmd_harness_run(args):
-    records = list(harness.run_suite(args.claim, max_size=args.max_size,
+    """Stream the verdict records: a failing one is printed, and each is
+    counted and written as it arrives, none kept."""
+    counts = harness.summarize(())
+
+    def records():
+        for rec in harness.run_suite(args.claim, max_size=args.max_size,
                                      selections=args.selections,
-                                     depth=args.depth))
-    counts = harness.summarize(records)
-    for rec in records:
-        if rec.verdict == harness.FAIL:
-            print(f"FAIL {rec.claim}: {rec.instance}")
-            print(f"     witness: {rec.witness}")
+                                     depth=args.depth):
+            counts[rec.verdict] += 1
+            if rec.verdict == harness.FAIL:
+                print(f"FAIL {rec.claim}: {rec.instance}")
+                print(f"     witness: {rec.witness}")
+            yield rec.to_dict()
+
+    _write_out(args, {"claim": args.claim, "records": records(),
+                      "summary": counts})
     print(f"{args.claim}: {counts['pass']} pass, {counts['fail']} fail, "
           f"{counts['hypothesis-not-met']} hypothesis-not-met "
-          f"({len(records)} instances)")
-    _write_out(args, {"claim": args.claim,
-                      "summary": counts,
-                      "records": [r.to_dict() for r in records]})
+          f"({sum(counts.values())} instances)")
     return 0 if counts[harness.FAIL] == 0 else 1
 
 

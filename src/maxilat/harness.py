@@ -20,9 +20,9 @@ from .maxitive import (InvariantError, MonotoneMap, RationalConeMap,
                        ideal_family_of, is_pairwise_maxitive,
                        iter_monotone_values, MapError, maxitivity_witness)
 from .residuation import heyting_arrow, theorem_5_4
-from .mspace import (build_space, corollary_above_set, generator_values,
-                     m_arrow, pointwise_inf, reconstruction, representation,
-                     way_above_in_space)
+from .mspace import (_arrow_values, build_space, corollary_above_set,
+                     generator_values, pointwise_inf, reconstruction,
+                     representation, way_above_in_space)
 from . import io as iomod
 
 PASS = "pass"
@@ -426,7 +426,7 @@ def _check_frame(space):
         return mask
 
     def arrow(u, v):
-        return space.index_of(m_arrow(space, u, v).values)
+        return space.index_of(_arrow_values(space, u, v))
     for bad in adjunction_violations(len(space), admissible, space.up, arrow):
         yield {k: x if k == "error" else list(space.maps[x])
                for k, x in bad.items()}

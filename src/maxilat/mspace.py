@@ -187,14 +187,9 @@ def _heyting_table(l):
                  for r in range(l.n))
 
 
-def m_arrow(space, u, v) -> MonotoneMap:
-    """Residuation u <- v inside the space: the least w with v <= u join w.
-
-    The formula g -> sup of heyting_arrow(u(h), v(h)) over h <= g, for a
-    distributive target.  Joins are pointwise, so an admissible monotone w
-    has w(h) >= u(h) <- v(h) everywhere and lies above that map, the arrow
-    when it is maxitive; otherwise MapError names its values.
-    """
+def _arrow_values(space, u, v):
+    """The value tuple of u <- v by the formula of m_arrow, unchecked: it may
+    lie outside the space."""
     l = space.target
     if not classify(l).is_distributive:
         raise PosetError("the target must be distributive")
@@ -206,5 +201,17 @@ def m_arrow(space, u, v) -> MonotoneMap:
         for h in space.source.down(g):
             t = joins[t][pointwise[h]]
         values.append(t)
+    return tuple(values)
+
+
+def m_arrow(space, u, v) -> MonotoneMap:
+    """Residuation u <- v inside the space: the least w with v <= u join w.
+
+    The formula g -> sup of heyting_arrow(u(h), v(h)) over h <= g, for a
+    distributive target.  Joins are pointwise, so an admissible monotone w
+    has w(h) >= u(h) <- v(h) everywhere and lies above that map, the arrow
+    when it is maxitive; otherwise MapError names its values.
+    """
+    values = _arrow_values(space, u, v)
     space.index_of(values)
-    return MonotoneMap(space.source, l, tuple(values))
+    return MonotoneMap(space.source, space.target, values)

@@ -99,15 +99,18 @@ class FinitePoset:
                  "_label_index", "_top", "_bottom", "_canon", "_hash")
 
     def __init__(self, leq, labels=None):
-        rows = tuple(tuple(bool(x) for x in row) for row in leq)
+        rows = tuple(tuple(map(bool, row)) for row in leq)
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise PosetError("relation matrix must be square")
-        up = tuple(_bits(j for j, x in enumerate(row) if x) for row in rows)
-        down = tuple(_bits(j for j in range(n) if rows[j][i]) for i in range(n))
+        bits = [1 << i for i in range(n)]
+        up = tuple(sum(itertools.compress(bits, row)) for row in rows)
+        down = tuple(sum(itertools.compress(bits, col)) for col in zip(*rows))
         for i in range(n):
             if not rows[i][i]:
                 raise PosetError(f"relation not reflexive at {i}")
+            if up[i] & down[i] == bits[i] and _union(up, up[i]) == up[i]:
+                continue
             for j in _indices(up[i]):
                 if i != j and rows[j][i]:
                     raise PosetError(f"relation not antisymmetric on ({i}, {j})")
@@ -270,32 +273,39 @@ class FinitePoset:
                     return below
         return None
 
-    def iter_lower_sets(self):
-        """All lower sets, each exactly once, in a deterministic order."""
-        down = self._down
-        strict_up = tuple(self._up[i] - {i} for i in range(self.n))
+    def _lower_set_masks(self):
+        """The masks of all lower sets, each exactly once: those of the rest
+        without its last maximal element x, then down(x) joined to those of
+        the rest outside down(x)."""
+        down = self._downm
+        strict_up = tuple(m & ~(1 << i) for i, m in enumerate(self._upm))
 
         def rec(allowed):
             if not allowed:
-                yield frozenset()
-                return
-            x = max(i for i in allowed if not (strict_up[i] & allowed))
-            yield from rec(allowed - {x})
+                return [0]
+            for x in reversed(_indices(allowed)):
+                if not strict_up[x] & allowed:
+                    break
             dx = down[x] & allowed
-            for part in rec(allowed - dx):
-                yield part | dx
+            return (rec(allowed & ~(1 << x))
+                    + [part | dx for part in rec(allowed & ~dx)])
 
-        yield from rec(frozenset(range(self.n)))
+        return rec((1 << self.n) - 1)
+
+    def iter_lower_sets(self):
+        """All lower sets, each exactly once, in a deterministic order."""
+        return map(_frozen, self._lower_set_masks())
 
     def iter_upper_sets(self):
-        full = frozenset(range(self.n))
-        for low in self.iter_lower_sets():
-            yield full - low
+        """The complements of the lower sets, in the same order."""
+        full = (1 << self.n) - 1
+        for low in self._lower_set_masks():
+            yield _frozen(full ^ low)
 
     def iter_ideals(self):
-        for low in self.iter_lower_sets():
-            if self.is_ideal(low):
-                yield low
+        for low in self._lower_set_masks():
+            if self._unclosed_family(low) is None:
+                yield _frozen(low)
 
     # -- derived posets -----------------------------------------------------
 
@@ -402,14 +412,38 @@ class PosetProfile:
             raise PosetError("distributivity flag requires the lattice flag")
 
 
+@lru_cache(maxsize=256)
+def _pair_tables(p):
+    """The binary joins and meets of p, None where missing, from one pass
+    over the pairs: the least member of up(a) & up(b) and the greatest member
+    of down(a) & down(b).  classify and join_table share it."""
+    n, up, down = p.n, p._upm, p._downm
+    joins = [[None] * n for _ in range(n)]
+    meets = [[None] * n for _ in range(n)]
+    for a in range(n):
+        joins[a][a] = meets[a][a] = a
+        for b in range(a + 1, n):
+            joins[a][b] = joins[b][a] = _bounding_member(up, up[a] & up[b])
+            meets[a][b] = meets[b][a] = _bounding_member(down, down[a] & down[b])
+    return tuple(map(tuple, joins)), tuple(map(tuple, meets))
+
+
 @lru_cache(maxsize=32768)
 def classify(p: FinitePoset) -> PosetProfile:
-    """Classify p by exhaustive checks of each defining quantifier.
+    """Classify p from its join and meet tables.
 
     On a finite poset, completeness is equivalent to being a lattice with a
     top and a bottom; the exhaustive all-subsets characterization is kept as
     a test oracle.  Distributivity and meet-continuity are only meaningful
     for lattices and default to False otherwise.
+
+    Distributivity is checked by one law, x meet (y join z) =
+    (x meet y) join (x meet z), since in a lattice it implies the other:
+    (x join y) meet (x join z)
+      = ((x join y) meet x) join ((x join y) meet z)   [the law]
+      = x join ((x meet z) join (y meet z))            [absorption, the law]
+      = x join (y meet z)                              [absorption],
+    and the dual argument gives the converse.
 
     Every finite lattice is meet-continuous, so that flag is the lattice
     flag.  A nonempty ideal I is closed under binary joins, so it holds
@@ -417,51 +451,24 @@ def classify(p: FinitePoset) -> PosetProfile:
     down(x meet s), whose supremum is x meet s.  The lower-set scan of the
     definition is the test oracle.
     """
-    n = p.n
-    pairs = list(itertools.combinations(range(n), 2))
-    join = {}
-    meet = {}
-    is_join = True
-    is_meet = True
-    for i, j in pairs:
-        join[i, j] = p.sup_of((i, j))
-        meet[i, j] = p.inf_of((i, j))
-        if join[i, j] is None:
-            is_join = False
-        if meet[i, j] is None:
-            is_meet = False
+    joins, meets = _pair_tables(p)
+    is_join = not any(None in row for row in joins)
+    is_meet = not any(None in row for row in meets)
     is_lattice = is_join and is_meet
-    is_complete = (is_lattice and n > 0
+    is_complete = (is_lattice and p.n > 0
                    and p.top() is not None and p.bottom() is not None)
-
-    def jn(i, j):
-        return i if i == j else join[min(i, j), max(i, j)]
-
-    def mt(i, j):
-        return i if i == j else meet[min(i, j), max(i, j)]
-
-    is_distributive = is_lattice
-    if is_lattice:
-        for x, y, z in itertools.product(range(n), repeat=3):
-            if mt(x, jn(y, z)) != jn(mt(x, y), mt(x, z)):
-                is_distributive = False
-                break
-            if jn(x, mt(y, z)) != mt(jn(x, y), jn(x, z)):
-                is_distributive = False
-                break
-
+    is_distributive = is_lattice and all(
+        meet_x[join_y[z]] == joins[meet_x[y]][meet_x[z]]
+        for meet_x in meets
+        for y, join_y in enumerate(joins)
+        for z in range(y + 1, p.n))
     return PosetProfile(is_join, is_meet, is_lattice, is_complete,
                         is_distributive, is_lattice)
 
 
-@lru_cache(maxsize=4096)
 def join_table(p: FinitePoset):
-    """The binary joins of p, None where missing: one sup_of per pair."""
-    table = [[None] * p.n for _ in range(p.n)]
-    for a in range(p.n):
-        for b in range(a, p.n):
-            table[a][b] = table[b][a] = p.sup_of((a, b))
-    return tuple(map(tuple, table))
+    """The binary joins of p, None where missing."""
+    return _pair_tables(p)[0]
 
 
 def _ensure_complete_lattice(p):

@@ -10,7 +10,8 @@ to apply one level up when testing union-completeness.
 import enum
 from dataclasses import dataclass
 
-from .poset import FinitePoset, _bits
+from .poset import (FinitePoset, _bits, _bounding_member, _common, _indices,
+                    _union)
 
 
 class SelectionError(ValueError):
@@ -39,7 +40,11 @@ def _inf_allowing_empty(p, subset):
 
 @dataclass(frozen=True)
 class FilterSelection:
-    """The designated family of upper subsets of a poset."""
+    """The designated family of upper subsets of a poset.
+
+    The bitmasks of the sets, in the iteration order of fsets, are kept as
+    `_masks`; the checks run on them.
+    """
 
     poset: FinitePoset
     kind: SelectionKind
@@ -52,12 +57,17 @@ class FilterSelection:
             raise SelectionError("a selection must contain at least one set")
         if not any(self.fsets):
             raise SelectionError("a selection needs at least one nonempty member")
+        masks = []
         for f in self.fsets:
-            if not p.is_upper_set(f):
+            mask = p._mask(f)
+            if _union(p._upm, mask) != mask:
                 raise SelectionError(f"{sorted(f)} is not an upper set")
+            masks.append(mask)
+        selected = set(masks)
         for x in range(p.n):
-            if p.up(x) not in self.fsets:
+            if p._upm[x] not in selected:
                 raise SelectionError(f"principal filter of {x} is missing")
+        object.__setattr__(self, "_masks", tuple(masks))
 
     def __contains__(self, subset):
         return frozenset(subset) in self.fsets
@@ -158,22 +168,15 @@ def _way_above_columns(p, sel):
     if sel.poset is not p and sel.poset != p:
         raise SelectionError("selection was built on a different poset")
     n = p.n
-    full = (1 << n) - 1
     down = p._downm
-    cols = [full] * n
+    # at[m]: the intersection of the selected sets whose infimum is m
+    at = [(1 << n) - 1] * n
     infs = {}
-    for f in sel.fsets:
-        mask, lower = 0, full
-        for y in f:
-            mask |= 1 << y
-            lower &= down[y]
-        m = next((z for z in range(n)
-                  if lower >> z & 1 and not lower & ~down[z]), None)
-        infs[mask] = m
+    for mask in sel._masks:
+        m = infs[mask] = _bounding_member(down, _common(down, mask, n))
         if m is not None:
-            for x in p.up(m):
-                cols[x] &= mask
-    return cols, infs
+            at[m] &= mask
+    return [_common(at, below, n) for below in down], infs
 
 
 def way_above(p, sel) -> WayAboveRelation:
@@ -213,17 +216,13 @@ def continuity_report(p, sel) -> ContinuityReport:
     n = p.n
     continuity_failures = tuple(x for x in range(n) if infs.get(cols[x]) != x)
     missing = tuple(sorted(
-        (tuple(y for y in range(n) if mask >> y & 1)
-         for mask, m in infs.items() if m is None),
+        (tuple(_indices(mask)) for mask, m in infs.items() if m is None),
         key=lambda f: (len(f), f)))
     interp_failures = []
-    for x in range(n):
-        reach = 0
-        for z in range(n):
-            if cols[x] >> z & 1:
-                reach |= cols[z]
-        unmet = cols[x] & ~reach
-        interp_failures.extend((y, x) for y in range(n) if unmet >> y & 1)
+    for x, col in enumerate(cols):
+        unmet = col & ~_union(cols, col)
+        if unmet:
+            interp_failures.extend((y, x) for y in _indices(unmet))
     is_continuous = not continuity_failures
     return ContinuityReport(
         is_continuous=is_continuous,
@@ -256,7 +255,7 @@ def is_union_complete(sel) -> bool:
         return True
     if kind is not SelectionKind.UPPER:
         raise SelectionError(f"{kind} has no implicit set family")
-    masks = [_bits(f) for f in sel.fsets]
+    masks = sel._masks
     selected = set(masks)
     return 0 in selected and all(a | b in selected
                                  for i, a in enumerate(masks)

@@ -5,10 +5,11 @@ from types import SimpleNamespace
 import pytest
 
 from maxilat import (ContinuityReport, FinitePoset, IdealFamily, MapError,
-                     PosetError, SelectionError, SelectionKind,
+                     PosetError, PosetProfile, SelectionError, SelectionKind,
                      build_selection, classify, from_ideal_family,
                      pointwise_inf, way_above)
 from maxilat.catalog import antichain, chain, diamond, m3, n5, seven_element
+from maxilat.harness import run_suite, summarize
 
 
 @pytest.fixture
@@ -165,6 +166,71 @@ class FrozensetBounds:
                 if below and self.sup_of(below) == x:
                     return below
         return None
+
+
+def oracle_classify(p):
+    """classify by pairwise sup_of/inf_of and a scan of both distributive
+    laws, the implementation that the shared join/meet tables replaced."""
+    n = p.n
+    pairs = list(itertools.combinations(range(n), 2))
+    join = {}
+    meet = {}
+    is_join = True
+    is_meet = True
+    for i, j in pairs:
+        join[i, j] = p.sup_of((i, j))
+        meet[i, j] = p.inf_of((i, j))
+        if join[i, j] is None:
+            is_join = False
+        if meet[i, j] is None:
+            is_meet = False
+    is_lattice = is_join and is_meet
+    is_complete = (is_lattice and n > 0
+                   and p.top() is not None and p.bottom() is not None)
+
+    def jn(i, j):
+        return i if i == j else join[min(i, j), max(i, j)]
+
+    def mt(i, j):
+        return i if i == j else meet[min(i, j), max(i, j)]
+
+    is_distributive = is_lattice
+    if is_lattice:
+        for x, y, z in itertools.product(range(n), repeat=3):
+            if mt(x, jn(y, z)) != jn(mt(x, y), mt(x, z)):
+                is_distributive = False
+                break
+            if jn(x, mt(y, z)) != mt(jn(x, y), jn(x, z)):
+                is_distributive = False
+                break
+    return PosetProfile(is_join, is_meet, is_lattice, is_complete,
+                        is_distributive, is_lattice)
+
+
+def oracle_lower_sets(p):
+    """The lower sets of p by the frozenset recursion that the mask
+    recursion replaced, in the order it yields them."""
+    strict_up = tuple(p.up(i) - {i} for i in range(p.n))
+
+    def rec(allowed):
+        if not allowed:
+            yield frozenset()
+            return
+        x = max(i for i in allowed if not (strict_up[i] & allowed))
+        yield from rec(allowed - {x})
+        dx = p.down(x) & allowed
+        for part in rec(allowed - dx):
+            yield part | dx
+
+    return list(rec(frozenset(range(p.n))))
+
+
+def buffered_harness_payload(claim, **bounds):
+    """The `harness run --out` document as it was built before streaming:
+    every record collected first, then one dict."""
+    records = list(run_suite(claim, **bounds))
+    return {"claim": claim, "summary": summarize(records),
+            "records": [r.to_dict() for r in records]}
 
 
 def oracle_is_meet_continuous(p):

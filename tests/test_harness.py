@@ -9,7 +9,7 @@ from maxilat.cli import main
 from maxilat.harness import (FAIL, PASS, SKIP, HarnessError, VerdictRecord,
                              CLAIMS, run_suite, summarize)
 from maxilat.io import poset_from_dict
-from maxilat.poset import FinitePoset, _bits
+from maxilat.poset import _bits
 
 from conftest import (WholeBaseTraces, oracle_adjunction_violations,
                       oracle_space_poset)
@@ -190,20 +190,24 @@ class TestWorkCounts:
         assert len(calls) == 2436
 
     def test_alternating_builds_one_join_table_per_source(self, monkeypatch):
-        # classify, cached per poset, is warmed first so that only the joins
-        # of the cones and of the Choquet differences are counted
+        # every bound taken on a poset, by sup_of, inf_of, top, bottom or the
+        # join/meet tables that classify and join_table share, is one
+        # _bounding_member call on its up- or down-masks: count them per
+        # mask tuple, classify included
         from maxilat import poset
-        for p in enumerate_posets(4):
-            classify(p)
-        poset.join_table.cache_clear()
+        classify.cache_clear()
+        poset._pair_tables.cache_clear()
         calls = {}
-        real = FinitePoset.sup_of
+        real = poset._bounding_member
 
-        def counted(p, a):
-            calls[p] = calls.get(p, 0) + 1
-            return real(p, a)
-        monkeypatch.setattr(FinitePoset, "sup_of", counted)
+        def counted(masks, mask):
+            entry = calls.setdefault(id(masks), [masks, 0])
+            entry[1] += 1
+            return real(masks, mask)
+        monkeypatch.setattr(poset, "_bounding_member", counted)
         records = list(run_suite("alternating", max_size=4, depth=4))
-        assert len(records) == len(calls) == 88
-        assert all(count <= p.n * (p.n + 1) // 2
-                   for p, count in calls.items())
+        assert len(records) == 88
+        # classify reads both mask tuples of each of the 242 posets
+        assert len(calls) == 2 * 242
+        assert all(count <= len(masks) * (len(masks) + 1) // 2
+                   for masks, count in calls.values())

@@ -4,7 +4,7 @@ import pytest
 
 from maxilat import (InvariantError, MonotoneMap, RationalConeMap,
                      enumerate_posets)
-from maxilat import cli
+from maxilat import cli, harness
 from maxilat.catalog import antichain, chain, m3, seven_element
 from maxilat.cli import main
 from maxilat.io import (FormatError, fixture, fixture_map, fixture_poset,
@@ -12,7 +12,7 @@ from maxilat.io import (FormatError, fixture, fixture_map, fixture_poset,
                         parse_selection_spec, poset_from_dict, poset_to_dict,
                         save_map, save_poset, selection_from_dict)
 
-from conftest import WholeBaseTraces
+from conftest import WholeBaseTraces, buffered_harness_payload
 
 
 class TestPosetFiles:
@@ -304,6 +304,37 @@ class TestCli:
         doc = json.loads(out_path.read_text())
         assert doc["summary"]["pass"] == 1
         assert doc["records"][0]["claim"] == "seven-element"
+
+    def test_harness_out_streams_the_buffered_document(self, tmp_path, capsys):
+        # every claim at the bounds of the tier-1 suite: the streamed document
+        # loads as the payload that used to be built in memory, apart from
+        # elapsed, and keeps one record per line with the summary last
+        def strip(doc):
+            for rec in doc["records"]:
+                del rec["elapsed"]
+            return doc
+        for claim in sorted(harness.CLAIMS):
+            out_path = tmp_path / f"{claim}.json"
+            code = main(["harness", "run", claim, "--max-size", "2",
+                         "--out", str(out_path)])
+            text = out_path.read_text()
+            doc = json.loads(text)
+            expected = buffered_harness_payload(claim, max_size=2)
+            assert code == (1 if expected["summary"]["fail"] else 0)
+            assert strip(doc) == strip(expected)
+            assert list(doc) == ["claim", "records", "summary"]
+            lines = text.splitlines()
+            assert len(lines) == len(doc["records"]) + 2
+            assert [json.loads(line.rstrip(","))["claim"]
+                    for line in lines[1:-1]] == [claim] * len(doc["records"])
+        capsys.readouterr()
+
+    def test_harness_error_leaves_no_out_file(self, tmp_path, capsys):
+        out_path = tmp_path / "f"
+        assert main(["harness", "run", "interpolation", "--max-size", "6",
+                     "--out", str(out_path)]) == 2
+        assert "exceeds the enumeration cap" in capsys.readouterr().err
+        assert not out_path.exists()
 
     def test_harness_unknown_claim_is_a_usage_error(self, capsys):
         import pytest as _pytest

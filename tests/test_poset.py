@@ -8,8 +8,9 @@ from maxilat import (FinitePoset, OrderExtension, PosetError, classify,
                      dm_completion, enumerate_posets)
 from maxilat.catalog import antichain, chain
 
-from conftest import (FrozensetBounds, brute_force_posets, oracle_inf,
-                      oracle_is_ideal, oracle_is_meet_continuous, oracle_sup)
+from conftest import (FrozensetBounds, brute_force_posets, oracle_classify,
+                      oracle_inf, oracle_is_ideal, oracle_is_meet_continuous,
+                      oracle_lower_sets, oracle_sup)
 
 
 def relabeled(p, perm):
@@ -192,6 +193,19 @@ class TestIdeals:
             assert len(produced) == len(set(produced))
             assert set(produced) == expected
 
+    def test_mask_recursion_yields_the_frozenset_sequence(self):
+        # same sets in the same order, on all labeled posets of size <= 5
+        checked = 0
+        for p in enumerate_posets(5):
+            expected = oracle_lower_sets(p)
+            assert list(p.iter_lower_sets()) == expected
+            full = frozenset(range(p.n))
+            assert list(p.iter_upper_sets()) == [full - low for low in expected]
+            assert list(p.iter_ideals()) == [low for low in expected
+                                             if oracle_is_ideal(p, low)]
+            checked += len(expected)
+        assert checked == 48710
+
 
 class TestClassify:
     def test_pentagon_is_a_non_distributive_lattice(self, pentagon):
@@ -239,6 +253,20 @@ class TestClassify:
                     expected = False
                     break
             assert profile.is_distributive == expected
+
+    def test_tables_agree_with_the_pairwise_both_laws_oracle(
+            self, pentagon, m3_lattice, three_atoms_under_top):
+        # all six flags, on all 4,473 labeled posets of size <= 5 and the
+        # fixtures; classify checks one distributive law, the oracle both
+        posets = list(enumerate_posets(5))
+        assert len(posets) == 4473
+        posets += [pentagon, m3_lattice, three_atoms_under_top.source,
+                   three_atoms_under_top.target]
+        distributive = 0
+        for p in posets:
+            assert classify(p) == oracle_classify(p)
+            distributive += classify(p).is_distributive
+        assert distributive and not classify(m3_lattice).is_distributive
 
     def test_every_finite_lattice_is_meet_continuous(self):
         # the flag against the lower-set oracle on all 4,473 labeled posets

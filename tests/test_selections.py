@@ -2,14 +2,16 @@ import itertools
 
 import pytest
 
-from maxilat import (MonotoneMap, SelectionError, SelectionKind,
-                     WayAboveRelation, build_selection, classify,
-                     continuity_report, enumerate_posets, fmap,
-                     is_union_complete, way_above)
+from maxilat import (FilterSelection, MonotoneMap, PosetError,
+                     SelectionError, SelectionKind, WayAboveRelation,
+                     build_selection, classify, continuity_report,
+                     enumerate_posets, fmap, is_union_complete, way_above)
 from maxilat.catalog import antichain, chain
+from maxilat.poset import _bits
 
 from conftest import (oracle_continuity_report, oracle_filtered_sets,
-                      oracle_is_union_complete, oracle_way_above)
+                      oracle_is_union_complete, oracle_lower_sets,
+                      oracle_way_above)
 
 
 def fsets_as_sets(sel):
@@ -67,6 +69,35 @@ class TestBuildSelection:
         for p in enumerate_posets(5):
             filtered = build_selection(p, "filtered")
             assert filtered.fsets == oracle_filtered_sets(p)
+
+    def test_builtin_sets_are_unchanged_and_masked(self):
+        # all 13,419 built-in selections of labeled posets of size <= 5: the
+        # sets of the frozenset code, with _masks their bitmasks in order
+        checked = 0
+        for p, sel in builtin_selections():
+            if sel.kind is SelectionKind.UPPER:
+                full = frozenset(range(p.n))
+                expected = {full - low for low in oracle_lower_sets(p)}
+            else:
+                expected = {p.up(x) for x in range(p.n)}
+            assert sel.fsets == expected
+            assert sel._masks == tuple(_bits(f) for f in sel.fsets)
+            checked += 1
+        assert checked == 13419
+
+    def test_constructor_checks_keep_their_messages(self, chain3):
+        principal = [chain3.up(x) for x in range(3)]
+        for fsets, error, message in (
+                ([], SelectionError, "at least one set"),
+                ([frozenset()], SelectionError, "at least one nonempty"),
+                (principal + [frozenset({0})], SelectionError,
+                 r"\[0\] is not an upper set"),
+                (principal + [frozenset({3})], PosetError, "out of range"),
+                (principal[1:], SelectionError,
+                 "principal filter of 0 is missing")):
+            with pytest.raises(error, match=message):
+                FilterSelection(chain3, SelectionKind.EXPLICIT,
+                                frozenset(fsets))
 
     def test_membership_helper(self, chain3):
         sel = build_selection(chain3, "principal")
