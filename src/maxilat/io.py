@@ -76,7 +76,12 @@ def save_poset(p, path):
 
 
 def map_from_dict(doc, where="map"):
-    """A MonotoneMap, or a RationalConeMap when no target poset is given."""
+    """A MonotoneMap, or a RationalConeMap when no target poset is given.
+
+    Cone values are JSON numbers or strings that Fraction reads, such as
+    "1/3"; NaN, the infinities and the JSON booleans are not rational and
+    are rejected.
+    """
     source = poset_from_dict(_require(doc, "source", dict, where),
                              where=f"{where}.source")
     values_doc = _require(doc, "values", dict, where)
@@ -103,8 +108,10 @@ def map_from_dict(doc, where="map"):
     for g in range(source.n):
         raw = values_doc[source.labels[g]]
         try:
+            if isinstance(raw, bool):
+                raise TypeError("a JSON boolean is not a number")
             values.append(Fraction(raw))
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise FormatError(f"{where}: value for {source.labels[g]!r} is not "
                               f"rational") from exc
     try:

@@ -10,9 +10,12 @@ semilattice this reduces to the pairwise law, but not in general.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .poset import FinitePoset, _indices, classify, join_table
+from .poset import (FinitePoset, _bounding_member, _closure_memo, _common,
+                    _cover_pairs, _frozen, _indices, _union, classify,
+                    join_table)
 from .selections import (FilterSelection, WayAboveRelation,
                          _inf_allowing_empty, continuity_report)
 
@@ -29,7 +32,14 @@ class InvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class MonotoneMap:
-    """An order-preserving map, stored as one target index per source element."""
+    """An order-preserving map, stored as one target index per source element.
+
+    Every value must be an int index of the target.  Order preservation is
+    decided on the source's covering pairs, listed once per source: by
+    transitivity it holds on them iff it holds on every pair.  Only when it
+    fails does the scan of all pairs g <= h run, to name the first
+    offending (g, h) in index order.
+    """
 
     source: FinitePoset
     target: FinitePoset
@@ -38,43 +48,60 @@ class MonotoneMap:
     def __post_init__(self):
         values = tuple(self.values)
         object.__setattr__(self, "values", values)
-        if len(values) != self.source.n:
-            raise MapError(f"expected {self.source.n} values, got {len(values)}")
+        source, target = self.source, self.target
+        if len(values) != source.n:
+            raise MapError(f"expected {source.n} values, got {len(values)}")
         for t in values:
-            if not 0 <= t < self.target.n:
+            if not (isinstance(t, int) and 0 <= t < target.n):
                 raise MapError(f"value {t} out of range for the target poset")
-        for g in range(self.source.n):
-            for h in self.source.up(g):
-                if not self.target.leq(values[g], values[h]):
-                    raise MapError(f"not order-preserving on ({g}, {h})")
+        up = target._upm
+        for g, h in _cover_pairs(source):
+            if not up[values[g]] >> values[h] & 1:
+                g, h = next((g, h) for g in range(source.n)
+                            for h in source.up(g)
+                            if not target.leq(values[g], values[h]))
+                raise MapError(f"not order-preserving on ({g}, {h})")
 
     def __call__(self, g):
         return self.values[g]
 
 
 def iter_monotone_values(e, l):
-    """All order-preserving value tuples E -> L, in lexicographic order."""
+    """All order-preserving value tuples E -> L, in lexicographic order.
+
+    The values of element g range over the targets allowed by the earlier
+    elements: above the value of each earlier h below g, below the value of
+    each earlier h above g, in ascending order.
+    """
     n = e.n
+    up, down = l._upm, l._downm
+    below = [_indices(e._downm[g] & ((1 << g) - 1)) for g in range(n)]
+    above = [_indices(e._upm[g] & ((1 << g) - 1)) for g in range(n)]
     values = [0] * n
 
     def rec(g):
         if g == n:
             yield tuple(values)
             return
-        for t in range(l.n):
-            ok = True
-            for h in range(g):
-                if e.leq(h, g) and not l.leq(values[h], t):
-                    ok = False
-                    break
-                if e.leq(g, h) and not l.leq(t, values[h]):
-                    ok = False
-                    break
-            if ok:
-                values[g] = t
-                yield from rec(g + 1)
+        allowed = (1 << l.n) - 1
+        for h in below[g]:
+            allowed &= up[values[h]]
+        for h in above[g]:
+            allowed &= down[values[h]]
+        for t in _indices(allowed):
+            values[g] = t
+            yield from rec(g + 1)
 
     yield from rec(0)
+
+
+def _sublevel_masks(v: MonotoneMap):
+    """The masks of the sublevel sets D_t = {g : v(g) <= t}, t in index
+    order: the union of the masks of v's fibres over the values below t."""
+    fibres = [0] * v.target.n
+    for g, t in enumerate(v.values):
+        fibres[t] |= 1 << g
+    return [_union(fibres, below) for below in v.target._downm]
 
 
 def maxitivity_witness(v: MonotoneMap):
@@ -86,14 +113,12 @@ def maxitivity_witness(v: MonotoneMap):
     closed iff some x outside it is the sup of D_t meet down(x), and that
     family then has values below t while v(x) is not.  The scan runs over t,
     then x, in index order; it costs O(|L| |E|) sups, not 2^|E| subsets.
+    The test of each D_t is read from the source's closure memo, so each
+    lower set of a source is tested once for all the maps out of it.
     """
-    e, l = v.source, v.target
-    for below_t in l._downm:
-        sublevel = 0
-        for g, s in enumerate(v.values):
-            if below_t >> s & 1:
-                sublevel |= 1 << g
-        family = e._unclosed_family(sublevel)
+    memo = _closure_memo(v.source)
+    for sublevel in _sublevel_masks(v):
+        family = memo[sublevel]
         if family is not None:
             return frozenset(_indices(family))
     return None
@@ -118,42 +143,55 @@ def is_pairwise_maxitive(v: MonotoneMap) -> bool:
 
 @dataclass(frozen=True)
 class IdealFamily:
-    """A nondecreasing family of ideals of a source poset, indexed by a target."""
+    """A nondecreasing family of ideals of a source poset, indexed by a target.
+
+    The members' bitmasks are kept as `_masks`, and the checks run on them.
+    A member is an ideal iff it is a lower set that no existing sup escapes,
+    read from the source's closure memo, the test of maxitivity_witness;
+    the memo holds lower sets only, so a member found in it is one.  By
+    transitivity the family is nondecreasing iff it is so on the target's
+    covering pairs; only when it is not are all pairs s <= t scanned, to
+    name the first that decreases.
+    """
 
     source: FinitePoset
     target: FinitePoset
     family: tuple
 
     def __post_init__(self):
+        source, target = self.source, self.target
         family = tuple(frozenset(i) for i in self.family)
         object.__setattr__(self, "family", family)
-        if len(family) != self.target.n:
+        if len(family) != target.n:
             raise MapError("the family must index every target element")
+        down, memo = source._downm, _closure_memo(source)
+        masks = []
         for t, ideal in enumerate(family):
-            if not self.source.is_ideal(ideal):
+            mask = source._mask(ideal)
+            if ((mask not in memo and _union(down, mask) != mask)
+                    or memo[mask] is not None):
                 raise MapError(f"member at {t} is not an ideal of the source")
-        for s in range(self.target.n):
-            for t in self.target.up(s):
-                if not family[s] <= family[t]:
-                    raise MapError(f"family decreases from {s} to {t}")
+            masks.append(mask)
+        for s, t in _cover_pairs(target):
+            if masks[s] & ~masks[t]:
+                s, t = next((s, t) for s in range(target.n)
+                            for t in target.up(s) if masks[s] & ~masks[t])
+                raise MapError(f"family decreases from {s} to {t}")
+        object.__setattr__(self, "_masks", tuple(masks))
 
     def membership_set(self, g):
         """Indices t with g in the ideal at t."""
-        return frozenset(t for t in range(self.target.n) if g in self.family[t])
+        return frozenset(t for t, mask in enumerate(self._masks)
+                         if mask >> g & 1)
 
     def is_right_continuous(self, rel: WayAboveRelation) -> bool:
         """True iff each member is the intersection of the members way-above
         it under rel, a way-above relation on the target."""
-        if rel.poset != self.target:
+        if rel.poset is not self.target and rel.poset != self.target:
             raise MapError("way-above relation was built on a different target")
-        everything = frozenset(range(self.source.n))
-        for t in range(self.target.n):
-            inter = everything
-            for s in rel.above_set(t):
-                inter &= self.family[s]
-            if inter != self.family[t]:
-                return False
-        return True
+        masks, n = self._masks, self.source.n
+        return all(_common(masks, col, n) == mask
+                   for col, mask in zip(rel._cols, masks))
 
 
 def from_ideal_family(fam: IdealFamily, sel_l: FilterSelection) -> MonotoneMap:
@@ -161,20 +199,26 @@ def from_ideal_family(fam: IdealFamily, sel_l: FilterSelection) -> MonotoneMap:
 
     Each membership set must be a selected set of the target with an
     infimum; when the family is right-continuous under sel_l's way-above,
-    the result is maxitive.
+    the result is maxitive.  An empty membership set has the top as its
+    infimum.
     """
-    if sel_l.poset != fam.target:
+    l = fam.target
+    if sel_l.poset is not l and sel_l.poset != l:
         raise MapError("selection was built on a different target poset")
+    members = [0] * fam.source.n
+    for t, mask in enumerate(fam._masks):
+        for g in _indices(mask):
+            members[g] |= 1 << t
+    down, n = l._downm, l.n
     values = []
-    for g in range(fam.source.n):
-        ts = fam.membership_set(g)
-        if ts not in sel_l.fsets:
+    for g, ts in enumerate(members):
+        if ts not in sel_l._selected:
             raise MapError(f"membership set of {g} is not a selected set")
-        m = _inf_allowing_empty(fam.target, ts)
+        m = _bounding_member(down, _common(down, ts, n))
         if m is None:
             raise MapError(f"membership set of {g} has no infimum")
         values.append(m)
-    return MonotoneMap(fam.source, fam.target, tuple(values))
+    return MonotoneMap(fam.source, l, tuple(values))
 
 
 def ideal_family_of(v: MonotoneMap) -> IdealFamily:
@@ -184,9 +228,7 @@ def ideal_family_of(v: MonotoneMap) -> IdealFamily:
     of maxitivity_witness, so the witness is computed only to name the
     offending family when that check fails.
     """
-    family = tuple(frozenset(g for g in range(v.source.n)
-                             if v.target.leq(v.values[g], t))
-                   for t in range(v.target.n))
+    family = tuple(map(_frozen, _sublevel_masks(v)))
     try:
         return IdealFamily(v.source, v.target, family)
     except MapError:
@@ -258,30 +300,82 @@ def delta(v: RationalConeMap, g, gs):
     return delta(v, v.join(g, head), rest) - delta(v, g, rest)
 
 
+def _sparse(packed, width, n):
+    """The (index, coefficient) pairs of a packed functional, nonzero only:
+    coefficient i sits in the width bits at width * i, balanced, so that
+    it lies in [-2^(width-1), 2^(width-1))."""
+    terms = []
+    field, half = (1 << width) - 1, 1 << (width - 1)
+    for i in range(n):
+        c = packed & field
+        if c >= half:
+            c -= 1 << width
+        if c:
+            terms.append((i, c))
+        packed = (packed - c) >> width
+    return tuple(terms)
+
+
+@lru_cache(maxsize=256)
+def _alternating_plan(p, depth):
+    """The signed differences of alternating_witness on the join-semilattice
+    p up to depth, as the distinct nonzero functionals of the values in
+    scan order, each with the first (g, gs) at which it occurs.
+
+    Level k holds s(g, gs) = (-1)^(k+1) d(g, gs) for |gs| = k.  The
+    recurrence of d and the alternating sign give
+    s(g, gs) = s(g, gs[1:]) - s(g join gs[0], gs[1:]), from s = -v at
+    level 0.  A difference at length k has coefficients of absolute sum at
+    most 2^k, so each lies in [-2^depth, 2^depth], and with
+    width = depth + 2 bits per coefficient a functional packs into one int,
+    the sum of c_i * 2^(width * i).  The packing is linear and one-to-one,
+    so the recurrence runs on the packed ints, one subtraction per
+    difference, as the scan would on values, and two functionals are equal
+    iff their packed ints are.  The plan stores each functional sparse, as
+    (index, coefficient) pairs.
+    """
+    n, joins = p.n, join_table(p)
+    width = depth + 2
+    level = {(): [-(1 << width * g) for g in range(n)]}
+    seen, plan = {0}, []
+    for length in range(1, depth + 1):
+        shorter, level = level, {}
+        for gs in combinations_with_replacement(range(n), length):
+            rest, joined = shorter[gs[1:]], joins[gs[0]]
+            signed = level[gs] = [rest[g] - rest[joined[g]] for g in range(n)]
+            if seen.issuperset(signed):
+                continue
+            for g, f in enumerate(signed):
+                if f not in seen:
+                    seen.add(f)
+                    plan.append((_sparse(f, width, n), (g, gs)))
+    return tuple(plan)
+
+
 def alternating_witness(v: RationalConeMap, depth=4):
     """First (g, gs) violating the alternating sign condition, else None.
 
     The iterated differences commute in the perturbing elements, so tuples
-    are scanned as nondecreasing multisets; verdicts are depth-bounded.
-    The differences are linear in the values, so they run on the cone's
-    scaled ints, which have the same signs.  Each length's differences come
-    from the previous length's by
-    d(g, gs) = d(g join gs[0], gs[1:]) - d(g, gs[1:]).
+    are scanned as nondecreasing multisets, by length, then gs, then g;
+    verdicts are depth-bounded.  Each difference
+    d(g, gs) = d(g join gs[0], gs[1:]) - d(g, gs[1:]) is linear in the
+    values, with coefficients fixed by the source's joins, and the sign
+    condition asks that sign * d(g, gs) >= 0, sign = (-1)^(|gs| + 1).  So
+    the scan is a sequence of signed functionals f_p, and the witness is the
+    first position p with f_p(v) < 0.  The plan of the source, built once
+    per (source, depth), lists each distinct nonzero f once, at its first
+    position.  Its first functional negative on v is that witness: f_p is
+    nonzero and listed at a position q <= p, where it is negative on v too,
+    so q = p by the minimality of p; and any functional listed before it
+    would be negative at a position before p.  The functionals run on the
+    cone's scaled ints, which have the same signs as the values.
     """
     if depth < 1:
         raise MapError("depth must be at least 1")
-    n = v.source.n
-    level = {(): list(v._scaled)}
-    joins = v._joins
-    for length in range(1, depth + 1):
-        sign = 1 if length % 2 == 1 else -1
-        shorter, level = level, {}
-        for gs in combinations_with_replacement(range(n), length):
-            rest, joined = shorter[gs[1:]], joins[gs[0]]
-            diffs = level[gs] = [rest[joined[g]] - rest[g] for g in range(n)]
-            for g, x in enumerate(diffs):
-                if sign * x < 0:
-                    return g, gs
+    values = v._scaled
+    for terms, found in _alternating_plan(v.source, depth):
+        if sum(c * values[i] for i, c in terms) < 0:
+            return found
     return None
 
 

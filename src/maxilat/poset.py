@@ -15,6 +15,7 @@ from functools import lru_cache
 
 DEFAULT_ENUMERATION_CAP = 5
 _SUBSET_SCAN_CAP = 16
+_CLOSURE_MEMO_CAP = 2048
 
 
 class PosetError(ValueError):
@@ -426,6 +427,38 @@ def _pair_tables(p):
             joins[a][b] = joins[b][a] = _bounding_member(up, up[a] & up[b])
             meets[a][b] = meets[b][a] = _bounding_member(down, down[a] & down[b])
     return tuple(map(tuple, joins)), tuple(map(tuple, meets))
+
+
+@lru_cache(maxsize=256)
+def _cover_pairs(p):
+    """p.covers() as a tuple, computed once per poset."""
+    return tuple(p.covers())
+
+
+class _ClosureMemo(dict):
+    """A poset's `_unclosed_family`, keyed by the mask of a lower set and
+    filled lazily as lower sets are asked about; its keys are lower sets
+    only.  It is emptied when it reaches _CLOSURE_MEMO_CAP entries, so no
+    table of all lower sets is built (a 16-element antichain has 65,536 of
+    them), and `_closure_memo` keeps the memos of at most 64 posets."""
+
+    __slots__ = ("poset",)
+
+    def __init__(self, p):
+        super().__init__()
+        self.poset = p
+
+    def __missing__(self, mask):
+        if len(self) >= _CLOSURE_MEMO_CAP:
+            self.clear()
+        family = self[mask] = self.poset._unclosed_family(mask)
+        return family
+
+
+@lru_cache(maxsize=64)
+def _closure_memo(p):
+    """The closure memo of p, shared by every map out of p."""
+    return _ClosureMemo(p)
 
 
 @lru_cache(maxsize=32768)

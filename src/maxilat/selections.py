@@ -43,7 +43,8 @@ class FilterSelection:
     """The designated family of upper subsets of a poset.
 
     The bitmasks of the sets, in the iteration order of fsets, are kept as
-    `_masks`; the checks run on them.
+    `_masks` and as the set `_selected`; the checks and membership tests of
+    the library run on them.
     """
 
     poset: FinitePoset
@@ -68,6 +69,7 @@ class FilterSelection:
             if p._upm[x] not in selected:
                 raise SelectionError(f"principal filter of {x} is missing")
         object.__setattr__(self, "_masks", tuple(masks))
+        object.__setattr__(self, "_selected", selected)
 
     def __contains__(self, subset):
         return frozenset(subset) in self.fsets
@@ -122,6 +124,8 @@ class WayAboveRelation:
     gg[y][x] holds iff every selected set with an infimum below x contains y.
     For the built-in kinds, way-above is contained in the partial order; this
     is asserted at construction and not claimed for explicit selections.
+    The columns are kept as int bitmasks, `_cols[x]` holding the y
+    way-above x.
     """
 
     poset: FinitePoset
@@ -130,16 +134,17 @@ class WayAboveRelation:
 
     def __post_init__(self):
         n = self.poset.n
-        _check_within_order(self.poset, self.selection,
-                            [_bits(y for y in range(n) if self.gg[y][x])
-                             for x in range(n)])
+        cols = tuple(_bits(y for y in range(n) if self.gg[y][x])
+                     for x in range(n))
+        _check_within_order(self.poset, self.selection, cols)
+        object.__setattr__(self, "_cols", cols)
 
     def way_above(self, y, x):
         return self.gg[y][x]
 
     def above_set(self, x):
         """Elements way-above x."""
-        return frozenset(y for y in range(self.poset.n) if self.gg[y][x])
+        return frozenset(_indices(self._cols[x]))
 
     def equals_order(self):
         p = self.poset
@@ -255,8 +260,7 @@ def is_union_complete(sel) -> bool:
         return True
     if kind is not SelectionKind.UPPER:
         raise SelectionError(f"{kind} has no implicit set family")
-    masks = sel._masks
-    selected = set(masks)
+    masks, selected = sel._masks, sel._selected
     return 0 in selected and all(a | b in selected
                                  for i, a in enumerate(masks)
                                  for b in masks[i + 1:])

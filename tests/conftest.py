@@ -453,3 +453,97 @@ def oracle_adjunction_violations(poset, join, arrow):
             for w in range(poset.n):
                 if poset.leq(v, join(u, w)) != poset.leq(a, w):
                     yield {"u": u, "v": v, "w": w}
+
+
+# -- map oracles: the scans and frozenset routes that the per-source tables
+# of maxitive replaced ---------------------------------------------------------
+
+
+def oracle_monotone_map(source, target, values):
+    """MonotoneMap's checks by the scan of every pair g <= h, raising the
+    same MapError texts; returns the values as a tuple."""
+    values = tuple(values)
+    if len(values) != source.n:
+        raise MapError(f"expected {source.n} values, got {len(values)}")
+    for t in values:
+        if not 0 <= t < target.n:
+            raise MapError(f"value {t} out of range for the target poset")
+    for g in range(source.n):
+        for h in source.up(g):
+            if not target.leq(values[g], values[h]):
+                raise MapError(f"not order-preserving on ({g}, {h})")
+    return values
+
+
+def oracle_ideal_family(source, target, family):
+    """IdealFamily's checks on frozensets, with is_ideal and subset tests,
+    raising the same MapError texts; returns the family as a tuple."""
+    family = tuple(frozenset(i) for i in family)
+    if len(family) != target.n:
+        raise MapError("the family must index every target element")
+    for t, ideal in enumerate(family):
+        if not source.is_ideal(ideal):
+            raise MapError(f"member at {t} is not an ideal of the source")
+    for s in range(target.n):
+        for t in target.up(s):
+            if not family[s] <= family[t]:
+                raise MapError(f"family decreases from {s} to {t}")
+    return family
+
+
+def oracle_sublevel_family(v):
+    """The sublevel sets {g : v(g) <= t} of a map, t in index order."""
+    return tuple(frozenset(g for g in range(v.source.n)
+                           if v.target.leq(v.values[g], t))
+                 for t in range(v.target.n))
+
+
+def oracle_from_ideal_family(fam, sel_l):
+    """from_ideal_family's values by frozenset membership sets, looked up in
+    fsets, with the infimum of the empty set the top."""
+    if sel_l.poset != fam.target:
+        raise MapError("selection was built on a different target poset")
+    values = []
+    for g in range(fam.source.n):
+        ts = frozenset(t for t in range(fam.target.n) if g in fam.family[t])
+        if ts not in sel_l.fsets:
+            raise MapError(f"membership set of {g} is not a selected set")
+        m = _inf_or_top(fam.target, ts)
+        if m is None:
+            raise MapError(f"membership set of {g} has no infimum")
+        values.append(m)
+    return tuple(values)
+
+
+def oracle_is_right_continuous(fam, rel):
+    """Each member is the intersection of the members way-above it, read
+    off rel.gg as frozensets."""
+    n = fam.target.n
+    everything = frozenset(range(fam.source.n))
+    for t in range(n):
+        inter = everything
+        for s in range(n):
+            if rel.gg[s][t]:
+                inter &= fam.family[s]
+        if inter != fam.family[t]:
+            return False
+    return True
+
+
+def oracle_alternating_witness(v, depth):
+    """alternating_witness by the per-cone scan: every length's differences
+    from the previous length's on the scaled ints, first negative signed
+    difference by length, then gs, then g."""
+    n = v.source.n
+    level = {(): list(v._scaled)}
+    joins = v._joins
+    for length in range(1, depth + 1):
+        sign = 1 if length % 2 == 1 else -1
+        shorter, level = level, {}
+        for gs in itertools.combinations_with_replacement(range(n), length):
+            rest, joined = shorter[gs[1:]], joins[gs[0]]
+            diffs = level[gs] = [rest[joined[g]] - rest[g] for g in range(n)]
+            for g, x in enumerate(diffs):
+                if sign * x < 0:
+                    return g, gs
+    return None

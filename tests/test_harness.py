@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -211,3 +212,35 @@ class TestWorkCounts:
         assert len(calls) == 2 * 242
         assert all(count <= len(masks) * (len(masks) + 1) // 2
                    for masks, count in calls.values())
+
+    def test_ideal_round_trip_tests_each_lower_set_once(self, monkeypatch):
+        # the closure test of a sublevel set or ideal runs once per distinct
+        # (source, mask), through the source's memo, not once per map
+        from maxilat import poset
+        poset._closure_memo.cache_clear()
+        calls = Counter()
+        real = poset.FinitePoset._unclosed_family
+
+        def counted(p, mask):
+            calls[p, mask] += 1
+            return real(p, mask)
+        monkeypatch.setattr(poset.FinitePoset, "_unclosed_family", counted)
+        records = list(run_suite("ideal-round-trip", max_size=4))
+        assert sum(r.instance["maxitive_maps"] for r in records) == 17990
+        assert calls and max(calls.values()) == 1
+
+    def test_alternating_builds_one_plan_per_source(self, monkeypatch):
+        # building a plan runs combinations_with_replacement once per length,
+        # so one plan per source at depth 4 is 4 runs for each of 88 sources
+        from maxilat import maxitive
+        maxitive._alternating_plan.cache_clear()
+        runs = []
+        real = maxitive.combinations_with_replacement
+
+        def counted(pool, r):
+            runs.append(r)
+            return real(pool, r)
+        monkeypatch.setattr(maxitive, "combinations_with_replacement", counted)
+        records = list(run_suite("alternating", max_size=4, depth=4))
+        assert sum(r.instance["maxitive_maps"] for r in records) == 2464
+        assert sorted(runs) == sorted([1, 2, 3, 4] * 88)

@@ -183,6 +183,19 @@ class TestCli:
         assert main(["poset", "check", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw", [float("inf"), float("-inf"), True, False,
+                                     float("nan")])
+    def test_map_check_rejects_a_cone_value_that_is_not_rational(
+            self, tmp_path, capsys, raw):
+        # json writes the floats as Infinity, -Infinity and NaN, which it
+        # also reads back; a boolean is not read as 1 or 0
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps({"source": {"elements": ["a", "b"],
+                                               "covers": [["a", "b"]]},
+                                    "values": {"a": 0, "b": raw}}))
+        assert main(["map", "check", str(path)]) == 2
+        assert "value for 'b' is not rational" in capsys.readouterr().err
+
     def test_cycle_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "cyc.json"
         bad.write_text(json.dumps({"elements": ["a", "b"],

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,12 @@ from maxilat import (IdealFamily, InvariantError, MapError, MonotoneMap,
 from maxilat import maxitive
 from maxilat.catalog import antichain, chain, diamond, m3
 
-from conftest import (WholeBaseTraces, oracle_cone_is_maxitive,
-                      oracle_is_maxitive, oracle_monotone_maps, oracle_sup)
+from conftest import (FrozensetBounds, WholeBaseTraces,
+                      oracle_alternating_witness, oracle_cone_is_maxitive,
+                      oracle_from_ideal_family, oracle_ideal_family,
+                      oracle_is_maxitive, oracle_is_right_continuous,
+                      oracle_monotone_map, oracle_monotone_maps,
+                      oracle_sublevel_family, oracle_sup)
 
 
 def assert_agrees_with_oracle(v):
@@ -42,6 +47,14 @@ def reference_alternating_witness(v, depth):
     return None
 
 
+def outcome(fn, *args):
+    """What fn(*args) returns, or the text of the MapError it raises."""
+    try:
+        return fn(*args)
+    except MapError as exc:
+        return ("MapError", str(exc))
+
+
 @pytest.fixture
 def seven_indicator(seven):
     two = chain(2)
@@ -60,6 +73,27 @@ class TestMonotoneMap:
             MonotoneMap(chain3, chain3, (0, 1))
         with pytest.raises(MapError, match="range"):
             MonotoneMap(chain3, chain3, (0, 1, 7))
+
+    def test_a_value_that_is_not_an_int_is_out_of_range(self):
+        c2 = chain(2)
+        for bad in (1.0, "1", None):
+            with pytest.raises(MapError,
+                               match=f"value {bad} out of range"):
+                MonotoneMap(c2, c2, (0, bad))
+
+    def test_cover_check_agrees_with_the_full_scan(self):
+        # every value tuple, monotone or not, between unlabeled posets of
+        # size <= 3: the same verdicts and the same error texts
+        posets = list(enumerate_posets(3, dedup=True))
+        rejected = 0
+        for e in posets:
+            for l in posets:
+                for values in itertools.product(range(l.n), repeat=e.n):
+                    expected = outcome(oracle_monotone_map, e, l, values)
+                    got = outcome(lambda: MonotoneMap(e, l, values).values)
+                    assert got == expected
+                    rejected += got != values
+        assert rejected > 0
 
     def test_iter_monotone_values_matches_oracle(self):
         for e in enumerate_posets(3, dedup=True):
@@ -149,6 +183,48 @@ class TestIdealFamilies:
         assert str(err.value) == (
             f"map is not maxitive; offending family {expected}")
         assert calls == [seven_indicator]
+
+    def test_mask_route_agrees_with_the_frozenset_route(self):
+        # between unlabeled posets of size <= 3: ideal_family_of on every
+        # monotone map, and IdealFamily on every family of subsets, with
+        # from_ideal_family and is_right_continuous under the three built-in
+        # selections on each family it accepts; the same verdicts, values
+        # and MapError texts as the frozenset route
+        posets = list(enumerate_posets(3, dedup=True))
+        kinds = ("principal", "filtered", "upper")
+        errors = set()
+        for e in posets:
+            bounds = FrozensetBounds(e)
+            subsets = [frozenset(c) for r in range(e.n + 1)
+                       for c in itertools.combinations(range(e.n), r)]
+            for l in posets:
+                sels = [build_selection(l, kind) for kind in kinds]
+                rels = [way_above(l, sel) for sel in sels]
+                for values in iter_monotone_values(e, l):
+                    v = MonotoneMap(e, l, values)
+                    family = oracle_sublevel_family(v)
+                    expected = outcome(oracle_ideal_family, e, l, family)
+                    if expected != family:
+                        witness = next(w for w in map(bounds.unclosed_family,
+                                                      family) if w)
+                        expected = ("MapError", "map is not maxitive; "
+                                    f"offending family {sorted(witness)}")
+                    assert outcome(lambda: ideal_family_of(v).family) == expected
+                for family in itertools.product(subsets, repeat=l.n):
+                    expected = outcome(oracle_ideal_family, e, l, family)
+                    assert outcome(lambda: IdealFamily(e, l, family).family) \
+                        == expected
+                    if expected != family:
+                        errors.add(re.sub(r"\d+", "#", expected[1]))
+                        continue
+                    fam = IdealFamily(e, l, family)
+                    for sel, rel in zip(sels, rels):
+                        assert (outcome(lambda: from_ideal_family(fam, sel).values)
+                                == outcome(oracle_from_ideal_family, fam, sel))
+                        assert (fam.is_right_continuous(rel)
+                                == oracle_is_right_continuous(fam, rel))
+        assert errors == {"member at # is not an ideal of the source",
+                          "family decreases from # to #"}
 
     def test_rejects_non_ideal_members(self, b2, chain3):
         atoms = frozenset({b2.index_of("a"), b2.index_of("b")})
@@ -302,6 +378,27 @@ class TestRationalCone:
                     assert found == reference_alternating_witness(cone, depth)
                     failures += found is not None
         assert failures == 45
+
+    def test_plan_agrees_with_the_level_scan(self):
+        # witness for witness, on the 4,234 cones of the alternating claim
+        # (every monotone cone on its 88 labeled join-semilattices of size
+        # <= 4) at depths 1 to 4, and on the same values divided by 2, 3
+        # and 6
+        value_range = chain(4)
+        cones = failures = 0
+        for p in enumerate_posets(4):
+            if not classify(p).is_join_semilattice:
+                continue
+            for values in iter_monotone_values(p, value_range):
+                cones += 1
+                for d in (1, 2, 3, 6):
+                    cone = RationalConeMap(p, [Fraction(x, d) for x in values])
+                    for depth in range(1, 5):
+                        found = alternating_witness(cone, depth)
+                        assert found == oracle_alternating_witness(cone, depth)
+                        failures += found is not None
+        assert cones == 4234
+        assert failures > 0
 
     def test_non_maxitive_map_fails_alternation(self, b2):
         # modular-looking values: v(top) exceeds the max of the atoms
