@@ -229,6 +229,8 @@ def cmd_mspace_build(args):
 def cmd_mspace_arrow(args):
     u = io.load_map(args.u)
     v = io.load_map(args.v)
+    if not (isinstance(u, MonotoneMap) and isinstance(v, MonotoneMap)):
+        raise MapError("the arrow needs poset-valued maps")
     if u.source != v.source or u.target != v.target:
         raise MapError("the two maps must share source and target")
     space = build_space(u.source, u.target, cap=args.cap)

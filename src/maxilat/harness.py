@@ -576,13 +576,17 @@ CLAIMS = {
 
 
 def run_suite(claim, *, max_size=None, selections=None, depth=None):
-    """Yield the verdict stream of one claim; deterministic for fixed bounds."""
+    """Yield the verdict stream of one claim; deterministic for fixed bounds.
+    A bound left as None takes the claim's default; one below 1 is refused."""
     try:
         fn = CLAIMS[claim]
     except KeyError:
         known = ", ".join(sorted(CLAIMS))
         raise HarnessError(f"unknown claim {claim!r}; known claims: {known}") \
             from None
+    for name, bound in (("max_size", max_size), ("depth", depth)):
+        if bound is not None and bound < 1:
+            raise HarnessError(f"{name} must be at least 1, got {bound}")
     if selections is not None:
         selections = tuple(str(SelectionKind(k)) for k in selections)
     yield from fn(Bounds(max_size, selections, depth))

@@ -90,6 +90,9 @@ def map_from_dict(doc, where="map"):
         name = source.labels[g]
         if name not in values_doc:
             raise FormatError(f"{where}: no value for element {name!r}")
+    for name in values_doc:
+        if name not in source.labels:
+            raise FormatError(f"{where}: value for unknown element {name!r}")
     if "target" in doc:
         target = poset_from_dict(_require(doc, "target", dict, where),
                                  where=f"{where}.target")

@@ -13,11 +13,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .poset import (FinitePoset, _bounding_member, _closure_memo, _common,
-                    _cover_pairs, _frozen, _indices, _union, classify,
-                    join_table)
-from .selections import (FilterSelection, WayAboveRelation,
-                         _inf_allowing_empty, continuity_report)
+from .poset import (FinitePoset, _bits, _bounding_member, _closure_memo,
+                    _common, _cover_pairs, _frozen, _indices, _pair_tables,
+                    _union, classify, join_table)
+from .selections import FilterSelection, WayAboveRelation, continuity_report
 
 
 class MapError(ValueError):
@@ -178,11 +177,6 @@ class IdealFamily:
                             for t in target.up(s) if masks[s] & ~masks[t])
                 raise MapError(f"family decreases from {s} to {t}")
         object.__setattr__(self, "_masks", tuple(masks))
-
-    def membership_set(self, g):
-        """Indices t with g in the ideal at t."""
-        return frozenset(t for t, mask in enumerate(self._masks)
-                         if mask >> g & 1)
 
     def is_right_continuous(self, rel: WayAboveRelation) -> bool:
         """True iff each member is the intersection of the members way-above
@@ -404,7 +398,9 @@ def extend_star(v: MonotoneMap, ext, sel_e: FilterSelection,
 
     The result lives on the induced subposet of the completion, indexed in
     sorted order of the star elements; composing with the embedding gives
-    back v.
+    back v.  The value at a is the infimum of the upper closure of the
+    values on a's up-trace, taken on masks as in from_ideal_family; the
+    infimum of the empty set is the top.
     """
     if v.source != ext.base:
         raise MapError("map and extension have different base posets")
@@ -419,13 +415,13 @@ def extend_star(v: MonotoneMap, ext, sel_e: FilterSelection,
         raise MapError(f"map is not maxitive; offending family {sorted(witness)}")
     star = sorted(e_star(ext, sel_e))
     l = v.target
+    up, down, n = l._upm, l._downm, l.n
     values = []
     for a in star:
-        trace = ext.up_in_base(a)
-        image = l.upper_closure(v.values[g] for g in trace)
-        if image not in sel_l.fsets:
+        image = _union(up, _bits(v.values[g] for g in ext.up_in_base(a)))
+        if image not in sel_l._selected:
             raise MapError(f"value trace of {a} escapes the target selection")
-        m = _inf_allowing_empty(l, image)
+        m = _bounding_member(down, _common(down, image, n))
         if m is None:
             raise MapError(f"value trace of {a} has no infimum")
         values.append(m)
@@ -438,17 +434,19 @@ def extend_star(v: MonotoneMap, ext, sel_e: FilterSelection,
 
 
 def e_lower_star(ext) -> frozenset:
-    """Completion elements whose meet with every base element stays in the base."""
+    """Completion elements whose meet with every base element stays in the
+    base; the meets and joins are read from the completion's pair tables."""
     big = ext.complete
+    joins, meets = _pair_tables(big)
     image = ext.image()
     members = frozenset(
         a for a in range(big.n)
-        if all(big.inf_of((ext.embed[g], a)) in image for g in range(ext.base.n)))
+        if all(meets[x][a] in image for x in ext.embed))
     base_profile = classify(ext.base)
     if base_profile.is_meet_semilattice and not image <= members:
         raise InvariantError("the lower-star region misses part of the base image")
     if (base_profile.is_join_semilattice and classify(big).is_distributive
-            and not all(big.sup_of((a, b)) in members
+            and not all(joins[a][b] in members
                         for a in members for b in members)):
         raise InvariantError("the lower-star region is not closed under joins")
     return members

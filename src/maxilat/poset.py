@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 DEFAULT_ENUMERATION_CAP = 5
-_SUBSET_SCAN_CAP = 16
 _CLOSURE_MEMO_CAP = 2048
 
 
@@ -217,9 +216,6 @@ class FinitePoset:
             raise PosetError("infimum of the empty subset is not defined here")
         return _bounding_member(self._downm, _common(self._downm, mask, self.n))
 
-    def join(self, i, j):
-        return self.sup_of((i, j))
-
     def top(self):
         if self._top is None:
             self._top = (_bounding_member(self._downm, (1 << self.n) - 1),)
@@ -231,24 +227,6 @@ class FinitePoset:
         return self._bottom[0]
 
     # -- ideals -------------------------------------------------------------
-
-    def _iter_sups(self, elems):
-        """Yield (members, sup-or-None) for every nonempty subset of elems;
-        the exhaustive scan behind OrderExtension's preservation checks."""
-        elems = list(elems)
-        k = len(elems)
-        if k > _SUBSET_SCAN_CAP:
-            raise PosetError(f"subset scan over {k} elements exceeds the desk-scale "
-                             f"cap of {_SUBSET_SCAN_CAP}")
-        bounds = [0] * (1 << k)
-        bounds[0] = (1 << self.n) - 1
-        members = [frozenset()] * (1 << k)
-        for mask in range(1, 1 << k):
-            low = (mask & -mask).bit_length() - 1
-            rest = mask & (mask - 1)
-            bounds[mask] = bounds[rest] & self._upm[elems[low]]
-            members[mask] = members[rest] | {elems[low]}
-            yield members[mask], _bounding_member(self._upm, bounds[mask])
 
     def is_ideal(self, a):
         """True iff a is empty, or a lower set closed under existing finite sups.
@@ -516,8 +494,23 @@ def _ensure_complete_lattice(p):
 
 @dataclass(frozen=True)
 class OrderExtension:
-    """An embedding of a poset into a complete lattice preserving existing
-    suprema and infima of subsets of the base."""
+    """An embedding e of a poset E into a complete lattice preserving the
+    existing suprema and infima of nonempty subsets of the base.
+
+    The traces of each completion element a on the base, the down-trace
+    D_a = {g : e(g) <= a} and the up-trace U_a = {g : a <= e(g)}, are built
+    once as bitmasks, `_down_traces` and `_up_traces`; the checks and the
+    readers run on them.
+
+    e preserves every existing sup iff each D_a is closed under existing
+    sups, the test of `_unclosed_family`.  If e preserves them, a family F
+    inside D_a with sup s has e(s) = sup e[F] <= a, so s is in D_a.
+    Conversely, for a family F with sup s put a = sup e[F]: a <= e(s), as
+    e(s) bounds e[F], and equality fails iff F lies inside D_a but s does
+    not.  So a failure is named by the family D_a meet down(x) that the
+    test finds, whose sup in the base is x.  Infima are the dual statement,
+    on the up-traces and the dual of the base.
+    """
 
     base: FinitePoset
     complete: FinitePoset
@@ -535,23 +528,28 @@ class OrderExtension:
             if not 0 <= x < big.n:
                 raise PosetError(f"embedded index {x} out of range")
         _ensure_complete_lattice(big)
-        for i in range(base.n):
-            for j in range(base.n):
-                if base.leq(i, j) != big.leq(embed[i], embed[j]):
-                    raise PosetError(f"embedding does not preserve order on ({i}, {j})")
-        if base.n > _SUBSET_SCAN_CAP:
-            raise PosetError("base too large for exhaustive extension checks")
-        for members, sup in base._iter_sups(range(base.n)):
-            if sup is not None:
-                image_sup = big.sup_of([embed[g] for g in members])
-                if image_sup != embed[sup]:
-                    raise PosetError(f"supremum of {sorted(members)} not preserved")
-        dual_base, dual_big = base.dual(), big.dual()
-        for members, inf in dual_base._iter_sups(range(base.n)):
-            if inf is not None:
-                image_inf = dual_big.sup_of([embed[g] for g in members])
-                if image_inf != embed[inf]:
-                    raise PosetError(f"infimum of {sorted(members)} not preserved")
+        down, up = [0] * big.n, [0] * big.n
+        for g, x in enumerate(embed):
+            for a in _indices(big._upm[x]):
+                down[a] |= 1 << g
+            for a in _indices(big._downm[x]):
+                up[a] |= 1 << g
+        for i, x in enumerate(embed):
+            wrong = up[x] ^ base._upm[i]
+            if wrong:
+                j = (wrong & -wrong).bit_length() - 1
+                raise PosetError(f"embedding does not preserve order on ({i}, {j})")
+        for trace in down:
+            family = base._unclosed_family(trace)
+            if family is not None:
+                raise PosetError(f"supremum of {_indices(family)} not preserved")
+        dual = base.dual()
+        for trace in up:
+            family = dual._unclosed_family(trace)
+            if family is not None:
+                raise PosetError(f"infimum of {_indices(family)} not preserved")
+        object.__setattr__(self, "_down_traces", tuple(down))
+        object.__setattr__(self, "_up_traces", tuple(up))
 
     @classmethod
     def identity(cls, p):
@@ -562,19 +560,17 @@ class OrderExtension:
 
     def up_in_base(self, a):
         """Base elements whose image lies above a (the paper's up-a meet E)."""
-        return frozenset(g for g in range(self.base.n)
-                         if self.complete.leq(a, self.embed[g]))
+        return _frozen(self._up_traces[a])
 
     def down_in_base(self, a):
-        return frozenset(g for g in range(self.base.n)
-                         if self.complete.leq(self.embed[g], a))
+        return _frozen(self._down_traces[a])
 
     def is_principal_ideal(self, a):
         """True iff the ideal a of the base equals down(abar) meet E for some abar."""
         a = frozenset(a)
         if not self.base.is_ideal(a):
             raise PosetError(f"{sorted(a)} is not an ideal of the base poset")
-        return any(self.down_in_base(abar) == a for abar in range(self.complete.n))
+        return self.base._mask(a) in self._down_traces
 
 
 def dm_completion(p: FinitePoset) -> OrderExtension:

@@ -10,8 +10,10 @@ converse needs a meet-continuous completion or a complete source.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .poset import FinitePoset, OrderExtension, PosetError, classify
-from .maxitive import MapError, MonotoneMap, maxitivity_witness
+from .poset import (FinitePoset, OrderExtension, PosetError, _frozen,
+                    _indices, classify)
+from .maxitive import (MapError, MonotoneMap, _sublevel_masks,
+                       maxitivity_witness)
 
 
 def is_sup_map(v: MonotoneMap) -> bool:
@@ -62,21 +64,17 @@ def _meet_continuous_over_once(ext: OrderExtension) -> bool:
 
 def sublevel(v: MonotoneMap, t) -> frozenset:
     """Source elements whose value sits below t."""
-    return frozenset(g for g in range(v.source.n)
-                     if v.target.leq(v.values[g], t))
+    return _frozen(_sublevel_masks(v)[t])
 
 
 def is_residuated(v: MonotoneMap, ext: OrderExtension) -> bool:
     """True iff every sublevel set of v is the base trace of a principal
-    ideal of the completion."""
+    ideal of the completion: a lookup of its mask among the extension's
+    down-traces."""
     if v.source != ext.base:
         raise MapError("map and extension have different base posets")
-    for t in range(v.target.n):
-        level = sublevel(v, t)
-        if not any(ext.down_in_base(a) == level
-                   for a in range(ext.complete.n)):
-            return False
-    return True
+    traces = ext._down_traces
+    return all(level in traces for level in _sublevel_masks(v))
 
 
 @dataclass(frozen=True)
@@ -109,10 +107,9 @@ def adjoint_of(v: MonotoneMap, ext: OrderExtension) -> Adjoint:
         raise MapError("map is not residuated on this extension")
     big = ext.complete
     values = []
-    for t in range(v.target.n):
-        level = sublevel(v, t)
+    for level in _sublevel_masks(v):
         if level:
-            values.append(big.sup_of([ext.embed[g] for g in level]))
+            values.append(big.sup_of([ext.embed[g] for g in _indices(level)]))
         else:
             values.append(big.bottom())
     w = MonotoneMap(v.target, big, tuple(values))

@@ -31,13 +31,6 @@ class SelectionKind(str, enum.Enum):
 BUILTIN_KINDS = (SelectionKind.PRINCIPAL, SelectionKind.FILTERED, SelectionKind.UPPER)
 
 
-def _inf_allowing_empty(p, subset):
-    """Infimum of a possibly-empty subset: the top of p when subset is empty."""
-    if subset:
-        return p.inf_of(subset)
-    return p.top()
-
-
 @dataclass(frozen=True)
 class FilterSelection:
     """The designated family of upper subsets of a poset.

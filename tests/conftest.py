@@ -384,6 +384,78 @@ class WholeBaseTraces:
         return frozenset(range(self._ext.base.n))
 
 
+# -- order-extension oracles: the subset scan and the frozenset traces that
+# OrderExtension's trace masks replaced -------------------------------------
+
+
+def order_embeddings(base, big):
+    """Every injective map of base into big that preserves and reflects the
+    order, as a tuple of big's indices, in lexicographic order."""
+    for embed in itertools.permutations(range(big.n), base.n):
+        if all(base.leq(i, j) == big.leq(embed[i], embed[j])
+               for i in range(base.n) for j in range(base.n)):
+            yield embed
+
+
+def oracle_order_extension(base, complete, embed):
+    """The preservation checks of OrderExtension by the exhaustive scan:
+    every nonempty subset of the base, sups first, then infs, in the order
+    of the subsets' bitmasks.  Returns None, or ("supremum" or "infimum",
+    the members) of the first subset whose bound in the base the embedding
+    does not preserve."""
+    for kind, bound in (("supremum", oracle_sup), ("infimum", oracle_inf)):
+        for mask in range(1, 1 << base.n):
+            members = [g for g in range(base.n) if mask >> g & 1]
+            b = bound(base, members)
+            if b is not None and bound(
+                    complete, [embed[g] for g in members]) != embed[b]:
+                return kind, members
+    return None
+
+
+def oracle_traces(ext):
+    """The down-traces {g : e(g) <= a} and up-traces {g : a <= e(g)} of
+    every completion element a, as frozensets, from the relation."""
+    big, base = ext.complete, range(ext.base.n)
+    down = [frozenset(g for g in base if big.leq(ext.embed[g], a))
+            for a in range(big.n)]
+    up = [frozenset(g for g in base if big.leq(a, ext.embed[g]))
+          for a in range(big.n)]
+    return down, up
+
+
+def oracle_is_residuated(v, ext):
+    """Every sublevel set of v is the down-trace of some completion element."""
+    down = oracle_traces(ext)[0]
+    return all(level in down for level in oracle_sublevel_family(v))
+
+
+def oracle_extend_star_values(v, ext, star, sel_l):
+    """extend_star's values on the star elements by frozensets: the infimum
+    of the upper closure of the values on each up-trace, the top for the
+    empty set."""
+    l, up = v.target, oracle_traces(ext)[1]
+    values = []
+    for a in star:
+        image = l.upper_closure(v.values[g] for g in up[a])
+        if image not in sel_l.fsets:
+            raise MapError(f"value trace of {a} escapes the target selection")
+        m = _inf_or_top(l, image)
+        if m is None:
+            raise MapError(f"value trace of {a} has no infimum")
+        values.append(m)
+    return tuple(values)
+
+
+def oracle_e_lower_star(ext):
+    """The completion elements whose meet with each image element lies in
+    the image, by the definitional infimum."""
+    big, image = ext.complete, ext.image()
+    return frozenset(a for a in range(big.n)
+                     if all(oracle_inf(big, (x, a)) in image
+                            for x in ext.embed))
+
+
 # -- map-space oracles: the poset and selection route that the pointwise
 # masks of MaxMapSpace replaced ----------------------------------------------
 

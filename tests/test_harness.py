@@ -36,6 +36,23 @@ class TestRunSuite:
         with pytest.raises(HarnessError, match="unknown claim"):
             list(run_suite("no-such-claim"))
 
+    @pytest.mark.parametrize("bounds", [{"max_size": 0}, {"max_size": -1},
+                                        {"depth": 0}, {"depth": -3}])
+    def test_a_bound_below_1_is_refused(self, bounds):
+        for claim in ("singleton-collapse", "alternating"):
+            with pytest.raises(HarnessError, match="must be at least 1"):
+                next(run_suite(claim, **bounds))
+
+    @pytest.mark.parametrize("flag, value", [("--max-size", "0"),
+                                             ("--max-size", "-1"),
+                                             ("--depth", "0")])
+    def test_a_bound_below_1_exits_2(self, tmp_path, capsys, flag, value):
+        out_path = tmp_path / "verdicts.json"
+        assert main(["harness", "run", "alternating", flag, value,
+                     "--out", str(out_path)]) == 2
+        assert "must be at least 1" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_all_registered_claims_produce_records(self):
         for claim in CLAIMS:
             records = list(run_suite(claim, max_size=2))
@@ -124,7 +141,8 @@ class TestFrameOracle:
         for l in enumerate_posets(5):
             profile = classify(l)
             if l.n and profile.is_lattice and profile.is_distributive:
-                self._check(l, l.join, lambda r, s: heyting_arrow(l, r, s))
+                self._check(l, lambda r, s: l.sup_of((r, s)),
+                            lambda r, s: heyting_arrow(l, r, s))
         for e in enumerate_posets(3, dedup=True):
             for l in enumerate_posets(3, dedup=True):
                 profile = classify(l)
@@ -168,8 +186,8 @@ class TestFrameOracle:
                 masked = list(harness.adjunction_violations(
                     l.n, lambda r, s: table[r][s], lambda a: _bits(l.up(a)),
                     arrow))
-                assert masked == list(
-                    oracle_adjunction_violations(l, l.join, arrow))
+                assert masked == list(oracle_adjunction_violations(
+                    l, lambda r, s: l.sup_of((r, s)), arrow))
                 assert bool(masked) == fails
 
 

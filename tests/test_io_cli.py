@@ -110,6 +110,16 @@ class TestMapFiles:
         with pytest.raises(FormatError, match="order-preserving"):
             map_from_dict(doc)
 
+    @pytest.mark.parametrize("target", [True, False])
+    def test_value_for_an_unknown_element(self, target):
+        doc = {"source": {"elements": ["x"], "covers": []},
+               "values": {"x": "0", "y": "0"}}
+        if target:
+            doc["target"] = {"elements": ["0"], "covers": []}
+        with pytest.raises(FormatError,
+                           match="value for unknown element 'y'"):
+            map_from_dict(doc)
+
     def test_unknown_target_label(self):
         doc = {"source": {"elements": ["x"], "covers": []},
                "target": {"elements": ["0"], "covers": []},
@@ -308,6 +318,26 @@ class TestCli:
         assert main(["mspace", "arrow", "--u", str(u), "--v", str(v)]) == 0
         out = capsys.readouterr().out
         assert "(u <- v)(0) = 0" in out and "(u <- v)(1) = 1" in out
+
+    def test_mspace_arrow_refuses_a_cone(self, tmp_path, capsys):
+        c2 = {"elements": ["0", "1"], "covers": [["0", "1"]]}
+        u = tmp_path / "u.json"
+        v = tmp_path / "v.json"
+        u.write_text(json.dumps({"source": c2, "values": {"0": 0, "1": "1/2"}}))
+        v.write_text(json.dumps({"source": c2, "target": c2,
+                                 "values": {"0": "0", "1": "1"}}))
+        for pair in ((u, v), (v, u)):
+            assert main(["mspace", "arrow", "--u", str(pair[0]),
+                         "--v", str(pair[1])]) == 2
+            assert "poset-valued maps" in capsys.readouterr().err
+
+    def test_map_check_refuses_a_value_for_an_unknown_element(
+            self, tmp_path, capsys):
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({"source": {"elements": ["a"], "covers": []},
+                                    "values": {"a": 0, "b": 1}}))
+        assert main(["map", "check", str(path)]) == 2
+        assert "unknown element 'b'" in capsys.readouterr().err
 
     def test_harness_run_with_out(self, tmp_path, capsys):
         out_path = tmp_path / "verdicts.json"

@@ -11,11 +11,13 @@ from maxilat import (IdealFamily, InvariantError, MapError, MonotoneMap,
                      from_ideal_family, ideal_family_of, is_alternating,
                      is_maxitive, is_pairwise_maxitive, iter_monotone_values,
                      maxitivity_witness, way_above)
+from maxilat.selections import continuity_report
 from maxilat import maxitive
 from maxilat.catalog import antichain, chain, diamond, m3
 
 from conftest import (FrozensetBounds, WholeBaseTraces,
                       oracle_alternating_witness, oracle_cone_is_maxitive,
+                      oracle_e_lower_star, oracle_extend_star_values,
                       oracle_from_ideal_family, oracle_ideal_family,
                       oracle_is_maxitive, oracle_is_right_continuous,
                       oracle_monotone_map, oracle_monotone_maps,
@@ -457,6 +459,42 @@ class TestStarRegion:
                 for g in range(e.n):
                     assert vstar.values[star.index(ext.embed[g])] == values[g]
 
+    def test_values_match_the_frozenset_infima(self):
+        # every maxitive map from a join-semilattice of size <= 4 into every
+        # poset of size <= 3, under the principal and upper selections (the
+        # latter only where the target is a domain under it): the same
+        # values, or the same MapError
+        targets = [(l, sel) for l in enumerate_posets(3, dedup=True)
+                   for kind in ("principal", "upper")
+                   if continuity_report(
+                       l, sel := build_selection(l, kind)).is_domain]
+        compared = refused = 0
+        for e in enumerate_posets(4, dedup=True):
+            if not classify(e).is_join_semilattice:
+                continue
+            ext = dm_completion(e)
+            for kind in ("principal", "upper"):
+                sel_e = build_selection(e, kind)
+                star = sorted(e_star(ext, sel_e))
+                for l, sel_l in targets:
+                    for values in iter_monotone_values(e, l):
+                        v = MonotoneMap(e, l, values)
+                        if not is_maxitive(v):
+                            continue
+                        compared += 1
+                        try:
+                            expected = oracle_extend_star_values(v, ext, star,
+                                                                 sel_l)
+                        except MapError as exc:
+                            refused += 1
+                            with pytest.raises(MapError,
+                                               match=re.escape(str(exc))):
+                                extend_star(v, ext, sel_e, sel_l)
+                        else:
+                            assert extend_star(v, ext, sel_e,
+                                               sel_l).values == expected
+        assert (compared, refused) == (1052, 14)
+
     def test_star_region_of_a_join_semilattice_without_bottom(self):
         # a, b < z completes to a diamond; the new bottom cut has a
         # non-principal upper trace, so the star region is just the image
@@ -500,6 +538,11 @@ class TestLowerStarRegion:
         ext = dm_completion(two_antichain)
         top = ext.complete.top()
         assert e_lower_star(ext) == {top}
+
+    def test_region_matches_its_definition(self):
+        for p in enumerate_posets(5):
+            ext = dm_completion(p)
+            assert e_lower_star(ext) == oracle_e_lower_star(ext)
 
     def test_meet_semilattice_base_is_kept(self):
         for e in enumerate_posets(4, dedup=True):

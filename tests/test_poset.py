@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,8 @@ from maxilat.catalog import antichain, chain
 
 from conftest import (FrozensetBounds, brute_force_posets, oracle_classify,
                       oracle_inf, oracle_is_ideal, oracle_is_meet_continuous,
-                      oracle_lower_sets, oracle_sup)
+                      oracle_lower_sets, oracle_order_extension, oracle_sup,
+                      oracle_traces, order_embeddings)
 
 
 def relabeled(p, perm):
@@ -351,6 +353,64 @@ class TestOrderExtension:
         ext = OrderExtension.identity(chain3)
         with pytest.raises(PosetError, match="ideal"):
             ext.is_principal_ideal({1})
+
+    @staticmethod
+    def _against_the_scan(bases, lattices):
+        """Build every order-embedding of each base into each lattice and
+        compare with the subset scan; returns (embeddings, rejected)."""
+        total = rejected = 0
+        for base in bases:
+            for big in lattices:
+                for embed in order_embeddings(base, big):
+                    total += 1
+                    expected = oracle_order_extension(base, big, embed)
+                    try:
+                        OrderExtension(base, big, embed)
+                    except PosetError as exc:
+                        found = re.fullmatch(
+                            r"(supremum|infimum) of \[([\d, ]*)\] not preserved",
+                            str(exc))
+                        assert found and expected, (base, big, embed, exc)
+                        kind, family = found[1], [int(g) for g in
+                                                  found[2].split(", ")]
+                        assert kind == expected[0]
+                        # the named family has that bound in the base and
+                        # the embedding does not preserve it
+                        bound = oracle_sup if kind == "supremum" else oracle_inf
+                        b = bound(base, family)
+                        assert b is not None
+                        assert bound(big, [embed[g] for g in family]) != embed[b]
+                        rejected += 1
+                    else:
+                        assert expected is None, (base, big, embed, expected)
+        return total, rejected
+
+    def test_trace_test_matches_the_subset_scan_on_labeled_lattices(self):
+        lattices = [l for l in enumerate_posets(5)
+                    if classify(l).is_complete_lattice]
+        assert self._against_the_scan(enumerate_posets(3, dedup=True),
+                                      lattices) == (11569, 240)
+
+    def test_trace_test_matches_the_subset_scan_on_unlabeled_lattices(self):
+        lattices = [l for l in enumerate_posets(5, dedup=True)
+                    if classify(l).is_complete_lattice]
+        assert self._against_the_scan(enumerate_posets(4, dedup=True),
+                                      lattices) == (244, 8)
+
+    def test_any_base_size_is_accepted(self):
+        ext = dm_completion(antichain(20))
+        assert ext.complete.n == 22
+        assert ext.up_in_base(ext.embed[7]) == {7}
+        assert ext.down_in_base(ext.complete.n - 1) == frozenset(range(20))
+
+    def test_traces_match_their_definitions(self):
+        for p in enumerate_posets(5):
+            ext = dm_completion(p)
+            down, up = oracle_traces(ext)
+            assert [ext.down_in_base(a) for a in range(ext.complete.n)] == down
+            assert [ext.up_in_base(a) for a in range(ext.complete.n)] == up
+            for ideal in p.iter_ideals():
+                assert ext.is_principal_ideal(ideal) == (ideal in down)
 
 
 class TestEnumeration:

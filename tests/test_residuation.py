@@ -12,7 +12,8 @@ from maxilat.catalog import antichain, chain, m3, n5
 from maxilat.harness import run_suite
 from maxilat.residuation import sublevel
 
-from conftest import oracle_is_maxitive
+from conftest import (oracle_is_maxitive, oracle_is_residuated,
+                      oracle_sublevel_family)
 
 
 @pytest.fixture
@@ -74,6 +75,21 @@ class TestResiduated:
         point = chain(1)
         v = MonotoneMap(point, antichain(2), (0,))
         assert not is_residuated(v, dm_completion(point))
+
+
+    def test_lookup_matches_the_definition_on_the_thm_5_4_corpus(self):
+        # the maps of the thm-5-4 claim at size 4, on the same completions
+        maps = 0
+        for e in enumerate_posets(4, dedup=True):
+            ext = dm_completion(e)
+            for l in enumerate_posets(3, dedup=True):
+                for values in iter_monotone_values(e, l):
+                    v = MonotoneMap(e, l, values)
+                    assert is_residuated(v, ext) == oracle_is_residuated(v, ext)
+                    assert tuple(sublevel(v, t) for t in range(l.n)) \
+                        == oracle_sublevel_family(v)
+                    maps += 1
+        assert maps == 2436
 
 
 class TestAdjoint:
