@@ -127,8 +127,8 @@ def _claim_singleton_collapse(bounds):
     for p in enumerate_posets(max_size):
         t0 = time.perf_counter()
         rel = way_above(p, build_selection(p, SelectionKind.PRINCIPAL))
-        mismatches = [(y, x) for x in range(p.n) for y in range(p.n)
-                      if rel.gg[y][x] != p.leq(x, y)]
+        mismatches = [(y, x) for x, col in enumerate(rel._cols)
+                      for y in _indices(col ^ p._upm[x])]
         yield VerdictRecord(
             "singleton-collapse", {"poset": describe_poset(p)},
             PASS if not mismatches else FAIL,
@@ -530,7 +530,7 @@ def _claim_frame_adjunction(bounds):
             continue
         table = _admissible_table(l)
         failure = next(adjunction_violations(
-            l.n, lambda r, s: table[r][s], lambda a: _bits(l.up(a)),
+            l.n, lambda r, s: table[r][s], lambda a: l._upm[a],
             lambda r, s: heyting_arrow(l, r, s)), None)
         yield VerdictRecord("frame-adjunction", desc,
                             PASS if failure is None else FAIL, failure,

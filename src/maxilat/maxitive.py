@@ -140,11 +140,13 @@ def is_pairwise_maxitive(v: MonotoneMap) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class IdealFamily:
     """A nondecreasing family of ideals of a source poset, indexed by a target.
 
-    The members' bitmasks are kept as `_masks`, and the checks run on them.
+    The data are the members' bitmasks, `_masks`, and the checks run on
+    them; `family`, the tuple of members as frozensets, is built on first
+    request.  The public constructor takes the members as collections of
+    indices and range-checks each as its mask is built.
     A member is an ideal iff it is a lower set that no existing sup escapes,
     read from the source's closure memo, the test of maxitivity_witness;
     the memo holds lower sets only, so a member found in it is one.  By
@@ -153,30 +155,53 @@ class IdealFamily:
     name the first that decreases.
     """
 
-    source: FinitePoset
-    target: FinitePoset
-    family: tuple
+    __slots__ = ("source", "target", "_masks", "_family")
 
-    def __post_init__(self):
-        source, target = self.source, self.target
-        family = tuple(frozenset(i) for i in self.family)
-        object.__setattr__(self, "family", family)
+    def __init__(self, source: FinitePoset, target: FinitePoset, family):
+        family = tuple(frozenset(i) for i in family)
         if len(family) != target.n:
             raise MapError("the family must index every target element")
+        self._set_masks(source, target, map(source._mask, family))
+
+    @classmethod
+    def _from_masks(cls, source, target, masks):
+        """The family of the masks masks, one per target element."""
+        fam = cls.__new__(cls)
+        fam._set_masks(source, target, masks)
+        return fam
+
+    def _set_masks(self, source, target, masks):
         down, memo = source._downm, _closure_memo(source)
-        masks = []
-        for t, ideal in enumerate(family):
-            mask = source._mask(ideal)
+        kept = []
+        for t, mask in enumerate(masks):
             if ((mask not in memo and _union(down, mask) != mask)
                     or memo[mask] is not None):
                 raise MapError(f"member at {t} is not an ideal of the source")
-            masks.append(mask)
+            kept.append(mask)
         for s, t in _cover_pairs(target):
-            if masks[s] & ~masks[t]:
+            if kept[s] & ~kept[t]:
                 s, t = next((s, t) for s in range(target.n)
-                            for t in target.up(s) if masks[s] & ~masks[t])
+                            for t in target.up(s) if kept[s] & ~kept[t])
                 raise MapError(f"family decreases from {s} to {t}")
-        object.__setattr__(self, "_masks", tuple(masks))
+        self.source = source
+        self.target = target
+        self._masks = tuple(kept)
+        self._family = None
+
+    @property
+    def family(self) -> tuple:
+        if self._family is None:
+            self._family = tuple(map(_frozen, self._masks))
+        return self._family
+
+    def __eq__(self, other):
+        if not isinstance(other, IdealFamily):
+            return NotImplemented
+        return ((self.source, self.target, self._masks)
+                == (other.source, other.target, other._masks))
+
+    def __hash__(self):
+        return hash((self.source, self.target, self._masks))
 
     def is_right_continuous(self, rel: WayAboveRelation) -> bool:
         """True iff each member is the intersection of the members way-above
@@ -222,9 +247,8 @@ def ideal_family_of(v: MonotoneMap) -> IdealFamily:
     of maxitivity_witness, so the witness is computed only to name the
     offending family when that check fails.
     """
-    family = tuple(map(_frozen, _sublevel_masks(v)))
     try:
-        return IdealFamily(v.source, v.target, family)
+        return IdealFamily._from_masks(v.source, v.target, _sublevel_masks(v))
     except MapError:
         witness = maxitivity_witness(v)
         if witness is None:

@@ -1,10 +1,12 @@
 """Finite posets, their subsets, completions, classification and enumeration.
 
-Elements are dense indices 0..n-1.  The order is kept as int bitmasks of
-each element's principal filter and ideal (bit i for element i), built once
-at construction; the order axioms, bounds, sups, infs and the set tests run
-on those masks.  The boolean relation matrix stays for I/O, equality and
-`matrix`.  Subsets passed to the public methods are range-checked as their
+Elements are dense indices 0..n-1.  The data of a poset are int bitmasks
+of each element's principal filter and ideal (bit i for element i); the
+order axioms, bounds, sups, infs and the set tests run on them, and
+`enumerate_posets` and `dm_completion` build their posets from them.  The
+boolean relation matrix (for I/O, equality and `matrix`) and the
+frozensets of `up` and `down` are views of the masks, shared between
+posets.  Subsets passed to the public methods are range-checked as their
 mask is built; the library's own masks are not checked again.
 Everything here is immutable after construction and safe to share.
 """
@@ -37,6 +39,17 @@ def _indices(mask):
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _size_then_indices(mask):
+    """The sort key (size, sorted indices) of the subset mask."""
+    return bin(mask).count("1"), _indices(mask)
+
+
+@lru_cache(maxsize=1024)
+def _row(mask, n):
+    """The relation-matrix row of the up-mask mask on n elements."""
+    return tuple(bool(mask >> j & 1) for j in range(n))
 
 
 @lru_cache(maxsize=4096)
@@ -87,16 +100,18 @@ def _bounding_member(masks, mask):
 class FinitePoset:
     """A partial order on {0, ..., n-1}.
 
-    The relation is given as an n x n boolean matrix.  Its up/down bitmasks
-    are built once, checked for reflexivity, antisymmetry and transitivity,
-    and carry the bounds, sups and infs; the matrix stays for I/O and
-    `matrix`.  The frozensets returned by `up` and `down` are shared between
-    posets.  Optional labels name elements for I/O; they play no role in
-    the order itself.
+    The public constructor takes the relation as an n x n boolean matrix;
+    the library builds posets from up-masks with `_from_up_masks`.  Either
+    way the up-masks are checked for reflexivity, antisymmetry and
+    transitivity, the down-masks are their transpose, and the masks carry
+    the bounds, sups and infs.  The matrix rows and the frozensets returned
+    by `up` and `down` are derived from the masks and shared between posets.
+    Optional labels name elements for I/O; they play no role in the order
+    itself.
     """
 
-    __slots__ = ("n", "_rows", "_up", "_down", "_upm", "_downm", "labels",
-                 "_label_index", "_top", "_bottom", "_canon", "_hash")
+    __slots__ = ("n", "_rows", "_upm", "_downm", "labels", "_label_index",
+                 "_top", "_bottom", "_canon", "_hash")
 
     def __init__(self, leq, labels=None):
         rows = tuple(tuple(map(bool, row)) for row in leq)
@@ -104,15 +119,42 @@ class FinitePoset:
         if any(len(row) != n for row in rows):
             raise PosetError("relation matrix must be square")
         bits = [1 << i for i in range(n)]
-        up = tuple(sum(itertools.compress(bits, row)) for row in rows)
-        down = tuple(sum(itertools.compress(bits, col)) for col in zip(*rows))
+        self._set_order(tuple(sum(itertools.compress(bits, row)) for row in rows),
+                        labels)
+
+    @classmethod
+    def _from_up_masks(cls, up, labels=None):
+        """The poset whose principal filters have the masks up, validated as
+        the matrix constructor validates its rows."""
+        p = cls.__new__(cls)
+        p._set_order(tuple(up), labels)
+        return p
+
+    def _set_order(self, up, labels):
+        """Derive the down-masks, by transposing, and the rows from the
+        up-masks, and check the order axioms on the masks: up(i) must hold
+        i, meet down(i) in i alone and hold the up-masks of its members.
+        The per-pair scan runs only to name a violation."""
+        n = len(up)
+        down = [0] * n
+        unclosed = 0
+        for i, mask in enumerate(up):
+            bit, reach, rest = 1 << i, 0, mask
+            while rest:
+                low = rest & -rest
+                j = low.bit_length() - 1
+                down[j] |= bit
+                reach |= up[j]
+                rest ^= low
+            if reach != mask:
+                unclosed |= bit
         for i in range(n):
-            if not rows[i][i]:
+            if not up[i] >> i & 1:
                 raise PosetError(f"relation not reflexive at {i}")
-            if up[i] & down[i] == bits[i] and _union(up, up[i]) == up[i]:
+            if up[i] & down[i] == 1 << i and not unclosed >> i & 1:
                 continue
             for j in _indices(up[i]):
-                if i != j and rows[j][i]:
+                if i != j and up[j] >> i & 1:
                     raise PosetError(f"relation not antisymmetric on ({i}, {j})")
                 if up[j] & ~up[i]:
                     k = _indices(up[j] & ~up[i])[0]
@@ -124,11 +166,9 @@ class FinitePoset:
             if len(set(labels)) != n:
                 raise PosetError("labels must be distinct")
         self.n = n
-        self._rows = rows
+        self._rows = tuple(_row(mask, n) for mask in up)
         self._upm = up
-        self._downm = down
-        self._up = tuple(_frozen(m) for m in up)
-        self._down = tuple(_frozen(m) for m in down)
+        self._downm = tuple(down)
         self.labels = labels
         self._label_index = None
         self._top = self._bottom = self._canon = self._hash = None
@@ -140,11 +180,11 @@ class FinitePoset:
 
     def up(self, i):
         """Principal filter of i (elements above i, inclusive)."""
-        return self._up[i]
+        return _frozen(self._upm[i])
 
     def down(self, i):
         """Principal ideal of i (elements below i, inclusive)."""
-        return self._down[i]
+        return _frozen(self._downm[i])
 
     @property
     def matrix(self):
@@ -296,14 +336,13 @@ class FinitePoset:
         return FinitePoset(rows, labels)
 
     def dual(self):
-        rows = tuple(tuple(self._rows[j][i] for j in range(self.n)) for i in range(self.n))
-        return FinitePoset(rows, self.labels)
+        return FinitePoset._from_up_masks(self._downm, self.labels)
 
     def covers(self):
         """Covering pairs (i, j): i < j with nothing strictly between."""
         out = []
         for i in range(self.n):
-            for j in self._up[i]:
+            for j in _indices(self._upm[i]):
                 if i == j:
                     continue
                 if not self._upm[i] & self._downm[j] & ~(1 << i | 1 << j):
@@ -487,8 +526,9 @@ def _ensure_complete_lattice(p):
         raise PosetError("a complete lattice must be nonempty")
     if p.top() is None or p.bottom() is None:
         raise PosetError("poset lacks a top or a bottom")
+    joins, meets = _pair_tables(p)
     for i, j in itertools.combinations(range(p.n), 2):
-        if p.sup_of((i, j)) is None or p.inf_of((i, j)) is None:
+        if joins[i][j] is None or meets[i][j] is None:
             raise PosetError(f"elements {i}, {j} lack a join or a meet")
 
 
@@ -578,32 +618,29 @@ def dm_completion(p: FinitePoset) -> OrderExtension:
 
     Cuts are computed as lower-bound sets of the intersection closure of the
     principal filters, which enumerates exactly the sets A with A = (A^u)^l.
+    They are kept as masks, ordered by size and then by their elements, and
+    the completion is built from the mask of the cuts containing each cut.
     """
-    n = p.n
-    full = frozenset(range(n))
+    n, up, down = p.n, p._upm, p._downm
+    full = (1 << n) - 1
     filters = {full}
     queue = [full]
     while queue:
         u = queue.pop()
-        for x in range(n):
-            u2 = u & p.up(x)
+        for m in up:
+            u2 = u & m
             if u2 not in filters:
                 filters.add(u2)
                 queue.append(u2)
-    cuts = set()
-    for u in filters:
-        cut = full
-        for x in u:
-            cut &= p.down(x)
-        cuts.add(cut)
-    ordered = sorted(cuts, key=lambda c: (len(c), sorted(c)))
+    ordered = sorted({_common(down, u, n) for u in filters},
+                     key=_size_then_indices)
     index = {cut: k for k, cut in enumerate(ordered)}
-    rows = tuple(tuple(a <= b for b in ordered) for a in ordered)
-    labels = tuple("{" + ",".join(p.label_of(i) for i in sorted(c)) + "}"
+    above = [_bits(k for k, b in enumerate(ordered) if not a & ~b)
+             for a in ordered]
+    labels = tuple("{" + ",".join(p.label_of(i) for i in _indices(c)) + "}"
                    for c in ordered)
-    completion = FinitePoset(rows, labels)
-    embed = tuple(index[p.down(x)] for x in range(n))
-    return OrderExtension(p, completion, embed)
+    completion = FinitePoset._from_up_masks(above, labels)
+    return OrderExtension(p, completion, tuple(index[m] for m in down))
 
 
 def enumerate_posets(n_max, *, dedup=False, size_cap=DEFAULT_ENUMERATION_CAP):
@@ -612,8 +649,11 @@ def enumerate_posets(n_max, *, dedup=False, size_cap=DEFAULT_ENUMERATION_CAP):
     Posets of size k are grown from posets of size k-1 by attaching element
     k-1 with a chosen strict down-set D (a lower set) and strict up-set U (an
     upper set, disjoint from D, with D x U inside the existing order); every
-    labeled poset arises from exactly one such triple.  With dedup=True only
-    one representative per isomorphism class is yielded.
+    labeled poset arises from exactly one such triple.  D and U are taken
+    in order of size, then of their sorted elements.  A child is built from
+    masks: the parent's up-masks gain bit k-1 on D, and up(k-1) is U plus
+    k-1.  With dedup=True only one representative per isomorphism class is
+    yielded.
     """
     if n_max > size_cap:
         raise PosetError(f"n_max={n_max} exceeds the enumeration cap {size_cap}")
@@ -631,23 +671,27 @@ def enumerate_posets(n_max, *, dedup=False, size_cap=DEFAULT_ENUMERATION_CAP):
                 seen.add(key)
                 yield q
 
-    level = [FinitePoset(((True,),))]
+    level = [FinitePoset._from_up_masks((1,))]
     yield from emit(level)
     for size in range(2, n_max + 1):
         e = size - 1
+        bit, full = 1 << e, (1 << e) - 1
         nxt = []
         for parent in level:
-            lows = sorted(parent.iter_lower_sets(), key=lambda s: (len(s), sorted(s)))
-            ups = sorted(parent.iter_upper_sets(), key=lambda s: (len(s), sorted(s)))
-            for dset in lows:
-                for uset in ups:
-                    if dset & uset:
-                        continue
-                    if not all(dset <= parent.down(u) for u in uset):
-                        continue
-                    rows = [list(parent.matrix[i]) + [i in dset]
-                            for i in range(e)]
-                    rows.append([j in uset for j in range(e)] + [True])
-                    nxt.append(FinitePoset(rows))
+            pup, pdown = parent._upm, parent._downm
+            lows = sorted(parent._lower_set_masks(), key=_size_then_indices)
+            # the children with strict down-set dset: the parent's up-masks
+            # gain e on dset, and up(e) is uset plus e
+            grown = [(dset, tuple(m | bit if dset >> i & 1 else m
+                                  for i, m in enumerate(pup)))
+                     for dset in lows]
+            # dset fits uset iff it misses uset and lies below all of uset
+            fits = [(uset | bit, _common(pdown, uset, e) & ~uset)
+                    for uset in sorted((full ^ low for low in lows),
+                                       key=_size_then_indices)]
+            for dset, up in grown:
+                for up_e, below in fits:
+                    if not dset & ~below:
+                        nxt.append(FinitePoset._from_up_masks(up + (up_e,)))
         level = nxt
         yield from emit(level)

@@ -10,8 +10,9 @@ converse needs a meet-continuous completion or a complete source.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .poset import (FinitePoset, OrderExtension, PosetError, _frozen,
-                    _indices, classify)
+from .poset import (FinitePoset, OrderExtension, PosetError, _bits,
+                    _bounding_member, _frozen, _indices, _pair_tables,
+                    classify)
 from .maxitive import (MapError, MonotoneMap, _sublevel_masks,
                        maxitivity_witness)
 
@@ -41,16 +42,29 @@ def is_meet_continuous_over(ext: OrderExtension) -> bool:
     Quantifying over base ideals (not ideals of the completion, over which
     every finite lattice is trivially meet-continuous) is what the converse
     of the residuation equivalence consumes.
+
+    It runs on masks over the base.  The part of I below x is I meet D_x,
+    with D_x the down-trace of x, and the supremum of the image of a set J
+    of base elements is the least a whose down-trace holds J; for the empty
+    J that is the bottom, as the definition asks.
     """
-    big = ext.complete
-    for ideal in ext.base.iter_ideals():
-        if not ideal:
+    big, base = ext.complete, ext.base
+    traces, up = ext._down_traces, big._upm
+    meets = _pair_tables(big)[1]
+    sups = {}
+
+    def sup(part):
+        if part not in sups:
+            sups[part] = _bounding_member(up, _bits(
+                a for a, trace in enumerate(traces) if not part & ~trace))
+        return sups[part]
+
+    for ideal in base._lower_set_masks():
+        if not ideal or base._unclosed_family(ideal) is not None:
             continue
-        s = big.sup_of([ext.embed[g] for g in ideal])
-        for x in range(big.n):
-            sub = [ext.embed[h] for h in ideal if big.leq(ext.embed[h], x)]
-            rhs = big.sup_of(sub) if sub else big.bottom()
-            if big.inf_of((x, s)) != rhs:
+        meet_s = meets[sup(ideal)]
+        for x, trace in enumerate(traces):
+            if meet_s[x] != sup(ideal & trace):
                 return False
     return True
 

@@ -5,13 +5,18 @@ poset.  Built-in kinds: principal filters, filtered (codirected) upper
 sets, and all upper sets; explicit selections carry user-supplied sets
 plus every principal filter, and a recursion kind saying which selection
 to apply one level up when testing union-completeness.
+
+The data are int bitmasks over the poset (bit i for element i): a
+selection keeps the masks of its sets and a way-above relation the mask
+of the elements way-above each x.  The frozensets of `fsets` and the
+boolean matrix `gg` are views built on first request.
 """
 
 import enum
 from dataclasses import dataclass
 
-from .poset import (FinitePoset, _bits, _bounding_member, _common, _indices,
-                    _union)
+from .poset import (FinitePoset, _bits, _bounding_member, _common, _frozen,
+                    _indices, _union)
 
 
 class SelectionError(ValueError):
@@ -31,38 +36,72 @@ class SelectionKind(str, enum.Enum):
 BUILTIN_KINDS = (SelectionKind.PRINCIPAL, SelectionKind.FILTERED, SelectionKind.UPPER)
 
 
-@dataclass(frozen=True)
 class FilterSelection:
     """The designated family of upper subsets of a poset.
 
-    The bitmasks of the sets, in the iteration order of fsets, are kept as
-    `_masks` and as the set `_selected`; the checks and membership tests of
-    the library run on them.
+    The data are the bitmasks of the sets, the tuple `_masks` and the set
+    `_selected`; the checks and membership tests of the library run on
+    them.  `fsets`, the frozenset of the sets, is built on first request.
+    The public constructor takes the sets as collections of indices; each
+    is range-checked as its mask is built and then checked like the masks
+    of `_from_masks`.
     """
 
-    poset: FinitePoset
-    kind: SelectionKind
-    fsets: frozenset
-    recursion_kind: SelectionKind = SelectionKind.PRINCIPAL
+    __slots__ = ("poset", "kind", "recursion_kind", "_masks", "_selected",
+                 "_fsets")
 
-    def __post_init__(self):
-        p = self.poset
-        if not self.fsets:
+    def __init__(self, poset: FinitePoset, kind: SelectionKind, fsets,
+                 recursion_kind=SelectionKind.PRINCIPAL):
+        self._set_masks(poset, kind, map(poset._mask, fsets), recursion_kind)
+
+    @classmethod
+    def _from_masks(cls, poset, kind, masks, recursion_kind):
+        """The selection of the distinct subset masks masks."""
+        sel = cls.__new__(cls)
+        sel._set_masks(poset, kind, masks, recursion_kind)
+        return sel
+
+    def _set_masks(self, p, kind, masks, recursion_kind):
+        # The size checks follow the loop: the families they refuse, none or
+        # only empty sets, pass the upper-set test, so a bad input raises
+        # what it raised when they came first.
+        up = p._upm
+        kept = []
+        for mask in masks:
+            if _union(up, mask) != mask:
+                raise SelectionError(f"{_indices(mask)} is not an upper set")
+            kept.append(mask)
+        if not kept:
             raise SelectionError("a selection must contain at least one set")
-        if not any(self.fsets):
+        if not any(kept):
             raise SelectionError("a selection needs at least one nonempty member")
-        masks = []
-        for f in self.fsets:
-            mask = p._mask(f)
-            if _union(p._upm, mask) != mask:
-                raise SelectionError(f"{sorted(f)} is not an upper set")
-            masks.append(mask)
-        selected = set(masks)
+        selected = set(kept)
         for x in range(p.n):
-            if p._upm[x] not in selected:
+            if up[x] not in selected:
                 raise SelectionError(f"principal filter of {x} is missing")
-        object.__setattr__(self, "_masks", tuple(masks))
-        object.__setattr__(self, "_selected", selected)
+        self.poset = p
+        self.kind = kind
+        self.recursion_kind = recursion_kind
+        self._masks = tuple(kept)
+        self._selected = selected
+        self._fsets = None
+
+    @property
+    def fsets(self) -> frozenset:
+        if self._fsets is None:
+            self._fsets = frozenset(map(_frozen, self._masks))
+        return self._fsets
+
+    def __eq__(self, other):
+        if not isinstance(other, FilterSelection):
+            return NotImplemented
+        return (self.poset == other.poset and self.kind == other.kind
+                and self._selected == other._selected
+                and self.recursion_kind == other.recursion_kind)
+
+    def __hash__(self):
+        return hash((self.poset, self.kind, frozenset(self._selected),
+                     self.recursion_kind))
 
     def __contains__(self, subset):
         return frozenset(subset) in self.fsets
@@ -71,78 +110,97 @@ class FilterSelection:
         return sorted(self.fsets, key=lambda f: (len(f), sorted(f)))
 
 
-def _iter_kind_sets(p, kind):
-    """Stream the sets of a built-in kind; members are upper by construction.
-
-    A finite codirected upper set has a least element, so on a finite poset
-    the filtered sets are exactly the principal filters.
-    """
-    if kind in (SelectionKind.PRINCIPAL, SelectionKind.FILTERED):
-        for x in range(p.n):
-            yield p.up(x)
-    elif kind is SelectionKind.UPPER:
-        yield from p.iter_upper_sets()
-    else:  # pragma: no cover
-        raise SelectionError(f"{kind} has no implicit set family")
-
-
 def build_selection(p, kind, explicit_sets=None,
                     recursion_kind=SelectionKind.PRINCIPAL) -> FilterSelection:
-    """Materialize the selection of the given kind on p."""
+    """Materialize the selection of the given kind on p.
+
+    A finite codirected upper set has a least element, so on a finite poset
+    the filtered sets are exactly the principal filters; the upper sets are
+    the complements of the lower sets.
+    """
     kind = SelectionKind(kind)
-    if kind in BUILTIN_KINDS:
-        fsets = frozenset(_iter_kind_sets(p, kind))
+    if kind in (SelectionKind.PRINCIPAL, SelectionKind.FILTERED):
+        masks = p._upm
+    elif kind is SelectionKind.UPPER:
+        full = (1 << p.n) - 1
+        masks = [full ^ low for low in p._lower_set_masks()]
     elif kind is SelectionKind.EXPLICIT:
         if explicit_sets is None:
             raise SelectionError("explicit selections require explicit_sets")
-        given = set()
+        masks = set()
         for f in explicit_sets:
-            f = frozenset(f)
-            if not p.is_upper_set(f):
-                raise SelectionError(f"explicit set {sorted(f)} is not upper")
-            given.add(f)
-        given.update(p.up(x) for x in range(p.n))
-        fsets = frozenset(given)
+            mask = p._mask(f)
+            if _union(p._upm, mask) != mask:
+                raise SelectionError(f"explicit set {_indices(mask)} is not upper")
+            masks.add(mask)
+        masks.update(p._upm)
     else:  # pragma: no cover
         raise SelectionError(f"unknown kind {kind!r}")
     if kind is not SelectionKind.EXPLICIT:
         recursion_kind = kind
-    return FilterSelection(p, kind, fsets, SelectionKind(recursion_kind))
+    return FilterSelection._from_masks(p, kind, masks,
+                                       SelectionKind(recursion_kind))
 
 
-@dataclass(frozen=True)
 class WayAboveRelation:
     """The way-above relation induced on a poset by a selection.
 
-    gg[y][x] holds iff every selected set with an infimum below x contains y.
-    For the built-in kinds, way-above is contained in the partial order; this
-    is asserted at construction and not claimed for explicit selections.
-    The columns are kept as int bitmasks, `_cols[x]` holding the y
-    way-above x.
+    y is way-above x iff every selected set with an infimum below x
+    contains y.  The data are the columns as int bitmasks, `_cols[x]`
+    holding the y way-above x; the boolean matrix gg, gg[y][x] for y
+    way-above x, is built on first request.  The public constructor takes
+    gg.  For the built-in kinds, way-above is contained in the partial
+    order; this is asserted at construction and not claimed for explicit
+    selections.
     """
 
-    poset: FinitePoset
-    selection: FilterSelection
-    gg: tuple
+    __slots__ = ("poset", "selection", "_cols", "_gg")
 
-    def __post_init__(self):
-        n = self.poset.n
-        cols = tuple(_bits(y for y in range(n) if self.gg[y][x])
-                     for x in range(n))
-        _check_within_order(self.poset, self.selection, cols)
-        object.__setattr__(self, "_cols", cols)
+    def __init__(self, poset: FinitePoset, selection: FilterSelection, gg):
+        n = poset.n
+        self._set_columns(poset, selection,
+                          tuple(_bits(y for y in range(n) if gg[y][x])
+                                for x in range(n)))
+
+    @classmethod
+    def _from_columns(cls, poset, selection, cols):
+        rel = cls.__new__(cls)
+        rel._set_columns(poset, selection, cols)
+        return rel
+
+    def _set_columns(self, poset, selection, cols):
+        _check_within_order(poset, selection, cols)
+        self.poset = poset
+        self.selection = selection
+        self._cols = cols
+        self._gg = None
+
+    @property
+    def gg(self) -> tuple:
+        if self._gg is None:
+            n, cols = self.poset.n, self._cols
+            self._gg = tuple(tuple(bool(cols[x] >> y & 1) for x in range(n))
+                             for y in range(n))
+        return self._gg
+
+    def __eq__(self, other):
+        if not isinstance(other, WayAboveRelation):
+            return NotImplemented
+        return ((self.poset, self.selection, self._cols)
+                == (other.poset, other.selection, other._cols))
+
+    def __hash__(self):
+        return hash((self.poset, self.selection, self._cols))
 
     def way_above(self, y, x):
-        return self.gg[y][x]
+        return bool(self._cols[x] >> y & 1)
 
     def above_set(self, x):
         """Elements way-above x."""
-        return frozenset(_indices(self._cols[x]))
+        return _frozen(self._cols[x])
 
     def equals_order(self):
-        p = self.poset
-        return all(self.gg[y][x] == p.leq(x, y)
-                   for x in range(p.n) for y in range(p.n))
+        return self._cols == self.poset._upm
 
 
 def _check_within_order(p, sel, cols):
@@ -174,15 +232,12 @@ def _way_above_columns(p, sel):
         m = infs[mask] = _bounding_member(down, _common(down, mask, n))
         if m is not None:
             at[m] &= mask
-    return [_common(at, below, n) for below in down], infs
+    return tuple(_common(at, below, n) for below in down), infs
 
 
 def way_above(p, sel) -> WayAboveRelation:
     """Compute the way-above relation of p under the selection sel."""
-    cols = _way_above_columns(p, sel)[0]
-    gg = tuple(tuple(bool(cols[x] >> y & 1) for x in range(p.n))
-               for y in range(p.n))
-    return WayAboveRelation(p, sel, gg)
+    return WayAboveRelation._from_columns(p, sel, _way_above_columns(p, sel)[0])
 
 
 @dataclass(frozen=True)

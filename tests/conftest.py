@@ -225,6 +225,107 @@ def oracle_lower_sets(p):
     return list(rec(frozenset(range(p.n))))
 
 
+def oracle_order_error(rows):
+    """The PosetError text of the order axioms on a square matrix by the
+    per-pair scan: for each i, reflexivity, then for each j above i,
+    antisymmetry and the first k breaking transitivity; None if the matrix
+    is a partial order."""
+    n = len(rows)
+    for i in range(n):
+        if not rows[i][i]:
+            return f"relation not reflexive at {i}"
+        for j in range(n):
+            if not rows[i][j]:
+                continue
+            if i != j and rows[j][i]:
+                return f"relation not antisymmetric on ({i}, {j})"
+            for k in range(n):
+                if rows[j][k] and not rows[i][k]:
+                    return f"relation not transitive: {i} <= {j} <= {k}"
+    return None
+
+
+def oracle_enumerate_posets(n_max, dedup=False):
+    """enumerate_posets by the frozenset loop that the mask growth replaced:
+    the lower and upper sets of each parent sorted as frozensets, and each
+    child built as a relation matrix."""
+
+    def emit(level):
+        if not dedup:
+            yield from level
+            return
+        seen = set()
+        for q in level:
+            key = q.canonical_form()
+            if key not in seen:
+                seen.add(key)
+                yield q
+
+    level = [FinitePoset(((True,),))]
+    yield from emit(level)
+    for size in range(2, n_max + 1):
+        e = size - 1
+        nxt = []
+        for parent in level:
+            lows = sorted(parent.iter_lower_sets(),
+                          key=lambda s: (len(s), sorted(s)))
+            ups = sorted(parent.iter_upper_sets(),
+                         key=lambda s: (len(s), sorted(s)))
+            for dset in lows:
+                for uset in ups:
+                    if dset & uset:
+                        continue
+                    if not all(dset <= parent.down(u) for u in uset):
+                        continue
+                    rows = [list(parent.matrix[i]) + [i in dset]
+                            for i in range(e)]
+                    rows.append([j in uset for j in range(e)] + [True])
+                    nxt.append(FinitePoset(rows))
+        level = nxt
+        yield from emit(level)
+
+
+def oracle_dm_completion(p):
+    """The completion of dm_completion by its frozenset construction, as
+    (relation matrix, labels, embedding)."""
+    n = p.n
+    full = frozenset(range(n))
+    filters = {full}
+    queue = [full]
+    while queue:
+        u = queue.pop()
+        for x in range(n):
+            u2 = u & p.up(x)
+            if u2 not in filters:
+                filters.add(u2)
+                queue.append(u2)
+    cuts = set()
+    for u in filters:
+        cut = full
+        for x in u:
+            cut &= p.down(x)
+        cuts.add(cut)
+    ordered = sorted(cuts, key=lambda c: (len(c), sorted(c)))
+    index = {cut: k for k, cut in enumerate(ordered)}
+    rows = tuple(tuple(a <= b for b in ordered) for a in ordered)
+    labels = tuple("{" + ",".join(p.label_of(i) for i in sorted(c)) + "}"
+                   for c in ordered)
+    return rows, labels, tuple(index[p.down(x)] for x in range(n))
+
+
+def oracle_ensure_complete_lattice(p):
+    """The PosetError text of _ensure_complete_lattice by its pairwise
+    sup_of/inf_of scan, None if p is a complete lattice."""
+    if p.n == 0:
+        return "a complete lattice must be nonempty"
+    if p.top() is None or p.bottom() is None:
+        return "poset lacks a top or a bottom"
+    for i, j in itertools.combinations(range(p.n), 2):
+        if p.sup_of((i, j)) is None or p.inf_of((i, j)) is None:
+            return f"elements {i}, {j} lack a join or a meet"
+    return None
+
+
 def buffered_harness_payload(claim, **bounds):
     """The `harness run --out` document as it was built before streaming:
     every record collected first, then one dict."""
@@ -422,6 +523,24 @@ def oracle_traces(ext):
     up = [frozenset(g for g in base if big.leq(a, ext.embed[g]))
           for a in range(big.n)]
     return down, up
+
+
+def oracle_is_meet_continuous_over(ext):
+    """is_meet_continuous_over by its definition: for every nonempty ideal I
+    of the base and every x of the completion, x meet sup I is the sup of
+    the images of the part of I below x (the bottom if that part is
+    empty), each from sup_of/inf_of and big.leq one element at a time."""
+    big = ext.complete
+    for ideal in ext.base.iter_ideals():
+        if not ideal:
+            continue
+        s = big.sup_of([ext.embed[g] for g in ideal])
+        for x in range(big.n):
+            sub = [ext.embed[h] for h in ideal if big.leq(ext.embed[h], x)]
+            rhs = big.sup_of(sub) if sub else big.bottom()
+            if big.inf_of((x, s)) != rhs:
+                return False
+    return True
 
 
 def oracle_is_residuated(v, ext):

@@ -1,10 +1,13 @@
+import hashlib
 import itertools
+import json
 from collections import Counter
 
 import pytest
 
-from maxilat import (MonotoneMap, build_space, classify, enumerate_posets,
-                     heyting_arrow, is_maxitive, is_pairwise_maxitive, m_arrow)
+from maxilat import (MonotoneMap, build_selection, build_space, classify,
+                     enumerate_posets, heyting_arrow, is_maxitive,
+                     is_pairwise_maxitive, m_arrow)
 from maxilat import harness
 from maxilat.cli import main
 from maxilat.harness import (FAIL, PASS, SKIP, HarnessError, VerdictRecord,
@@ -13,7 +16,7 @@ from maxilat.io import poset_from_dict
 from maxilat.poset import _bits
 
 from conftest import (WholeBaseTraces, oracle_adjunction_violations,
-                      oracle_space_poset)
+                      oracle_space_poset, oracle_way_above)
 
 
 class TestVerdictRecord:
@@ -67,6 +70,47 @@ class TestRunSuite:
             first = strip(run_suite(claim, max_size=3))
             second = strip(run_suite(claim, max_size=3))
             assert first == second
+
+    @pytest.mark.parametrize("claim, count, digest", [
+        ("interpolation", 13419,
+         "01e887a12c1e42aeaacdf1aed613f34c762427d48f3a5c6afceebf3fd3870083"),
+        ("singleton-collapse", 4473,
+         "21b42bc552e61daa9fa8aeaaf503adb04087be10cb75063584e3a72a7adbcd92"),
+        ("supercontinuity-distributivity", 425,
+         "d15750f63ca35c44e67b9b2e402ebd5adc296a9ca15f9be470d8a1d11e4deaef"),
+    ])
+    def test_poset_claim_streams_keep_their_digest(self, claim, count, digest):
+        # SHA-256 of the records at size 5 without `elapsed`, one sorted-key
+        # JSON line each, as the frozenset-based poset and selection code
+        # produced them
+        h = hashlib.sha256()
+        records = 0
+        for rec in run_suite(claim, max_size=5):
+            doc = rec.to_dict()
+            del doc["elapsed"]
+            h.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+            records += 1
+        assert (records, h.hexdigest()) == (count, digest)
+
+    def test_singleton_collapse_names_mismatches_in_scan_order(self,
+                                                               monkeypatch):
+        # under all upper sets way-above differs from the order; the witness
+        # lists the (y, x) with gg[y][x] != (x <= y), x outer, y inner
+        upper = {}
+
+        def build_upper(p, kind):
+            upper[p] = sel = build_selection(p, "upper")
+            return sel
+        monkeypatch.setattr(harness, "build_selection", build_upper)
+        off_diagonal = 0
+        for p, rec in zip(enumerate_posets(4),
+                          run_suite("singleton-collapse", max_size=4)):
+            gg = oracle_way_above(p, upper[p])
+            expected = [(y, x) for x in range(p.n) for y in range(p.n)
+                        if gg[y][x] != p.leq(x, y)]
+            assert rec.witness == ({"pairs": expected} if expected else None)
+            off_diagonal += sum(y != x for y, x in expected)
+        assert off_diagonal == 36
 
     def test_seed_is_a_usage_error(self):
         with pytest.raises(SystemExit) as exc:

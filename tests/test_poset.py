@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 from maxilat import (FinitePoset, OrderExtension, PosetError, classify,
                      dm_completion, enumerate_posets)
 from maxilat.catalog import antichain, chain
+from maxilat.poset import _bits, _ensure_complete_lattice
 
 from conftest import (FrozensetBounds, brute_force_posets, oracle_classify,
-                      oracle_inf, oracle_is_ideal, oracle_is_meet_continuous,
-                      oracle_lower_sets, oracle_order_extension, oracle_sup,
+                      oracle_dm_completion, oracle_ensure_complete_lattice,
+                      oracle_enumerate_posets, oracle_inf, oracle_is_ideal,
+                      oracle_is_meet_continuous, oracle_lower_sets,
+                      oracle_order_error, oracle_order_extension, oracle_sup,
                       oracle_traces, order_embeddings)
 
 
@@ -41,6 +44,25 @@ class TestConstruction:
     def test_rejects_duplicate_labels(self):
         with pytest.raises(PosetError, match="distinct"):
             FinitePoset([[1, 0], [0, 1]], labels=("a", "a"))
+
+    def test_mask_checks_name_what_the_pair_scan_names(self):
+        # every square 0/1 matrix on at most 3 points: the same posets, with
+        # down-masks the transpose of the up-masks, and the same errors
+        for n in range(4):
+            for bits in itertools.product((False, True), repeat=n * n):
+                rows = tuple(bits[i * n:(i + 1) * n] for i in range(n))
+                expected = oracle_order_error(rows)
+                try:
+                    p = FinitePoset(rows)
+                except PosetError as exc:
+                    assert str(exc) == expected
+                    continue
+                assert expected is None
+                assert p.matrix == rows
+                assert p._downm == tuple(
+                    _bits(j for j in range(n) if rows[j][i]) for i in range(n))
+                assert FinitePoset._from_up_masks(p._upm) == p
+                assert p.dual().matrix == tuple(zip(*rows))
 
     def test_from_relation_closes_transitively(self):
         p = FinitePoset.from_relation(3, [(0, 1), (1, 2)])
@@ -314,6 +336,12 @@ class TestDMCompletion:
         for p in enumerate_posets(5):
             dm_completion(p)
 
+    def test_masks_build_the_frozenset_completion(self):
+        for p in itertools.chain(enumerate_posets(5), [antichain(7)]):
+            ext = dm_completion(p)
+            assert ((ext.complete.matrix, ext.complete.labels, ext.embed)
+                    == oracle_dm_completion(p))
+
     def test_completion_is_minimal_no_gap_below_image_joins(self, two_antichain):
         ext = dm_completion(two_antichain)
         labels = set(ext.complete.labels)
@@ -342,6 +370,26 @@ class TestOrderExtension:
             5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
         with pytest.raises(PosetError, match="supremum"):
             OrderExtension(base, tall, (1, 2, 4))
+
+    def test_complete_lattice_check_reads_the_pair_tables(self):
+        # the first pair lacking a join or a meet, in combinations order, as
+        # the pairwise sup_of/inf_of scan names it; the 6-element poset has
+        # a top and a bottom, and its two atoms have two minimal upper bounds
+        bowtie = FinitePoset.from_relation(
+            6, [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 5), (4, 5)])
+        outcomes = []
+        for p in itertools.chain([FinitePoset(()), bowtie], enumerate_posets(4)):
+            expected = oracle_ensure_complete_lattice(p)
+            try:
+                _ensure_complete_lattice(p)
+            except PosetError as exc:
+                assert str(exc) == expected
+            else:
+                assert expected is None
+            outcomes.append(expected)
+        assert outcomes[:2] == ["a complete lattice must be nonempty",
+                                "elements 1, 2 lack a join or a meet"]
+        assert None in outcomes and "poset lacks a top or a bottom" in outcomes
 
     def test_principal_ideal_detection(self, two_antichain):
         ext = dm_completion(two_antichain)
@@ -441,6 +489,12 @@ class TestEnumeration:
             key = (p.n, p.matrix)
             assert key not in seen
             seen.add(key)
+
+    @pytest.mark.parametrize("dedup", [False, True])
+    def test_mask_growth_yields_the_frozenset_sequence(self, dedup):
+        for n in range(1, 6):
+            assert ([p.matrix for p in enumerate_posets(n, dedup=dedup)]
+                    == [p.matrix for p in oracle_enumerate_posets(n, dedup)])
 
     def test_cap_enforced(self):
         with pytest.raises(PosetError, match="cap"):

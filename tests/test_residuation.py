@@ -12,8 +12,8 @@ from maxilat.catalog import antichain, chain, m3, n5
 from maxilat.harness import run_suite
 from maxilat.residuation import sublevel
 
-from conftest import (oracle_is_maxitive, oracle_is_residuated,
-                      oracle_sublevel_family)
+from conftest import (oracle_is_maxitive, oracle_is_meet_continuous_over,
+                      oracle_is_residuated, oracle_sublevel_family)
 
 
 @pytest.fixture
@@ -138,6 +138,14 @@ class TestMeetContinuityOverBase:
         for e in enumerate_posets(4, dedup=True):
             if classify(e).is_complete_lattice:
                 assert is_meet_continuous_over(dm_completion(e))
+
+    def test_masks_agree_with_the_definition(self):
+        verdicts = []
+        for e in enumerate_posets(4, dedup=True):
+            ext = dm_completion(e)
+            verdicts.append(is_meet_continuous_over(ext))
+            assert verdicts[-1] == oracle_is_meet_continuous_over(ext)
+        assert True in verdicts and False in verdicts
 
     def test_computed_once_per_extension_in_the_thm_5_4_claim(self, monkeypatch):
         calls = []

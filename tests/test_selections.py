@@ -72,7 +72,7 @@ class TestBuildSelection:
 
     def test_builtin_sets_are_unchanged_and_masked(self):
         # all 13,419 built-in selections of labeled posets of size <= 5: the
-        # sets of the frozenset code, with _masks their bitmasks in order
+        # sets of the frozenset code, with _masks their bitmasks, each once
         checked = 0
         for p, sel in builtin_selections():
             if sel.kind is SelectionKind.UPPER:
@@ -81,7 +81,8 @@ class TestBuildSelection:
             else:
                 expected = {p.up(x) for x in range(p.n)}
             assert sel.fsets == expected
-            assert sel._masks == tuple(_bits(f) for f in sel.fsets)
+            assert len(sel._masks) == len(sel.fsets)
+            assert set(sel._masks) == {_bits(f) for f in sel.fsets}
             checked += 1
         assert checked == 13419
 
@@ -129,6 +130,17 @@ class TestWayAbove:
             large = way_above(p, build_selection(p, "upper"))
             for x in range(p.n):
                 assert large.above_set(x) <= small.above_set(x)
+
+    def test_equals_order_reads_the_matrix(self):
+        outcomes = set()
+        for p in enumerate_posets(4):
+            for kind in ("principal", "upper"):
+                sel = build_selection(p, kind)
+                rel = way_above(p, sel)
+                expected = oracle_way_above(p, sel) == tuple(zip(*p.matrix))
+                assert rel.equals_order() == expected
+                outcomes.add(expected)
+        assert outcomes == {True, False}
 
     def test_relation_outside_the_order_is_rejected(self, chain3):
         sel = build_selection(chain3, "principal")
