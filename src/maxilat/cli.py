@@ -250,8 +250,14 @@ def cmd_mspace_verify(args):
     failures = list(harness.LEMMAS[args.lemma](space))
     print(f"lemma {args.lemma}: {'ok' if not failures else 'FAILED'} "
           f"({len(failures)} violations, space size {len(space)})")
-    _write_out(args, {"lemma": args.lemma, "space": len(space),
-                      "violations": failures})
+    doc = {"lemma": args.lemma, "space": len(space)}
+    if args.lemma == "frame":
+        doc.update(harness.frame_hypothesis(e))
+        print(f"I(E): {doc['ideals']} ideals, "
+              f"{'' if doc['ideal_lattice_distributive'] else 'not '}"
+              f"distributive")
+    doc["violations"] = failures
+    _write_out(args, doc)
     return 0 if not failures else 1
 
 

@@ -267,31 +267,41 @@ class RationalConeMap:
     Values are exact (ints or Fractions); no floating point enters the sign
     tests of the alternating property.  Those tests, and the order and
     maxitivity checks, run on the values times the lcm of their
-    denominators: exact ints with the same signs and order, scaled once.
-    Joins come from the source's `join_table`, built once for all its cones.
+    denominators: exact ints with the same signs and order, scaled once;
+    int values are their own scaling.  Joins come from the source's
+    `join_table`, built once for all its cones.  Order preservation is
+    decided on the covering pairs, as in MonotoneMap, and the scan of all
+    pairs runs only to name the first offending (g, h).
     """
 
     source: FinitePoset
     values: tuple
 
     def __post_init__(self):
-        values = tuple(Fraction(x) for x in self.values)
+        raw = tuple(self.values)
+        values = tuple(map(Fraction, raw))
         object.__setattr__(self, "values", values)
         if len(values) != self.source.n:
             raise MapError(f"expected {self.source.n} values, got {len(values)}")
-        scale = math.lcm(*(x.denominator for x in values))
-        scaled = tuple(x.numerator * (scale // x.denominator) for x in values)
+        if all(type(x) is int for x in raw):
+            scaled = raw
+        else:
+            scale = math.lcm(*(x.denominator for x in values))
+            scaled = tuple(x.numerator * (scale // x.denominator)
+                           for x in values)
         object.__setattr__(self, "_scaled", scaled)
         if any(x < 0 for x in scaled):
             raise MapError("cone values must be nonnegative")
-        joins = join_table(self.source)
+        source = self.source
+        joins = join_table(source)
         if any(None in row for row in joins):
             raise MapError("the source must be a join-semilattice")
         object.__setattr__(self, "_joins", joins)
-        for g in range(self.source.n):
-            for h in self.source.up(g):
-                if scaled[g] > scaled[h]:
-                    raise MapError(f"not order-preserving on ({g}, {h})")
+        for g, h in _cover_pairs(source):
+            if scaled[g] > scaled[h]:
+                g, h = next((g, h) for g in range(source.n)
+                            for h in source.up(g) if scaled[g] > scaled[h])
+                raise MapError(f"not order-preserving on ({g}, {h})")
 
     def __call__(self, g):
         return self.values[g]

@@ -12,7 +12,8 @@ and way-above in the space is its pointwise order.
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .poset import PosetError, _indices, _union, classify, join_table
+from .poset import (FinitePoset, PosetError, _cover_pairs, _indices, _union,
+                    classify, join_table)
 from .selections import (FilterSelection, SelectionError, SelectionKind,
                          build_selection, way_above)
 from .maxitive import (MapError, MonotoneMap, iter_monotone_values,
@@ -45,25 +46,47 @@ class MaxMapSpace:
         self.index = {m: k for k, m in enumerate(self.maps)}
 
     @cached_property
-    def at_least(self):
-        """at_least[g][t]: the mask of the maps whose value at g is >= t."""
+    def _exact(self):
+        """_exact[g][t]: the mask of the maps whose value at g is t."""
         exact = [[0] * self.target.n for _ in range(self.source.n)]
         for k, values in enumerate(self.maps):
             for g, t in enumerate(values):
                 exact[g][t] |= 1 << k
+        return exact
+
+    @cached_property
+    def at_least(self):
+        """at_least[g][t]: the mask of the maps whose value at g is >= t."""
         return tuple(tuple(_union(row, up) for up in self.target._upm)
-                     for row in exact)
+                     for row in self._exact)
+
+    @cached_property
+    def at_most(self):
+        """at_most[g][t]: the mask of the maps whose value at g is <= t."""
+        return tuple(tuple(_union(row, down) for down in self.target._downm)
+                     for row in self._exact)
 
     def above(self, values):
         """The mask of the maps that lie pointwise above a value tuple."""
+        return self._meet(self.at_least, values)
+
+    def below(self, values):
+        """The mask of the maps that lie pointwise below a value tuple."""
+        return self._meet(self.at_most, values)
+
+    def _meet(self, table, values):
         mask = (1 << len(self.maps)) - 1
-        for column, t in zip(self.at_least, values):
+        for column, t in zip(table, values):
             mask &= column[t]
         return mask
 
     def up(self, k):
         """The mask of the maps above map k, its principal filter."""
         return self.above(self.maps[k])
+
+    def down(self, k):
+        """The mask of the maps below map k, its principal ideal."""
+        return self.below(self.maps[k])
 
     def __len__(self):
         return len(self.maps)
@@ -133,6 +156,13 @@ def generator_map(space, gen: Generator) -> MonotoneMap:
     return MonotoneMap(space.source, space.target, values)
 
 
+@lru_cache(maxsize=64)
+def _filtered_columns(l):
+    """The way-above columns of l under the filtered selection, built once
+    per target: entry t is the mask of the s way-above t."""
+    return way_above(l, build_selection(l, SelectionKind.FILTERED))._cols
+
+
 def representation(space, values, sel_l: FilterSelection = None):
     """All generator pairs (h, s) with s way-above the value of the map at h.
 
@@ -141,22 +171,20 @@ def representation(space, values, sel_l: FilterSelection = None):
     exactly when the target is continuous under the chosen selection.
     """
     values = tuple(getattr(values, "values", values))
-    if sel_l is None:
-        sel_l = build_selection(space.target, SelectionKind.FILTERED)
-    rel = way_above(space.target, sel_l)
+    cols = (_filtered_columns(space.target) if sel_l is None
+            else way_above(space.target, sel_l)._cols)
     return tuple(Generator(h, s)
                  for h in range(space.source.n)
-                 for s in range(space.target.n)
-                 if rel.way_above(s, values[h]))
+                 for s in _indices(cols[values[h]]))
 
 
 def reconstruction(space, gens):
     """Pointwise infimum of the maps of the given generators."""
     l = space.target
+    columns = tuple(zip(*(generator_values(space, gen) for gen in gens)))
     values = []
     for g in range(space.source.n):
-        pool = frozenset(generator_values(space, gen)[g] for gen in gens)
-        m = l.inf_of(pool) if pool else l.top()
+        m = l.inf_of(frozenset(columns[g])) if columns else l.top()
         if m is None:
             raise MapError(f"generator infimum missing at {g}")
         values.append(m)
@@ -182,26 +210,78 @@ def corollary_above_set(space, v) -> frozenset:
 
 @lru_cache(maxsize=64)
 def _heyting_table(l):
-    """table[r][s] = heyting_arrow(l, r, s), built once per target."""
+    """table[r][s] = heyting_arrow(l, r, s), built once per target, which
+    must be distributive."""
+    if not classify(l).is_distributive:
+        raise PosetError("the target must be distributive")
     return tuple(tuple(heyting_arrow(l, r, s) for s in range(l.n))
                  for r in range(l.n))
 
 
-def _arrow_values(space, u, v):
-    """The value tuple of u <- v by the formula of m_arrow, unchecked: it may
-    lie outside the space."""
-    l = space.target
-    if not classify(l).is_distributive:
-        raise PosetError("the target must be distributive")
+@lru_cache(maxsize=64)
+def _heyting_join_failure(l):
+    """The first (r, s, t), in index order, at which the Heyting table of l
+    fails heyting_arrow(r, s join t) = heyting_arrow(r, s) join
+    heyting_arrow(r, t); None when every heyting_arrow(r, -) preserves
+    binary joins, as it does on a distributive lattice.  One |L|^3 pass per
+    target."""
     arrows, joins = _heyting_table(l), join_table(l)
-    pointwise = [arrows[a][b] for a, b in zip(space.maps[u], space.maps[v])]
-    values = []
-    for g in range(space.source.n):
-        t = pointwise[g]
-        for h in space.source.down(g):
-            t = joins[t][pointwise[h]]
-        values.append(t)
-    return tuple(values)
+    for r, row in enumerate(arrows):
+        for s in range(l.n):
+            for t in range(l.n):
+                if row[joins[s][t]] != joins[row[s]][row[t]]:
+                    return r, s, t
+    return None
+
+
+@lru_cache(maxsize=64)
+def _lower_covers(p):
+    """(g, the lower covers of g) for every g of p, each g after the
+    elements below it: by the size of its down-set, then by index."""
+    below = [[] for _ in range(p.n)]
+    for a, b in _cover_pairs(p):
+        below[b].append(a)
+    order = sorted(range(p.n), key=lambda g: (bin(p._downm[g]).count("1"), g))
+    return tuple((g, tuple(below[g])) for g in order)
+
+
+def _arrow_values(space):
+    """The function (u, v) -> the value tuple of u <- v by the formula of
+    m_arrow, unchecked: it may lie outside the space.  The sup over h <= g
+    is taken as the value at g joined with the finished sups at the lower
+    covers of g.  The tables are looked up once, for all the pairs."""
+    arrows, joins = _heyting_table(space.target), join_table(space.target)
+    order, maps = _lower_covers(space.source), space.maps
+
+    def values_of(u, v):
+        values = [arrows[a][b] for a, b in zip(maps[u], maps[v])]
+        for g, covers in order:
+            t = values[g]
+            for c in covers:
+                t = joins[t][values[c]]
+            values[g] = t
+        return tuple(values)
+    return values_of
+
+
+def join_irreducibles(space):
+    """The join-irreducible maps of the space, ascending: the v whose strict
+    down-set is nonempty and has a greatest element.
+
+    Joins in the space are pointwise, so the strict down-set S of v has a
+    greatest element iff its pointwise join lies strictly below v, that is
+    iff at some g every map of S takes a value at or below a lower cover of
+    v(g) in the target.
+    """
+    lower = dict(_lower_covers(space.target))
+    at_most = space.at_most
+    out = []
+    for k, values in enumerate(space.maps):
+        strict = space.below(values) & ~(1 << k)
+        if strict and any(not strict & ~at_most[g][c]
+                          for g, t in enumerate(values) for c in lower[t]):
+            out.append(k)
+    return tuple(out)
 
 
 def m_arrow(space, u, v) -> MonotoneMap:
@@ -212,6 +292,16 @@ def m_arrow(space, u, v) -> MonotoneMap:
     has w(h) >= u(h) <- v(h) everywhere and lies above that map, the arrow
     when it is maxitive; otherwise MapError names its values.
     """
-    values = _arrow_values(space, u, v)
+    values = _arrow_values(space)(u, v)
     space.index_of(values)
     return MonotoneMap(space.source, space.target, values)
+
+
+@lru_cache(maxsize=64)
+def ideal_lattice(e) -> FinitePoset:
+    """I(E): the ideals of e, the lower sets closed under existing sups,
+    ordered by inclusion, in the order of e's lower-set enumeration."""
+    masks = [low for low in e._lower_set_masks()
+             if e._unclosed_family(low) is None]
+    return FinitePoset._from_up_masks(
+        [sum(1 << j for j, b in enumerate(masks) if not a & ~b) for a in masks])

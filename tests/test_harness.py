@@ -5,8 +5,8 @@ from collections import Counter
 
 import pytest
 
-from maxilat import (MonotoneMap, build_selection, build_space, classify,
-                     enumerate_posets, heyting_arrow, is_maxitive,
+from maxilat import (FinitePoset, MonotoneMap, build_selection, build_space,
+                     classify, enumerate_posets, heyting_arrow, is_maxitive,
                      is_pairwise_maxitive, m_arrow)
 from maxilat import harness
 from maxilat.cli import main
@@ -233,6 +233,82 @@ class TestFrameOracle:
                 assert masked == list(oracle_adjunction_violations(
                     l, lambda r, s: l.sup_of((r, s)), arrow))
                 assert bool(masked) == fails
+
+
+class TestFrameReduction:
+    """The frame check at the join-irreducibles and the bottom map against
+    the scan of all pairs, and the frame theorem as an iff."""
+
+    @staticmethod
+    def _spaces(max_size):
+        return [build_space(e, l)
+                for e in enumerate_posets(max_size, dedup=True)
+                for l in enumerate_posets(max_size, dedup=True)
+                if classify(l).is_complete_lattice
+                and classify(l).is_distributive]
+
+    def test_restricted_check_matches_the_full_scan(self, monkeypatch):
+        spaces = self._spaces(4)
+        assert len(spaces) == 120
+        restricted = [list(harness.LEMMAS["frame"](space)) for space in spaces]
+        real = harness.adjunction_violations
+        monkeypatch.setattr(harness, "adjunction_violations",
+                            lambda n, admissible, up, arrow, generators=None:
+                            real(n, admissible, up, arrow))
+        full = [list(harness.LEMMAS["frame"](space)) for space in spaces]
+        assert restricted == full
+        assert sum(1 for bad in full if bad) == 8
+
+    def test_a_heyting_table_that_breaks_joins_is_a_violation(
+            self, monkeypatch):
+        from maxilat import mspace
+        space = build_space(FinitePoset.chain(2), FinitePoset.chain(3))
+        assert list(harness.LEMMAS["frame"](space)) == []
+        real = mspace._heyting_table
+        # heyting(0, -) on the 3-chain is the identity; swapping its values
+        # at 1 and 2 breaks 0 <- (1 join 2) = (0 <- 1) join (0 <- 2)
+        monkeypatch.setattr(mspace, "_heyting_table", lambda l: (
+            ((0, 2, 1),) + real(l)[1:]))
+        mspace._heyting_join_failure.cache_clear()
+        try:
+            found = list(harness.LEMMAS["frame"](space))
+        finally:
+            mspace._heyting_join_failure.cache_clear()
+        assert found[0] == {
+            "r": 0, "s": 1, "t": 2,
+            "error": "heyting_arrow(r, -) does not preserve the join of s "
+                     "and t"}
+
+    def test_the_former_failures_at_size_4_pass_by_the_iff(self):
+        spaces = [r for r in run_suite("frame-adjunction", max_size=4)
+                  if "space" in r.instance]
+        assert len(spaces) == 120
+        assert all(r.verdict == PASS for r in spaces)
+        # the two sources with I(E) not distributive, into the 1-element
+        # target, where the space has one map, and into the four others
+        excluded = [r for r in spaces
+                    if not r.instance["ideal_lattice_distributive"]]
+        assert len({r.instance["source"]["key"] for r in excluded}) == 2
+        violated = [r for r in excluded if r.instance["target"]["n"] >= 2]
+        assert len(excluded) == 10 and len(violated) == 8
+        assert all(r.witness["lemma"] == "frame" for r in violated)
+        assert all(r.witness is None for r in spaces if r not in violated)
+
+    def test_a_missing_violation_fails_the_iff(self, monkeypatch):
+        monkeypatch.setitem(harness.LEMMAS, "frame", lambda space: iter(()))
+        failed = [r for r in run_suite("frame-adjunction", max_size=4)
+                  if r.verdict == FAIL]
+        assert len(failed) == 8
+        assert all(not r.instance["ideal_lattice_distributive"]
+                   and r.instance["target"]["n"] >= 2 for r in failed)
+        assert failed[0].witness["lemmas"] == ["frame"]
+
+    def test_the_hypothesis_on_the_three_atoms(self, three_atoms_under_top):
+        # I(E) is the empty set, the three atoms and E: shaped like M3
+        assert harness.frame_hypothesis(three_atoms_under_top.source) == {
+            "ideal_lattice_distributive": False, "ideals": 5}
+        assert harness.frame_hypothesis(FinitePoset.chain(3)) == {
+            "ideal_lattice_distributive": True, "ideals": 4}
 
 
 class TestWorkCounts:

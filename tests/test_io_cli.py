@@ -295,6 +295,31 @@ class TestCli:
                      "--lemma", "frame"]) == 2
         assert "distributive" in capsys.readouterr().err
 
+    def test_mspace_verify_frame_reports_the_hypothesis(
+            self, tmp_path, capsys, three_atoms_under_top):
+        # the frame document carries I(E); the other lemmas' do not
+        cx = three_atoms_under_top
+        e, l, out = (tmp_path / name for name in ("e.json", "l.json",
+                                                  "out.json"))
+        save_poset(cx.source, e)
+        save_poset(cx.target, l)
+        assert main(["mspace", "verify", str(e), str(l), "--lemma", "frame",
+                     "--out", str(out)]) == 1
+        doc = json.loads(out.read_text())
+        assert list(doc) == ["lemma", "space", "ideal_lattice_distributive",
+                             "ideals", "violations"]
+        assert (doc["ideal_lattice_distributive"], doc["ideals"]) == (False, 5)
+        assert "I(E): 5 ideals, not distributive" in capsys.readouterr().out
+        save_poset(chain(3), e)
+        assert main(["mspace", "verify", str(e), str(l), "--lemma", "frame",
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert (doc["ideal_lattice_distributive"], doc["ideals"]) == (True, 4)
+        assert main(["mspace", "verify", str(e), str(l), "--lemma", "inf",
+                     "--out", str(out)]) == 0
+        assert list(json.loads(out.read_text())) == ["lemma", "space",
+                                                      "violations"]
+
     def test_mspace_verify_frame_on_the_256_map_space(self, tmp_path, capsys):
         # A4 -> C4: 65,536 arrows and their adjunctions, on the masks
         e, l, out = (tmp_path / name for name in ("e.json", "l.json",

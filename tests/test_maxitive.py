@@ -313,6 +313,28 @@ class TestRationalCone:
         with pytest.raises(MapError, match="not order-preserving"):
             RationalConeMap(chain(2), (Fraction(1, 2), Fraction(1, 3)))
 
+    def test_order_check_names_the_first_pair_of_the_full_scan(self):
+        # covering pairs decide; the scan of every g <= h names the pair
+        for p in enumerate_posets(4):
+            if not classify(p).is_join_semilattice:
+                continue
+            for values in itertools.product((0, 1, 2), repeat=p.n):
+                bad = next(((g, h) for g in range(p.n) for h in p.up(g)
+                            if values[g] > values[h]), None)
+                if bad is None:
+                    cone = RationalConeMap(p, values)
+                    assert cone.values == values and cone._scaled == values
+                else:
+                    with pytest.raises(MapError) as info:
+                        RationalConeMap(p, values)
+                    assert str(info.value) == \
+                        f"not order-preserving on ({bad[0]}, {bad[1]})"
+
+    def test_int_values_stay_fractions(self, chain3):
+        cone = RationalConeMap(chain3, (0, 1, 3))
+        assert all(type(x) is Fraction for x in cone.values)
+        assert cone._scaled == (0, 1, 3)
+
     def test_delta_of_repeated_element_vanishes(self, b2):
         v = RationalConeMap(b2, (0, 1, 2, 2))
         for g in range(b2.n):

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -9,7 +10,7 @@ from maxilat import (FinitePoset, Generator, MapError, MonotoneMap,
                      maxitivity_witness, pointwise_inf, reconstruction,
                      representation, way_above)
 from maxilat.catalog import antichain, chain, m3
-from maxilat.mspace import way_above_in_space
+from maxilat.mspace import join_irreducibles, way_above_in_space
 from maxilat.poset import _bits
 
 from conftest import (oracle_is_maxitive, oracle_m_arrow, oracle_monotone_maps,
@@ -76,6 +77,20 @@ class TestBuildSpace:
             poset = oracle_space_poset(space)
             for i, j in itertools.product(range(len(space)), repeat=2):
                 assert space.join(i, j) == poset.sup_of((i, j))
+
+    def test_down_sets_match_the_pointwise_order(self):
+        for space in small_spaces():
+            poset = oracle_space_poset(space)
+            for k in range(len(space)):
+                assert space.down(k) == _bits(poset.down(k))
+
+    def test_join_irreducibles_have_one_lower_cover(self):
+        spaces = list(small_spaces(4))
+        assert len(spaces) == 120
+        for space in spaces:
+            lower = Counter(j for _, j in oracle_space_poset(space).covers())
+            assert join_irreducibles(space) == tuple(
+                k for k in range(len(space)) if lower[k] == 1)
 
     def test_order_is_built_on_first_use(self, three_atoms_under_top):
         # no poset over the maps at all; the pointwise masks only on demand,
@@ -227,6 +242,26 @@ class TestRepresentation:
                 above = corollary_above_set(space, v)
                 for w in range(len(space)):
                     assert (w in above) == rel.way_above(w, v)
+
+
+class TestPerTargetTables:
+    def test_representation_builds_one_way_above_per_target(
+            self, monkeypatch):
+        # the target's filtered way-above is built once per target, not
+        # once per map: three complete lattices of size <= 3
+        from maxilat import harness, mspace
+        mspace._filtered_columns.cache_clear()
+        calls = []
+        real = mspace.way_above
+
+        def counted(p, sel):
+            calls.append(p)
+            return real(p, sel)
+        monkeypatch.setattr(mspace, "way_above", counted)
+        records = list(harness.run_suite("representation", max_size=3))
+        mspace._filtered_columns.cache_clear()
+        assert len(records) == 24
+        assert len(calls) == len(set(calls)) == 3
 
 
 class TestMArrow:
