@@ -217,11 +217,13 @@ def cmd_mspace_build(args):
     l = io.load_poset(args.target)
     space = build_space(e, l, cap=args.cap)
     print(f"maxitive maps: {len(space)}")
-    listing = []
-    for values in space.maps:
-        row = {e.label_of(g): l.label_of(values[g]) for g in range(e.n)}
-        listing.append(row)
-        print("  " + ", ".join(f"{k}->{v}" for k, v in row.items()))
+    names = [e.label_of(g) for g in range(e.n)]
+    labels = [l.label_of(t) for t in range(l.n)]
+    listing = [{name: labels[t] for name, t in zip(names, values)}
+               for values in space.maps]
+    sys.stdout.write("".join(
+        "  " + ", ".join(f"{k}->{v}" for k, v in row.items()) + "\n"
+        for row in listing))
     _write_out(args, {"count": len(space), "maps": listing})
     return 0
 
@@ -284,95 +286,111 @@ def cmd_harness_run(args):
     return 0 if counts[harness.FAIL] == 0 else 1
 
 
-def build_parser():
+def _command_table():
+    """Every command as group -> (help, leaves), with leaves as
+    leaf -> (help, handler, arguments) and each argument as (flags,
+    options) for add_argument, in help order."""
+    out = (("--out",), {})
+    cap = (("--cap",), {"type": int, "default": 10 ** 6})
+    ext = (("--ext",), {"default": "dm"})
+    return {
+        "poset": ("poset operations", {
+            "check": ("validate and classify", cmd_poset_check, [
+                (("file",), {}),
+                (("--selection",),
+                 {"help": "principal|filtered|upper|explicit:<file>"}),
+                out]),
+        }),
+        "map": ("map operations", {
+            "check": ("maxitivity checks", cmd_map_check, [
+                (("file",), {}),
+                (("--pairwise",), {"action": "store_true"}),
+                (("--alternating",), {"type": int, "metavar": "DEPTH"}),
+                out]),
+            "extend": ("extend to the completion", cmd_map_extend, [
+                (("file",), {}),
+                (("--mode",), {"choices": ("star", "lower-star"),
+                               "required": True}),
+                (("--ext",), {"default": "dm",
+                              "help": "completion: dm or a poset file"}),
+                (("--selection",), {"default": "principal"}),
+                out]),
+            "residuated": ("residuation check", cmd_map_residuated,
+                           [(("file",), {}), ext, out]),
+            "adjoint": ("compute the adjoint", cmd_map_adjoint,
+                        [(("file",), {}), ext, out]),
+        }),
+        "lattice": ("lattice operations", {
+            "arrow": ("Heyting arrow r <- s", cmd_lattice_arrow, [
+                (("file",), {}),
+                (("--r",), {"required": True}),
+                (("--s",), {"required": True}),
+                out]),
+        }),
+        "mspace": ("spaces of maxitive maps", {
+            "build": ("materialize the space", cmd_mspace_build,
+                      [(("source",), {}), (("target",), {}), cap, out]),
+            "arrow": ("residuation u <- v in the space", cmd_mspace_arrow, [
+                (("--u",), {"required": True}),
+                (("--v",), {"required": True}),
+                cap, out]),
+            "verify": ("verify a structural lemma", cmd_mspace_verify, [
+                (("source",), {}),
+                (("target",), {}),
+                (("--lemma",), {"required": True,
+                                "choices": sorted(harness.LEMMAS)}),
+                cap, out]),
+        }),
+        "harness": ("theorem-verification suites", {
+            "run": ("run one claim suite", cmd_harness_run, [
+                (("claim",), {"choices": sorted(harness.CLAIMS)}),
+                (("--max-size",), {"type": int, "dest": "max_size"}),
+                (("--selections",), {"nargs": "+"}),
+                (("--depth",), {"type": int}),
+                out]),
+        }),
+    }
+
+
+def build_parser(command=()):
+    """The parser of the command table.
+
+    When command is a (group, leaf) pair that names a command, only the
+    chain root -> group -> leaf is built.  Its subcommand metavars spell
+    out every name of the full tree, so its usage lines and errors read as
+    the full parser's; any other command builds the full tree.
+    """
+    table = _command_table()
+    group, leaf = (tuple(command) + (None, None))[:2]
+    chain = group in table and leaf in table[group][1]
+
+    def names(words):
+        return "{" + ",".join(words) + "}" if chain else None
     parser = argparse.ArgumentParser(
         prog="maxilat",
         description="Finite-poset engine for way-above relations, maxitive "
                     "maps, extensions, residuation and map spaces.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    poset = sub.add_parser("poset", help="poset operations")
-    poset_sub = poset.add_subparsers(dest="subcommand", required=True)
-    p_check = poset_sub.add_parser("check", help="validate and classify")
-    p_check.add_argument("file")
-    p_check.add_argument("--selection", help="principal|filtered|upper|explicit:<file>")
-    p_check.add_argument("--out")
-    p_check.set_defaults(fn=cmd_poset_check)
-
-    mp = sub.add_parser("map", help="map operations")
-    mp_sub = mp.add_subparsers(dest="subcommand", required=True)
-    m_check = mp_sub.add_parser("check", help="maxitivity checks")
-    m_check.add_argument("file")
-    m_check.add_argument("--pairwise", action="store_true")
-    m_check.add_argument("--alternating", type=int, metavar="DEPTH")
-    m_check.add_argument("--out")
-    m_check.set_defaults(fn=cmd_map_check)
-    m_ext = mp_sub.add_parser("extend", help="extend to the completion")
-    m_ext.add_argument("file")
-    m_ext.add_argument("--mode", choices=("star", "lower-star"), required=True)
-    m_ext.add_argument("--ext", default="dm", help="completion: dm or a poset file")
-    m_ext.add_argument("--selection", default="principal")
-    m_ext.add_argument("--out")
-    m_ext.set_defaults(fn=cmd_map_extend)
-    m_res = mp_sub.add_parser("residuated", help="residuation check")
-    m_res.add_argument("file")
-    m_res.add_argument("--ext", default="dm")
-    m_res.add_argument("--out")
-    m_res.set_defaults(fn=cmd_map_residuated)
-    m_adj = mp_sub.add_parser("adjoint", help="compute the adjoint")
-    m_adj.add_argument("file")
-    m_adj.add_argument("--ext", default="dm")
-    m_adj.add_argument("--out")
-    m_adj.set_defaults(fn=cmd_map_adjoint)
-
-    lat = sub.add_parser("lattice", help="lattice operations")
-    lat_sub = lat.add_subparsers(dest="subcommand", required=True)
-    l_arrow = lat_sub.add_parser("arrow", help="Heyting arrow r <- s")
-    l_arrow.add_argument("file")
-    l_arrow.add_argument("--r", required=True)
-    l_arrow.add_argument("--s", required=True)
-    l_arrow.add_argument("--out")
-    l_arrow.set_defaults(fn=cmd_lattice_arrow)
-
-    msp = sub.add_parser("mspace", help="spaces of maxitive maps")
-    msp_sub = msp.add_subparsers(dest="subcommand", required=True)
-    s_build = msp_sub.add_parser("build", help="materialize the space")
-    s_build.add_argument("source")
-    s_build.add_argument("target")
-    s_build.add_argument("--cap", type=int, default=10 ** 6)
-    s_build.add_argument("--out")
-    s_build.set_defaults(fn=cmd_mspace_build)
-    s_arrow = msp_sub.add_parser("arrow", help="residuation u <- v in the space")
-    s_arrow.add_argument("--u", required=True)
-    s_arrow.add_argument("--v", required=True)
-    s_arrow.add_argument("--cap", type=int, default=10 ** 6)
-    s_arrow.add_argument("--out")
-    s_arrow.set_defaults(fn=cmd_mspace_arrow)
-    s_verify = msp_sub.add_parser("verify", help="verify a structural lemma")
-    s_verify.add_argument("source")
-    s_verify.add_argument("target")
-    s_verify.add_argument("--lemma", required=True,
-                          choices=sorted(harness.LEMMAS))
-    s_verify.add_argument("--cap", type=int, default=10 ** 6)
-    s_verify.add_argument("--out")
-    s_verify.set_defaults(fn=cmd_mspace_verify)
-
-    har = sub.add_parser("harness", help="theorem-verification suites")
-    har_sub = har.add_subparsers(dest="subcommand", required=True)
-    h_run = har_sub.add_parser("run", help="run one claim suite")
-    h_run.add_argument("claim", choices=sorted(harness.CLAIMS))
-    h_run.add_argument("--max-size", type=int, dest="max_size")
-    h_run.add_argument("--selections", nargs="+")
-    h_run.add_argument("--depth", type=int)
-    h_run.add_argument("--out")
-    h_run.set_defaults(fn=cmd_harness_run)
-
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=names(table))
+    for group_name, (group_help, leaves) in table.items():
+        if chain and group_name != group:
+            continue
+        group_parser = sub.add_parser(group_name, help=group_help)
+        group_sub = group_parser.add_subparsers(
+            dest="subcommand", required=True, metavar=names(leaves))
+        for leaf_name, (leaf_help, fn, arguments) in leaves.items():
+            if chain and leaf_name != leaf:
+                continue
+            leaf_parser = group_sub.add_parser(leaf_name, help=leaf_help)
+            for flags, options in arguments:
+                leaf_parser.add_argument(*flags, **options)
+            leaf_parser.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[:2]).parse_args(argv)
     try:
         return args.fn(args)
     except (io.FormatError, PosetError, SelectionError, MapError,

@@ -9,6 +9,8 @@ that replays through the library.
 import hashlib
 import time
 from dataclasses import dataclass
+from functools import lru_cache, reduce
+from operator import and_, getitem
 
 from .poset import (FinitePoset, _bits, _indices, _union, classify,
                     dm_completion, enumerate_posets, join_table)
@@ -21,9 +23,8 @@ from .maxitive import (InvariantError, MonotoneMap, RationalConeMap,
                        iter_monotone_values, MapError, maxitivity_witness)
 from .residuation import heyting_arrow, theorem_5_4
 from .mspace import (_arrow_values, _heyting_join_failure, build_space,
-                     corollary_above_set, generator_values, ideal_lattice,
-                     join_irreducibles, pointwise_inf, reconstruction,
-                     representation, way_above_in_space)
+                     ideal_lattice, join_irreducibles, pointwise_inf,
+                     way_above_in_space)
 from . import io as iomod
 
 PASS = "pass"
@@ -143,6 +144,9 @@ def _claim_singleton_collapse(bounds):
 def _claim_supercontinuity(bounds):
     max_size = bounds.max_size or 5
     for p in enumerate_posets(max_size):
+        # a finite lattice has a top and a bottom; most posets have not
+        if p.top() is None or p.bottom() is None:
+            continue
         profile = classify(p)
         if not profile.is_lattice:
             continue
@@ -400,21 +404,20 @@ def adjunction_violations(n, admissible, up, arrow, generators=None):
     when one fails, to name the violations in the same order as without
     generators.
     """
-    def at(u, v):
-        try:
-            a = arrow(u, v)
-        except MapError as exc:
-            yield {"u": u, "v": v, "error": str(exc)}
-            return
-        for w in _indices(admissible(u, v) ^ up(a)):
-            yield {"u": u, "v": v, "w": w}
+    def scan(vs):
+        for u in range(n):
+            for v in vs:
+                try:
+                    a = arrow(u, v)
+                except MapError as exc:
+                    yield {"u": u, "v": v, "error": str(exc)}
+                    continue
+                for w in _indices(admissible(u, v) ^ up(a)):
+                    yield {"u": u, "v": v, "w": w}
 
-    if generators is not None and not any(
-            next(at(u, v), None) for u in range(n) for v in generators):
+    if generators is not None and next(scan(generators), None) is None:
         return
-    for u in range(n):
-        for v in range(n):
-            yield from at(u, v)
+    yield from scan(range(n))
 
 
 def _admissible_table(l):
@@ -443,23 +446,29 @@ def _check_frame(space):
     Join preservation is one |L|^3 check on the Heyting table.  If it fails,
     that is a violation naming (r, s, t), and every pair is scanned.
     """
-    l = space.target
+    l, maps = space.target, space.maps
     table = _admissible_table(l)
     valued_in = [[[_union(column, ts) for ts in row] for row in table]
                  for column in space.at_least]
+    full = (1 << len(space)) - 1
+
+    @lru_cache(maxsize=1)
+    def admissible_rows(u):
+        return [masks[r] for masks, r in zip(valued_in, maps[u])]
 
     def admissible(u, v):
-        mask = (1 << len(space)) - 1
-        for masks, r, s in zip(valued_in, space.maps[u], space.maps[v]):
-            mask &= masks[r][s]
-        return mask
+        return reduce(and_, map(getitem, admissible_rows(u), maps[v]), full)
 
     generators = None
     broken = _heyting_join_failure(l)
     values_of = _arrow_values(space)
 
+    index = space.index
+
     def arrow(u, v):
-        return space.index_of(values_of(u, v))
+        values = values_of(u, v)
+        found = index.get(values)
+        return space.index_of(values) if found is None else found
     if broken is not None:
         r, s, t = broken
         yield {"r": r, "s": s, "t": t,
@@ -468,8 +477,8 @@ def _check_frame(space):
     else:
         generators = [space.index_of((l.bottom(),) * space.source.n),
                       *join_irreducibles(space)]
-    for bad in adjunction_violations(len(space), admissible, space.up, arrow,
-                                     generators):
+    for bad in adjunction_violations(len(space), admissible,
+                                     space.ups.__getitem__, arrow, generators):
         yield {k: x if k == "error" else list(space.maps[x])
                for k, x in bad.items()}
 
@@ -497,27 +506,28 @@ def _check_generator(space):
     The constant-bottom map has every pair as a generator, so this also
     checks that every generator map is maxitive.
     """
-    above = way_above_in_space(space)
-    for k, values in enumerate(space.maps):
-        for gen in representation(space, values):
-            g = space.index.get(generator_values(space, gen))
-            if g is None or not above[k] >> g & 1:
+    index = [[space.index.get(values) for values in row]
+             for row in space.generator_maps]
+    for values, gens, above in zip(space.maps, space.representations,
+                                   way_above_in_space(space)):
+        for gen in gens:
+            g = index[gen.h][gen.s]
+            if g is None or not above >> g & 1:
                 yield {"map": list(values), "h": gen.h, "s": gen.s}
 
 
 def _check_representation(space):
     """The pointwise infimum of a map's generators is the map."""
-    for values in space.maps:
-        if reconstruction(space, representation(space, values)) != values:
+    for values, back in zip(space.maps, space.reconstructions):
+        if back != values:
             yield {"map": list(values)}
 
 
 def _check_corollary(space):
     """The generator characterization of way-above agrees with way-above."""
     above = way_above_in_space(space)
-    bad = sorted((w, v) for v in range(len(space))
-                 for w in _indices(_bits(corollary_above_set(space, v))
-                                   ^ above[v]))
+    bad = sorted((w, v) for v, floor in enumerate(space.reconstructions)
+                 for w in _indices(space.above(floor) ^ above[v]))
     for w, v in bad:
         yield {"w": list(space.maps[w]), "v": list(space.maps[v])}
 

@@ -11,9 +11,10 @@ and way-above in the space is its pointwise order.
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import getitem
 
-from .poset import (FinitePoset, PosetError, _cover_pairs, _indices, _union,
-                    classify, join_table)
+from .poset import (FinitePoset, PosetError, _cover_pairs, _indices,
+                    _pair_tables, _union, classify, join_table)
 from .selections import (FilterSelection, SelectionError, SelectionKind,
                          build_selection, way_above)
 from .maxitive import (MapError, MonotoneMap, iter_monotone_values,
@@ -66,6 +67,42 @@ class MaxMapSpace:
         return tuple(tuple(_union(row, down) for down in self.target._downm)
                      for row in self._exact)
 
+    @cached_property
+    def ups(self):
+        """ups[k]: the mask of the maps above map k, its principal filter."""
+        return tuple(map(self.above, self.maps))
+
+    @cached_property
+    def generators(self):
+        """generators[h][s]: the pair (h, s), one object per pair."""
+        return tuple(tuple(Generator(h, s) for s in range(self.target.n))
+                     for h in range(self.source.n))
+
+    @cached_property
+    def generator_maps(self):
+        """generator_maps[h][s]: the values of the map of the pair (h, s),
+        s below h and top elsewhere."""
+        top = self.target.top()
+        if top is None:
+            raise MapError("the target needs a top for generator maps")
+        points = range(self.source.n)
+        return tuple(tuple(tuple(s if below >> g & 1 else top for g in points)
+                           for s in range(self.target.n))
+                     for below in self.source._downm)
+
+    @cached_property
+    def representations(self):
+        """representations[k]: the representation of map k under the
+        filtered selection of the target."""
+        return tuple(representation(self, values) for values in self.maps)
+
+    @cached_property
+    def reconstructions(self):
+        """reconstructions[k]: the reconstruction of map k from its
+        representation."""
+        return tuple(reconstruction(self, gens)
+                     for gens in self.representations)
+
     def above(self, values):
         """The mask of the maps that lie pointwise above a value tuple."""
         return self._meet(self.at_least, values)
@@ -82,7 +119,7 @@ class MaxMapSpace:
 
     def up(self, k):
         """The mask of the maps above map k, its principal filter."""
-        return self.above(self.maps[k])
+        return self.ups[k]
 
     def down(self, k):
         """The mask of the maps below map k, its principal ideal."""
@@ -142,11 +179,8 @@ def pointwise_inf(space, family) -> MonotoneMap:
 
 
 def generator_values(space, gen: Generator):
-    top = space.target.top()
-    if top is None:
-        raise MapError("the target needs a top for generator maps")
-    return tuple(gen.s if space.source.leq(g, gen.h) else top
-                 for g in range(space.source.n))
+    """The values of the map of a generator pair, from the space's table."""
+    return space.generator_maps[gen.h][gen.s]
 
 
 def generator_map(space, gen: Generator) -> MonotoneMap:
@@ -159,8 +193,9 @@ def generator_map(space, gen: Generator) -> MonotoneMap:
 @lru_cache(maxsize=64)
 def _filtered_columns(l):
     """The way-above columns of l under the filtered selection, built once
-    per target: entry t is the mask of the s way-above t."""
-    return way_above(l, build_selection(l, SelectionKind.FILTERED))._cols
+    per target: entry t lists the s way-above t, ascending."""
+    cols = way_above(l, build_selection(l, SelectionKind.FILTERED))._cols
+    return tuple(tuple(_indices(col)) for col in cols)
 
 
 def representation(space, values, sel_l: FilterSelection = None):
@@ -171,30 +206,30 @@ def representation(space, values, sel_l: FilterSelection = None):
     exactly when the target is continuous under the chosen selection.
     """
     values = tuple(getattr(values, "values", values))
-    cols = (_filtered_columns(space.target) if sel_l is None
-            else way_above(space.target, sel_l)._cols)
-    return tuple(Generator(h, s)
-                 for h in range(space.source.n)
-                 for s in _indices(cols[values[h]]))
+    above = (_filtered_columns(space.target) if sel_l is None
+             else [_indices(c) for c in way_above(space.target, sel_l)._cols])
+    return tuple(row[s] for row, t in zip(space.generators, values)
+                 for s in above[t])
 
 
 def reconstruction(space, gens):
-    """Pointwise infimum of the maps of the given generators."""
+    """Pointwise infimum of the maps of the given generators, folded
+    through the target's meet table from the top."""
     l = space.target
-    columns = tuple(zip(*(generator_values(space, gen) for gen in gens)))
-    values = []
-    for g in range(space.source.n):
-        m = l.inf_of(frozenset(columns[g])) if columns else l.top()
-        if m is None:
-            raise MapError(f"generator infimum missing at {g}")
-        values.append(m)
+    meets = _pair_tables(l)[1]
+    values = [l.top()] * space.source.n
+    for gen in gens:
+        for g, t in enumerate(generator_values(space, gen)):
+            values[g] = meets[values[g]][t]
+    if None in values:
+        raise MapError(f"generator infimum missing at {values.index(None)}")
     return tuple(values)
 
 
 def way_above_in_space(space):
     """Way-above in the space under the filtered selection: entry v is the
     mask of the maps way-above v, which is the principal filter of v."""
-    return tuple(space.up(k) for k in range(len(space)))
+    return space.ups
 
 
 def corollary_above_set(space, v) -> frozenset:
@@ -204,8 +239,7 @@ def corollary_above_set(space, v) -> frozenset:
     Enlarging the family only lowers the infimum, so a witnessing family
     exists exactly when the full generator family works.
     """
-    floor = reconstruction(space, representation(space, space.maps[v]))
-    return frozenset(_indices(space.above(floor)))
+    return frozenset(_indices(space.above(space.reconstructions[v])))
 
 
 @lru_cache(maxsize=64)
@@ -249,12 +283,19 @@ def _arrow_values(space):
     """The function (u, v) -> the value tuple of u <- v by the formula of
     m_arrow, unchecked: it may lie outside the space.  The sup over h <= g
     is taken as the value at g joined with the finished sups at the lower
-    covers of g.  The tables are looked up once, for all the pairs."""
+    covers of g.  The tables are looked up once, for all the pairs, and the
+    Heyting rows at the values of u once for each run of calls with one u."""
     arrows, joins = _heyting_table(space.target), join_table(space.target)
-    order, maps = _lower_covers(space.source), space.maps
+    maps = space.maps
+    order = [(g, covers) for g, covers in _lower_covers(space.source)
+             if covers]
+
+    @lru_cache(maxsize=1)
+    def rows(u):
+        return [arrows[a] for a in maps[u]]
 
     def values_of(u, v):
-        values = [arrows[a][b] for a, b in zip(maps[u], maps[v])]
+        values = list(map(getitem, rows(u), maps[v]))
         for g, covers in order:
             t = values[g]
             for c in covers:

@@ -4,10 +4,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from maxilat import (ContinuityReport, FinitePoset, IdealFamily, MapError,
-                     PosetError, PosetProfile, SelectionError, SelectionKind,
-                     build_selection, classify, from_ideal_family,
-                     pointwise_inf, way_above)
+from maxilat import (ContinuityReport, FinitePoset, Generator, IdealFamily,
+                     MapError, PosetError, PosetProfile, SelectionError,
+                     SelectionKind, build_selection, classify,
+                     from_ideal_family, pointwise_inf, way_above)
 from maxilat.catalog import antichain, chain, diamond, m3, n5, seven_element
 from maxilat.harness import run_suite, summarize
 
@@ -644,6 +644,126 @@ def oracle_adjunction_violations(poset, join, arrow):
             for w in range(poset.n):
                 if poset.leq(v, join(u, w)) != poset.leq(a, w):
                     yield {"u": u, "v": v, "w": w}
+
+
+# -- map-space oracles: the per-call generator, representation and frame
+# routes that the per-space tables of MaxMapSpace replaced ------------------
+
+
+def oracle_generator_values(space, gen):
+    """The values of the map of (h, s), built from leq on every call."""
+    top = space.target.top()
+    if top is None:
+        raise MapError("the target needs a top for generator maps")
+    return tuple(gen.s if space.source.leq(g, gen.h) else top
+                 for g in range(space.source.n))
+
+
+def oracle_representation(space, values, sel_l=None):
+    """The generator pairs of a map, by way_above on every call."""
+    if sel_l is None:
+        sel_l = build_selection(space.target, SelectionKind.FILTERED)
+    rel = way_above(space.target, sel_l)
+    return tuple(Generator(h, s) for h in range(space.source.n)
+                 for s in range(space.target.n)
+                 if rel.way_above(s, values[h]))
+
+
+def oracle_reconstruction(space, gens):
+    """The pointwise inf_of of the generators' maps, each built anew."""
+    l = space.target
+    columns = tuple(zip(*(oracle_generator_values(space, gen)
+                          for gen in gens)))
+    values = []
+    for g in range(space.source.n):
+        m = l.inf_of(frozenset(columns[g])) if columns else l.top()
+        if m is None:
+            raise MapError(f"generator infimum missing at {g}")
+        values.append(m)
+    return tuple(values)
+
+
+def oracle_lemma_witnesses(space):
+    """The witness lists of the generator, representation and corollary
+    lemmas by the per-call routes, with way-above read off the order of
+    oracle_space_poset."""
+    poset = oracle_space_poset(space)
+    above = [frozenset(poset.up(k)) for k in range(len(space))]
+    found = {"generator": [], "representation": [], "corollary": []}
+    floors = []
+    for k, values in enumerate(space.maps):
+        gens = oracle_representation(space, values)
+        for gen in gens:
+            g = space.index.get(oracle_generator_values(space, gen))
+            if g not in above[k]:
+                found["generator"].append(
+                    {"map": list(values), "h": gen.h, "s": gen.s})
+        floors.append(oracle_reconstruction(space, gens))
+        if floors[k] != values:
+            found["representation"].append({"map": list(values)})
+    l = space.target
+    for w, v in sorted(
+            (w, v) for v, floor in enumerate(floors)
+            for w, values in enumerate(space.maps)
+            if all(map(l.leq, floor, values)) != (w in above[v])):
+        found["corollary"].append({"w": list(space.maps[w]),
+                                   "v": list(space.maps[v])})
+    return found
+
+
+def oracle_frame_violations(space):
+    """The frame lemma's witnesses by the per-pair loop: both masks built
+    with |E| ANDs for every pair, the arrow by looking up the target's
+    tables for every pair, at the join-irreducibles and the bottom map
+    first and over every pair when that finds a violation."""
+    from maxilat import harness, mspace
+    from maxilat.poset import _union, join_table
+    l, e, maps = space.target, space.source, space.maps
+    table = harness._admissible_table(l)
+    valued_in = [[[_union(column, ts) for ts in row] for row in table]
+                 for column in space.at_least]
+    arrows, joins = mspace._heyting_table(l), join_table(l)
+    order = mspace._lower_covers(e)
+
+    def admissible(u, v):
+        mask = (1 << len(space)) - 1
+        for masks, r, s in zip(valued_in, maps[u], maps[v]):
+            mask &= masks[r][s]
+        return mask
+
+    def arrow(u, v):
+        values = [arrows[a][b] for a, b in zip(maps[u], maps[v])]
+        for g, covers in order:
+            for c in covers:
+                values[g] = joins[values[g]][values[c]]
+        return space.index_of(tuple(values))
+
+    def at(u, v):
+        try:
+            a = arrow(u, v)
+        except MapError as exc:
+            return [{"u": u, "v": v, "error": str(exc)}]
+        diff = admissible(u, v) ^ space.above(maps[a])
+        return [{"u": u, "v": v, "w": w} for w in range(len(space))
+                if diff >> w & 1]
+
+    found = []
+    broken = mspace._heyting_join_failure(l)
+    if broken is None:
+        generators = [space.index_of((l.bottom(),) * e.n),
+                      *mspace.join_irreducibles(space)]
+        if not any(at(u, v) for u in range(len(space)) for v in generators):
+            return found
+    else:
+        r, s, t = broken
+        found.append({"r": r, "s": s, "t": t,
+                      "error": "heyting_arrow(r, -) does not preserve the "
+                               "join of s and t"})
+    for u in range(len(space)):
+        for v in range(len(space)):
+            found += [{k: x if k == "error" else list(maps[x])
+                       for k, x in bad.items()} for bad in at(u, v)]
+    return found
 
 
 # -- map oracles: the scans and frozenset routes that the per-source tables

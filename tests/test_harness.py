@@ -367,6 +367,41 @@ class TestWorkCounts:
         assert sum(r.instance["maxitive_maps"] for r in records) == 17990
         assert calls and max(calls.values()) == 1
 
+    def test_representation_builds_each_generator_map_once(self,
+                                                           monkeypatch):
+        # the three lemmas read every generator map through one object per
+        # (space, h, s), built once, and each map's representation once
+        from maxilat import mspace
+        built, represented = {}, Counter()
+        calls = 0
+        real_values, real_representation = (mspace.generator_values,
+                                            mspace.representation)
+
+        def counted_values(space, gen):
+            nonlocal calls
+            calls += 1
+            values = real_values(space, gen)
+            assert built.setdefault((space, gen.h, gen.s), values) is values
+            return values
+
+        def counted_representation(space, values, sel_l=None):
+            represented[space, values] += 1
+            return real_representation(space, values, sel_l)
+        for module in (mspace, harness):
+            monkeypatch.setattr(module, "generator_values", counted_values,
+                                raising=False)
+            monkeypatch.setattr(module, "representation",
+                                counted_representation, raising=False)
+        records = list(run_suite("representation", max_size=3))
+        assert len(records) == 24
+        spaces = {space for space, _ in represented}
+        assert len(spaces) == 24
+        assert sum(len(space) for space in spaces) == len(represented)
+        assert set(represented.values()) == {1}
+        assert len(built) <= sum(space.source.n * space.target.n
+                                 for space in spaces)
+        assert calls > 2 * len(built)
+
     def test_alternating_builds_one_plan_per_source(self, monkeypatch):
         # building a plan runs combinations_with_replacement once per length,
         # so one plan per source at depth 4 is 4 runs for each of 88 sources

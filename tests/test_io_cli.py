@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -408,3 +409,74 @@ class TestCli:
         import pytest as _pytest
         with _pytest.raises(SystemExit):
             main(["harness", "run", "nonsense"])
+
+
+# one valid argv per command, after its group and leaf words
+VALID_ARGS = {
+    ("poset", "check"): ["p.json", "--selection", "principal", "--out", "o"],
+    ("map", "check"): ["m.json", "--pairwise", "--alternating", "3"],
+    ("map", "extend"): ["m.json", "--mode", "star", "--ext", "dm"],
+    ("map", "residuated"): ["m.json", "--ext", "c.json"],
+    ("map", "adjoint"): ["m.json"],
+    ("lattice", "arrow"): ["l.json", "--r", "a", "--s", "b"],
+    ("mspace", "build"): ["e.json", "l.json", "--cap", "10"],
+    ("mspace", "arrow"): ["--u", "u.json", "--v", "v.json"],
+    ("mspace", "verify"): ["e.json", "l.json", "--lemma", "frame"],
+    ("harness", "run"): ["interpolation", "--max-size", "2", "--selections",
+                         "principal", "upper", "--depth", "2"],
+}
+
+
+def _subparser(parser, word):
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices[word]
+
+
+def _exit(parse, argv, capsys):
+    """The exit code, stdout and stderr of a parse that exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestLeafParser:
+    """The root -> group -> leaf chain that main builds for a command reads
+    and reports as the full parser tree."""
+
+    def test_every_command_has_a_sample(self):
+        assert set(VALID_ARGS) == {
+            (group, leaf)
+            for group, (_, leaves) in cli._command_table().items()
+            for leaf in leaves}
+
+    @pytest.mark.parametrize("command", sorted(VALID_ARGS))
+    def test_the_chain_parses_as_the_full_tree(self, command, capsys):
+        full, chain = cli.build_parser(), cli.build_parser(command)
+        group, leaf = command
+        assert (_subparser(_subparser(chain, group), leaf).format_help()
+                == _subparser(_subparser(full, group), leaf).format_help())
+        argv = [*command, *VALID_ARGS[command]]
+        assert chain.parse_args(argv) == full.parse_args(argv)
+        for bad in ([*command], [*argv, "--no-such-flag"]):
+            expected = _exit(full.parse_args, bad, capsys)
+            assert expected[0] == 2 and expected[2]
+            assert _exit(chain.parse_args, bad, capsys) == expected
+            assert _exit(main, bad, capsys) == expected
+
+    def test_the_chain_builds_one_group_and_one_leaf(self):
+        chain = cli.build_parser(("mspace", "verify"))
+        with pytest.raises(KeyError):
+            _subparser(chain, "harness")
+        with pytest.raises(KeyError):
+            _subparser(_subparser(chain, "mspace"), "build")
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["nosuch"], ["nosuch", "run"], ["mspace"],
+        ["mspace", "nosuch"], ["harness", "verify"], ["mspace", "--help"],
+        ["map", "-h", "check"]])
+    def test_other_words_get_the_full_tree(self, argv, capsys):
+        expected = _exit(cli.build_parser().parse_args, argv, capsys)
+        assert _exit(main, argv, capsys) == expected
+        assert expected[0] == (0 if {"-h", "--help"} & set(argv) else 2)

@@ -3,18 +3,23 @@ from collections import Counter
 
 import pytest
 
-from maxilat import (FinitePoset, Generator, MapError, MonotoneMap,
-                     PosetError, SelectionError, build_selection, build_space,
-                     classify, corollary_above_set, enumerate_posets,
+from maxilat import (FinitePoset, Generator, MapError, MaxMapSpace,
+                     MonotoneMap, PosetError, SelectionError, build_selection,
+                     build_space, classify, corollary_above_set,
+                     enumerate_posets,
                      generator_map, generator_values, heyting_arrow, m_arrow,
                      maxitivity_witness, pointwise_inf, reconstruction,
                      representation, way_above)
+from maxilat import harness
 from maxilat.catalog import antichain, chain, m3
 from maxilat.mspace import join_irreducibles, way_above_in_space
 from maxilat.poset import _bits
 
-from conftest import (oracle_is_maxitive, oracle_m_arrow, oracle_monotone_maps,
-                      oracle_pointwise_inf, oracle_space_poset,
+from conftest import (oracle_frame_violations, oracle_generator_values,
+                      oracle_is_maxitive, oracle_lemma_witnesses,
+                      oracle_m_arrow, oracle_monotone_maps,
+                      oracle_pointwise_inf, oracle_reconstruction,
+                      oracle_representation, oracle_space_poset,
                       oracle_way_above_in_space)
 
 
@@ -262,6 +267,74 @@ class TestPerTargetTables:
         mspace._filtered_columns.cache_clear()
         assert len(records) == 24
         assert len(calls) == len(set(calls)) == 3
+
+
+class TestPerSpaceTables:
+    """The per-space tables of MaxMapSpace and the lemmas that read them,
+    against the per-call routes they replaced, on all 120 spaces of size
+    <= 4."""
+
+    def test_generators_representations_and_reconstructions(self):
+        spaces = list(small_spaces(4))
+        assert len(spaces) == 120
+        for space in spaces:
+            for h in range(space.source.n):
+                for s in range(space.target.n):
+                    gen = Generator(h, s)
+                    assert (generator_values(space, gen)
+                            == space.generator_maps[h][s]
+                            == oracle_generator_values(space, gen))
+            for k, values in enumerate(space.maps):
+                gens = oracle_representation(space, values)
+                assert (space.representations[k]
+                        == representation(space, values) == gens)
+                assert (space.reconstructions[k]
+                        == reconstruction(space, gens)
+                        == oracle_reconstruction(space, gens) == values)
+                # any family of generators, the empty one included
+                part = gens[k % 3::3]
+                assert (reconstruction(space, part)
+                        == oracle_reconstruction(space, part))
+
+    def test_representation_under_another_selection(self):
+        for space in small_spaces():
+            sel = build_selection(space.target, "upper")
+            for values in space.maps:
+                assert (representation(space, values, sel)
+                        == oracle_representation(space, values, sel))
+
+    def test_lemma_witnesses_match_the_per_call_routes(self):
+        # each space, and each space without its constant-top map, which
+        # takes the generator map (h, top) from every map of it
+        checked = 0
+        for space in small_spaces(4):
+            top_map = (space.target.top(),) * space.source.n
+            thinned = MaxMapSpace(space.source, space.target,
+                                  [m for m in space.maps if m != top_map])
+            found = []
+            for sp in (space, thinned):
+                expected = oracle_lemma_witnesses(sp)
+                for name, witnesses in expected.items():
+                    assert list(harness.LEMMAS[name](sp)) == witnesses
+                found.append(expected)
+            assert not any(found[0].values())
+            if len(thinned):
+                assert len(found[1]["generator"]) == (
+                    len(thinned) * space.source.n)
+                checked += 1
+        # the 24 spaces into the 1-element lattice have one map
+        assert checked == 120 - 24
+
+    def test_frame_violations_match_the_per_pair_loop(self):
+        spaces = [space for space in small_spaces(4)
+                  if classify(space.target).is_distributive]
+        assert len(spaces) == 120
+        violated = 0
+        for space in spaces:
+            expected = oracle_frame_violations(space)
+            assert list(harness.LEMMAS["frame"](space)) == expected
+            violated += bool(expected)
+        assert violated == 8
 
 
 class TestMArrow:
