@@ -22,6 +22,12 @@ from .mspace import build_space, m_arrow
 from . import harness, io
 
 
+# json.dumps with its default settings, without the check for reference
+# cycles: the streamed items are fresh trees, and a cycle still fails, on
+# the recursion limit
+_encode = json.JSONEncoder(check_circular=False).encode
+
+
 def _write_out(args, payload):
     """Write the dict payload to --out as JSON, when --out is given.
 
@@ -50,7 +56,7 @@ def _write_out(args, payload):
                         fh.write("[")
                         item_sep = "\n"
                         for item in value:
-                            fh.write(item_sep + json.dumps(item))
+                            fh.write(item_sep + _encode(item))
                             item_sep = ",\n"
                         fh.write("\n]")
                     else:

@@ -101,11 +101,16 @@ def _claim_interpolation(bounds):
     kinds = bounds.selections or ("principal", "filtered", "upper")
     for p in enumerate_posets(max_size):
         desc = describe_poset(p)
+        # the report depends on the selected masks alone, and FILTERED
+        # selects PRINCIPAL's masks (see build_selection): one per family
+        reports = {}
         for kind in kinds:
             t0 = time.perf_counter()
             sel = build_selection(p, kind)
             union_complete = is_union_complete(sel)
-            report = continuity_report(p, sel)
+            report = reports.get(sel._masks)
+            if report is None:
+                report = reports[sel._masks] = continuity_report(p, sel)
             instance = {"poset": desc, "selection": str(kind),
                         "union_complete": union_complete,
                         "continuous": report.is_continuous}
@@ -668,7 +673,9 @@ CLAIMS = {
 
 def run_suite(claim, *, max_size=None, selections=None, depth=None):
     """Yield the verdict stream of one claim; deterministic for fixed bounds.
-    A bound left as None takes the claim's default; one below 1 is refused."""
+    A bound left as None takes the claim's default; one below 1 is refused,
+    and so are selections for any claim but interpolation and depth for any
+    claim but alternating, which would ignore them."""
     try:
         fn = CLAIMS[claim]
     except KeyError:
@@ -678,6 +685,10 @@ def run_suite(claim, *, max_size=None, selections=None, depth=None):
     for name, bound in (("max_size", max_size), ("depth", depth)):
         if bound is not None and bound < 1:
             raise HarnessError(f"{name} must be at least 1, got {bound}")
+    for name, bound, owner in (("selections", selections, "interpolation"),
+                               ("depth", depth, "alternating")):
+        if bound is not None and claim != owner:
+            raise HarnessError(f"{name} applies only to {owner}, not {claim}")
     if selections is not None:
         selections = tuple(str(SelectionKind(k)) for k in selections)
     yield from fn(Bounds(max_size, selections, depth))

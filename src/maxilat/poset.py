@@ -9,6 +9,13 @@ frozensets of `up` and `down` are views of the masks, shared between
 posets.  Subsets passed to the public methods are range-checked as their
 mask is built; the library's own masks are not checked again.
 Everything here is immutable after construction and safe to share.
+
+The kernels that walk the set bits of a mask (`_indices`, `_union`,
+`_common`, `_bounding_member` and the transpose in `FinitePoset._set_order`)
+read the ascending indices of a mask below 2^8 from the import-time table
+`_BITS`, one tuple per mask: every mask over a poset of at most 8 elements.
+Wider masks, of larger posets or of map spaces, fall back to `_indices`
+peeling off the lowest set bit, in the same ascending order.
 """
 
 import itertools
@@ -31,8 +38,21 @@ def _bits(elems):
     return mask
 
 
+# the ascending indices of each mask below _BITS_LIMIT = 2^_BITS_WIDTH,
+# doubled once per bit k: the masks from 2^k to 2^(k+1) - 1 are those below
+# 2^k with k added
+_BITS_WIDTH = 8
+_BITS_LIMIT = 1 << _BITS_WIDTH
+_BITS = ((),)
+for _k in range(_BITS_WIDTH):
+    _BITS += tuple(bits + (_k,) for bits in _BITS)
+del _k
+
+
 def _indices(mask):
     """The indices set in mask, ascending."""
+    if mask < _BITS_LIMIT:
+        return list(_BITS[mask])
     out = []
     while mask:
         low = mask & -mask
@@ -66,10 +86,8 @@ def _frozen(mask):
 def _union(masks, mask):
     """The union of masks[i] over the i in mask: its upper (lower) closure."""
     out = 0
-    while mask:
-        low = mask & -mask
-        out |= masks[low.bit_length() - 1]
-        mask ^= low
+    for i in _BITS[mask] if mask < _BITS_LIMIT else _indices(mask):
+        out |= masks[i]
     return out
 
 
@@ -77,23 +95,17 @@ def _common(masks, mask, n):
     """The intersection of masks[i] over the i in mask, all n elements if
     mask is empty: its upper (lower) bounds."""
     out = (1 << n) - 1
-    while mask:
-        low = mask & -mask
-        out &= masks[low.bit_length() - 1]
-        mask ^= low
+    for i in _BITS[mask] if mask < _BITS_LIMIT else _indices(mask):
+        out &= masks[i]
     return out
 
 
 def _bounding_member(masks, mask):
-    """The member m of mask with mask inside masks[m], or None: its least
-    (greatest) element."""
-    rest = mask
-    while rest:
-        low = rest & -rest
-        m = low.bit_length() - 1
+    """The first member m of mask, in index order, with mask inside
+    masks[m], or None: its least (greatest) element."""
+    for m in _BITS[mask] if mask < _BITS_LIMIT else _indices(mask):
         if not mask & ~masks[m]:
             return m
-        rest ^= low
     return None
 
 
@@ -139,13 +151,10 @@ class FinitePoset:
         down = [0] * n
         unclosed = 0
         for i, mask in enumerate(up):
-            bit, reach, rest = 1 << i, 0, mask
-            while rest:
-                low = rest & -rest
-                j = low.bit_length() - 1
+            bit, reach = 1 << i, 0
+            for j in _BITS[mask] if mask < _BITS_LIMIT else _indices(mask):
                 down[j] |= bit
                 reach |= up[j]
-                rest ^= low
             if reach != mask:
                 unclosed |= bit
         for i in range(n):

@@ -207,6 +207,47 @@ def oracle_classify(p):
                         is_distributive, is_lattice)
 
 
+def oracle_indices(mask):
+    """The indices set in mask, ascending, by peeling off the lowest set bit:
+    the scan that the index table of the mask kernels replaced."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def oracle_union(masks, mask):
+    out = 0
+    for i in oracle_indices(mask):
+        out |= masks[i]
+    return out
+
+
+def oracle_common(masks, mask, n):
+    out = (1 << n) - 1
+    for i in oracle_indices(mask):
+        out &= masks[i]
+    return out
+
+
+def oracle_bounding_member(masks, mask):
+    for m in oracle_indices(mask):
+        if not mask & ~masks[m]:
+            return m
+    return None
+
+
+def oracle_covers(p):
+    """The pairs i < j with no k strictly between, by definition, with i
+    and then j ascending."""
+    return [(i, j) for i in range(p.n) for j in range(p.n)
+            if i != j and p.leq(i, j)
+            and not any(p.leq(i, k) and p.leq(k, j)
+                        for k in range(p.n) if k not in (i, j))]
+
+
 def oracle_lower_sets(p):
     """The lower sets of p by the frozenset recursion that the mask
     recursion replaced, in the order it yields them."""

@@ -56,6 +56,24 @@ class TestRunSuite:
         assert "must be at least 1" in capsys.readouterr().err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("claim, bounds, owner", [
+        ("singleton-collapse", {"selections": ("upper",)}, "interpolation"),
+        ("alternating", {"selections": ("principal",)}, "interpolation"),
+        ("interpolation", {"depth": 2}, "alternating"),
+        ("seven-element", {"depth": 1, "max_size": 3}, "alternating")])
+    def test_a_bound_the_claim_ignores_is_refused(self, claim, bounds, owner):
+        with pytest.raises(HarnessError, match=f"applies only to {owner}"):
+            next(run_suite(claim, **bounds))
+
+    @pytest.mark.parametrize("argv", [
+        ["singleton-collapse", "--selections", "upper"],
+        ["thm-5-4", "--max-size", "2", "--depth", "2"]])
+    def test_a_bound_the_claim_ignores_exits_2(self, tmp_path, capsys, argv):
+        out_path = tmp_path / "verdicts.json"
+        assert main(["harness", "run", *argv, "--out", str(out_path)]) == 2
+        assert "applies only to" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_all_registered_claims_produce_records(self):
         for claim in CLAIMS:
             records = list(run_suite(claim, max_size=2))
@@ -417,3 +435,36 @@ class TestWorkCounts:
         records = list(run_suite("alternating", max_size=4, depth=4))
         assert sum(r.instance["maxitive_maps"] for r in records) == 2464
         assert sorted(runs) == sorted([1, 2, 3, 4] * 88)
+
+    def test_interpolation_builds_one_report_per_family(self, monkeypatch):
+        # on a finite poset FILTERED selects exactly PRINCIPAL's masks, so
+        # its record reuses PRINCIPAL's continuity report
+        calls = Counter()
+
+        def counting(name):
+            real = getattr(harness, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+            return counted
+        for name in ("build_selection", "continuity_report"):
+            monkeypatch.setattr(harness, name, counting(name))
+
+        def without_kind(rec):
+            doc = rec.to_dict()
+            del doc["elapsed"], doc["instance"]["selection"]
+            return doc
+        records = list(run_suite("interpolation", max_size=5))
+        assert len(records) == 13419
+        assert calls == {"build_selection": 13419, "continuity_report": 8946}
+        principal, filtered = records[0::3], records[1::3]
+        assert {r.instance["selection"] for r in filtered} == {"filtered"}
+        assert ([without_kind(r) for r in filtered]
+                == [without_kind(r) for r in principal])
+        # without PRINCIPAL, FILTERED computes its own report
+        calls.clear()
+        records = list(run_suite("interpolation", max_size=4,
+                                 selections=("filtered", "upper")))
+        assert len(records) == 2 * 242
+        assert calls == {"build_selection": 484, "continuity_report": 484}

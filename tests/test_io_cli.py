@@ -398,6 +398,33 @@ class TestCli:
                     for line in lines[1:-1]] == [claim] * len(doc["records"])
         capsys.readouterr()
 
+    def test_harness_out_is_the_json_dumps_document(self, tmp_path, capsys):
+        # every claim at size 3: the streamed document has the bytes of its
+        # records written with json.dumps, one per line
+        for claim in sorted(harness.CLAIMS):
+            out_path = tmp_path / f"{claim}.json"
+            depth = ["--depth", "2"] if claim == "alternating" else []
+            main(["harness", "run", claim, "--max-size", "3", *depth,
+                  "--out", str(out_path)])
+            text = out_path.read_text()
+            doc = json.loads(text)
+            records = ",".join("\n" + json.dumps(rec)
+                               for rec in doc["records"])
+            assert text == (f'{{"claim": {json.dumps(claim)}, '
+                            f'"records": [{records}\n], '
+                            f'"summary": {json.dumps(doc["summary"])}}}\n')
+        capsys.readouterr()
+
+    def test_a_cycle_fails_and_leaves_no_out_file(self, tmp_path):
+        cycle = {"claim": "x"}
+        cycle["self"] = [cycle]
+        out_path = tmp_path / "doc.json"
+        for payload in ({"records": iter([{"n": 1}, cycle])},
+                        {"records": iter([{"n": 1}]), "summary": cycle}):
+            with pytest.raises((ValueError, RecursionError)):
+                cli._write_out(argparse.Namespace(out=str(out_path)), payload)
+            assert not out_path.exists()
+
     def test_harness_error_leaves_no_out_file(self, tmp_path, capsys):
         out_path = tmp_path / "f"
         assert main(["harness", "run", "interpolation", "--max-size", "6",

@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 
 import pytest
@@ -7,15 +8,18 @@ from hypothesis import strategies as st
 
 from maxilat import (FinitePoset, OrderExtension, PosetError, classify,
                      dm_completion, enumerate_posets)
+from maxilat import poset
 from maxilat.catalog import antichain, chain
 from maxilat.poset import _bits, _ensure_complete_lattice
 
-from conftest import (FrozensetBounds, brute_force_posets, oracle_classify,
-                      oracle_dm_completion, oracle_ensure_complete_lattice,
-                      oracle_enumerate_posets, oracle_inf, oracle_is_ideal,
+from conftest import (FrozensetBounds, brute_force_posets,
+                      oracle_bounding_member, oracle_classify, oracle_common,
+                      oracle_covers, oracle_dm_completion,
+                      oracle_ensure_complete_lattice, oracle_enumerate_posets,
+                      oracle_indices, oracle_inf, oracle_is_ideal,
                       oracle_is_meet_continuous, oracle_lower_sets,
                       oracle_order_error, oracle_order_extension, oracle_sup,
-                      oracle_traces, order_embeddings)
+                      oracle_traces, oracle_union, order_embeddings)
 
 
 def relabeled(p, perm):
@@ -526,3 +530,75 @@ class TestDerivedPosets:
         for p in enumerate_posets(4):
             again = FinitePoset.from_relation(p.n, p.covers())
             assert again.matrix == p.matrix
+
+
+def grid(k):
+    """The k x k grid, the product of two k-chains: (a, b) is a * k + b."""
+    cells = [divmod(i, k) for i in range(k * k)]
+    return FinitePoset(tuple(tuple(a <= c and b <= d for c, d in cells)
+                             for a, b in cells))
+
+
+class TestKernels:
+    """The mask kernels read masks below 2^8 from the index table and scan
+    wider ones; both routes must give the low-bit scan's results."""
+
+    @staticmethod
+    def assert_kernels_match(masks, mask):
+        n = len(masks)
+        assert poset._indices(mask) == oracle_indices(mask)
+        assert poset._union(masks, mask) == oracle_union(masks, mask)
+        assert (poset._common(masks, mask, n)
+                == oracle_common(masks, mask, n))
+        assert (poset._bounding_member(masks, mask)
+                == oracle_bounding_member(masks, mask))
+
+    @staticmethod
+    def families(width, rng):
+        # random masks, and the up- and down-masks of a chain, where every
+        # subset has a least and a greatest member
+        full = (1 << width) - 1
+        return (tuple(rng.getrandbits(width) | 1 << i for i in range(width)),
+                tuple(full & ~((1 << i) - 1) for i in range(width)),
+                tuple((2 << i) - 1 for i in range(width)))
+
+    def test_every_mask_below_2_to_the_10(self):
+        # the table's 256 masks and the first wider ones
+        assert len(poset._BITS) == poset._BITS_LIMIT == 256
+        rng = random.Random(10)
+        families = self.families(10, rng)
+        for mask in range(1 << 10):
+            for masks in families:
+                self.assert_kernels_match(masks, mask)
+
+    def test_random_masks_up_to_2_to_the_40(self):
+        rng = random.Random(40)
+        for width in (9, 16, 24, 40):
+            families = self.families(width, rng)
+            for _ in range(500):
+                mask = rng.getrandbits(rng.randint(1, width))
+                for masks in families:
+                    self.assert_kernels_match(masks, mask)
+
+    @pytest.mark.parametrize("p, distributive", [
+        (chain(10), True), (antichain(9), False), (grid(3), True)],
+        ids=["10-chain", "9-antichain", "3x3-grid"])
+    def test_wide_and_narrow_posets_match_the_definitions(self, p,
+                                                          distributive):
+        # the 10-chain and the 9-antichain mix masks of both routes; the
+        # grid's are all in the table
+        subsets = [tuple(i for i in range(p.n) if mask >> i & 1)
+                   for mask in range(1, 1 << p.n)]
+        for a in subsets:
+            assert p.sup_of(a) == oracle_sup(p, a)
+            assert p.inf_of(a) == oracle_inf(p, a)
+        produced = list(p.iter_lower_sets())
+        assert produced == oracle_lower_sets(p)
+        assert len(produced) == len(set(produced))
+        assert set(produced) == {
+            frozenset(a) for a in [()] + subsets
+            if all(y in a for x in a for y in range(p.n) if p.leq(y, x))}
+        assert p.covers() == oracle_covers(p)
+        profile = classify(p)
+        assert profile == oracle_classify(p)
+        assert profile.is_distributive is distributive
