@@ -207,9 +207,10 @@ def _claim_alternating(bounds):
 
 def _claim_ideal_round_trip(bounds):
     max_size = bounds.max_size or 4
-    posets = list(enumerate_posets(max_size, dedup=True))
-    for e in posets:
-        for l in posets:
+    posets = [(p, describe_poset(p))
+              for p in enumerate_posets(max_size, dedup=True)]
+    for e, e_desc in posets:
+        for l, l_desc in posets:
             t0 = time.perf_counter()
             sel = build_selection(l, SelectionKind.FILTERED)
             rel = way_above(l, sel)
@@ -234,7 +235,7 @@ def _claim_ideal_round_trip(bounds):
                     break
             yield VerdictRecord(
                 "ideal-round-trip",
-                {"source": describe_poset(e), "target": describe_poset(l),
+                {"source": e_desc, "target": l_desc,
                  "maxitive_maps": checked},
                 PASS if failure is None else FAIL, failure,
                 time.perf_counter() - t0)
@@ -258,8 +259,10 @@ def _claim_extension_extremality(bounds):
     max_e = bounds.max_size or 4
     max_l = 3
     sources = list(enumerate_posets(max_e, dedup=True))
-    targets = list(enumerate_posets(max_l, dedup=True))
+    targets = [(l, describe_poset(l))
+               for l in enumerate_posets(max_l, dedup=True)]
     for e in sources:
+        e_desc = describe_poset(e)
         ext = dm_completion(e)
         e_joins = classify(e).is_join_semilattice
         ebar_distributive = classify(ext.complete).is_distributive
@@ -272,7 +275,7 @@ def _claim_extension_extremality(bounds):
         lower_pos = {a: k for k, a in enumerate(lower)}
         lower_poset = ext.complete.restrict(lower) if lower else None
         base_in_lower = all(a in lower_pos for a in ext.embed)
-        for l in targets:
+        for l, l_desc in targets:
             t0 = time.perf_counter()
             sel_l = build_selection(l, SelectionKind.PRINCIPAL)
             star_groups = (_maxitive_by_restriction(star_poset, l, embed_star)
@@ -325,8 +328,8 @@ def _claim_extension_extremality(bounds):
                             break
                     if failure:
                         break
-            instance = {"source": describe_poset(e),
-                        "target": describe_poset(l),
+            instance = {"source": e_desc,
+                        "target": l_desc,
                         "join_semilattice": e_joins,
                         "completion_distributive": ebar_distributive,
                         "maxitive_maps": checked,
@@ -350,10 +353,12 @@ def _claim_thm_5_4(bounds):
     max_e = bounds.max_size or 4
     max_l = 3
     sources = list(enumerate_posets(max_e, dedup=True))
-    targets = list(enumerate_posets(max_l, dedup=True))
+    targets = [(l, describe_poset(l))
+               for l in enumerate_posets(max_l, dedup=True)]
     for e in sources:
+        e_desc = describe_poset(e)
         ext = dm_completion(e)
-        for l in targets:
+        for l, l_desc in targets:
             t0 = time.perf_counter()
             checked = 0
             converse_checked = 0
@@ -379,7 +384,7 @@ def _claim_thm_5_4(bounds):
                     outside += 1
             yield VerdictRecord(
                 "thm-5-4",
-                {"source": describe_poset(e), "target": describe_poset(l),
+                {"source": e_desc, "target": l_desc,
                  "monotone_maps": checked,
                  "converse_applicable": bool(applicable),
                  "converse_checked": converse_checked,

@@ -8,12 +8,12 @@ semilattice this reduces to the pairwise law, but not in general.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .poset import (FinitePoset, _bits, _bounding_member, _closure_memo,
+from .poset import (_BITS, _BITS_LIMIT, FinitePoset, _bits, _closure_memo,
                     _common, _cover_pairs, _frozen, _indices, _pair_tables,
                     _union, classify, join_table)
 from .selections import FilterSelection, WayAboveRelation, continuity_report
@@ -29,29 +29,30 @@ class InvariantError(RuntimeError):
     hypothesis failure, so callers must not treat it as a MapError."""
 
 
-@dataclass(frozen=True)
 class MonotoneMap:
     """An order-preserving map, stored as one target index per source element.
 
-    Every value must be an int index of the target.  Order preservation is
-    decided on the source's covering pairs, listed once per source: by
-    transitivity it holds on them iff it holds on every pair.  Only when it
-    fails does the scan of all pairs g <= h run, to name the first
-    offending (g, h) in index order.
+    Every value must be an int index of the target; a bool is not one.
+    Order preservation is decided on the source's covering pairs, listed
+    once per source: by transitivity it holds on them iff it holds on every
+    pair.  Only when it fails does the scan of all pairs g <= h run, to name
+    the first offending (g, h) in index order.  A map is immutable and
+    compares, hashes and prints by its three fields, like a frozen
+    dataclass; assignment raises `dataclasses.FrozenInstanceError`.
     """
 
-    source: FinitePoset
-    target: FinitePoset
-    values: tuple
+    __slots__ = ("source", "target", "values")
 
-    def __post_init__(self):
-        values = tuple(self.values)
-        object.__setattr__(self, "values", values)
-        source, target = self.source, self.target
+    def __init__(self, source: FinitePoset, target: FinitePoset, values):
+        values = tuple(values)
         if len(values) != source.n:
             raise MapError(f"expected {source.n} values, got {len(values)}")
+        n = target.n
         for t in values:
-            if not (isinstance(t, int) and 0 <= t < target.n):
+            # a plain int passes the class test; a bool is an int, not an index
+            if (t.__class__ is not int
+                    and (isinstance(t, bool) or not isinstance(t, int))
+                    or not 0 <= t < n):
                 raise MapError(f"value {t} out of range for the target poset")
         up = target._upm
         for g, h in _cover_pairs(source):
@@ -60,9 +61,39 @@ class MonotoneMap:
                             for h in source.up(g)
                             if not target.leq(values[g], values[h]))
                 raise MapError(f"not order-preserving on ({g}, {h})")
+        _set_source(self, source)
+        _set_target(self, target)
+        _set_values(self, values)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, (self.source, self.target, self.values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.source, self.target, self.values)
+                == (other.source, other.target, other.values))
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.values))
+
+    def __repr__(self):
+        return (f"{self.__class__.__qualname__}(source={self.source!r}, "
+                f"target={self.target!r}, values={self.values!r})")
 
     def __call__(self, g):
         return self.values[g]
+
+
+# the slot setters, which bypass the refusing __setattr__
+_set_source, _set_target, _set_values = (
+    MonotoneMap.__dict__[name].__set__ for name in MonotoneMap.__slots__)
 
 
 def iter_monotone_values(e, l):
@@ -70,37 +101,51 @@ def iter_monotone_values(e, l):
 
     The values of element g range over the targets allowed by the earlier
     elements: above the value of each earlier h below g, below the value of
-    each earlier h above g, in ascending order.
+    each earlier h above g, in ascending order.  One loop walks a stack of
+    candidate iterators, the top one for element len(stack) - 1; the last
+    element's candidates complete one tuple each.
     """
     n = e.n
-    up, down = l._upm, l._downm
-    below = [_indices(e._downm[g] & ((1 << g) - 1)) for g in range(n)]
-    above = [_indices(e._upm[g] & ((1 << g) - 1)) for g in range(n)]
+    if n == 0:
+        yield ()
+        return
+    up, down, full = l._upm, l._downm, (1 << l.n) - 1
+    earlier = [(_indices(e._downm[g] & ((1 << g) - 1)),
+                _indices(e._upm[g] & ((1 << g) - 1))) for g in range(n)]
     values = [0] * n
-
-    def rec(g):
-        if g == n:
-            yield tuple(values)
-            return
-        allowed = (1 << l.n) - 1
-        for h in below[g]:
+    last = n - 1
+    stack = [iter(range(l.n))]
+    while stack:
+        g = len(stack) - 1
+        if g == last:
+            for values[last] in stack.pop():
+                yield tuple(values)
+            continue
+        t = next(stack[-1], None)
+        if t is None:
+            stack.pop()
+            continue
+        values[g] = t
+        below, above = earlier[g + 1]
+        allowed = full
+        for h in below:
             allowed &= up[values[h]]
-        for h in above[g]:
+        for h in above:
             allowed &= down[values[h]]
-        for t in _indices(allowed):
-            values[g] = t
-            yield from rec(g + 1)
-
-    yield from rec(0)
+        stack.append(iter(_BITS[allowed] if allowed < _BITS_LIMIT
+                          else _indices(allowed)))
 
 
 def _sublevel_masks(v: MonotoneMap):
     """The masks of the sublevel sets D_t = {g : v(g) <= t}, t in index
-    order: the union of the masks of v's fibres over the values below t."""
-    fibres = [0] * v.target.n
+    order: g joins D_t for each t above v(g)."""
+    up = v.target._upm
+    sublevels = [0] * v.target.n
     for g, t in enumerate(v.values):
-        fibres[t] |= 1 << g
-    return [_union(fibres, below) for below in v.target._downm]
+        bit = 1 << g
+        for s in _BITS[up[t]] if up[t] < _BITS_LIMIT else _indices(up[t]):
+            sublevels[s] |= bit
+    return sublevels
 
 
 def maxitivity_witness(v: MonotoneMap):
@@ -209,31 +254,34 @@ class IdealFamily:
         if rel.poset is not self.target and rel.poset != self.target:
             raise MapError("way-above relation was built on a different target")
         masks, n = self._masks, self.source.n
-        return all(_common(masks, col, n) == mask
-                   for col, mask in zip(rel._cols, masks))
+        for col, mask in zip(rel._cols, masks):
+            if _common(masks, col, n) != mask:
+                return False
+        return True
 
 
 def from_ideal_family(fam: IdealFamily, sel_l: FilterSelection) -> MonotoneMap:
     """The map sending g to the infimum of the indices whose ideal contains g.
 
     Each membership set must be a selected set of the target with an
-    infimum; when the family is right-continuous under sel_l's way-above,
-    the result is maxitive.  An empty membership set has the top as its
-    infimum.
+    infimum, read from the selection's table of infima; when the family is
+    right-continuous under sel_l's way-above, the result is maxitive.  An
+    empty membership set has the top as its infimum.
     """
     l = fam.target
     if sel_l.poset is not l and sel_l.poset != l:
         raise MapError("selection was built on a different target poset")
     members = [0] * fam.source.n
     for t, mask in enumerate(fam._masks):
-        for g in _indices(mask):
-            members[g] |= 1 << t
-    down, n = l._downm, l.n
+        bit = 1 << t
+        for g in _BITS[mask] if mask < _BITS_LIMIT else _indices(mask):
+            members[g] |= bit
+    infima = sel_l._infimum_table()
     values = []
     for g, ts in enumerate(members):
-        if ts not in sel_l._selected:
+        if ts not in infima:
             raise MapError(f"membership set of {g} is not a selected set")
-        m = _bounding_member(down, _common(down, ts, n))
+        m = infima[ts]
         if m is None:
             raise MapError(f"membership set of {g} has no infimum")
         values.append(m)
@@ -264,11 +312,11 @@ def ideal_family_of(v: MonotoneMap) -> IdealFamily:
 class RationalConeMap:
     """A monotone map from a join-semilattice into the nonnegative rationals.
 
-    Values are exact (ints or Fractions); no floating point enters the sign
-    tests of the alternating property.  Those tests, and the order and
-    maxitivity checks, run on the values times the lcm of their
-    denominators: exact ints with the same signs and order, scaled once;
-    int values are their own scaling.  Joins come from the source's
+    Values are exact (ints or Fractions; a bool is refused); no floating
+    point enters the sign tests of the alternating property.  Those tests,
+    and the order and maxitivity checks, run on the values times the lcm of
+    their denominators: exact ints with the same signs and order, scaled
+    once; int values are their own scaling.  Joins come from the source's
     `join_table`, built once for all its cones.  Order preservation is
     decided on the covering pairs, as in MonotoneMap, and the scan of all
     pairs runs only to name the first offending (g, h).
@@ -279,6 +327,9 @@ class RationalConeMap:
 
     def __post_init__(self):
         raw = tuple(self.values)
+        for x in raw:
+            if isinstance(x, bool):
+                raise MapError(f"value {x} is not a rational number")
         values = tuple(map(Fraction, raw))
         object.__setattr__(self, "values", values)
         if len(values) != self.source.n:
@@ -312,11 +363,15 @@ class RationalConeMap:
     def is_maxitive(self) -> bool:
         """The pairwise law through the source's join table; on a
         join-semilattice every nonempty finite sup is an iterated join, so
-        this is full maxitivity."""
+        this is full maxitivity.
+
+        Each pair g < h is checked once.  The join table is symmetric, as
+        the join is, so the pair (h, g) asks what (g, h) asks; and the
+        diagonal always holds, as g join g = g and max(x, x) = x."""
         values = self._scaled
-        return all(values[s] == max(values[g], values[h])
+        return all(values[row[h]] == max(values[g], values[h])
                    for g, row in enumerate(self._joins)
-                   for h, s in enumerate(row))
+                   for h in range(g + 1, len(row)))
 
 
 def delta(v: RationalConeMap, g, gs):
@@ -433,8 +488,8 @@ def extend_star(v: MonotoneMap, ext, sel_e: FilterSelection,
     The result lives on the induced subposet of the completion, indexed in
     sorted order of the star elements; composing with the embedding gives
     back v.  The value at a is the infimum of the upper closure of the
-    values on a's up-trace, taken on masks as in from_ideal_family; the
-    infimum of the empty set is the top.
+    values on a's up-trace, read from the selection's table of infima as in
+    from_ideal_family; the infimum of the empty set is the top.
     """
     if v.source != ext.base:
         raise MapError("map and extension have different base posets")
@@ -449,13 +504,13 @@ def extend_star(v: MonotoneMap, ext, sel_e: FilterSelection,
         raise MapError(f"map is not maxitive; offending family {sorted(witness)}")
     star = sorted(e_star(ext, sel_e))
     l = v.target
-    up, down, n = l._upm, l._downm, l.n
+    up, infima = l._upm, sel_l._infimum_table()
     values = []
     for a in star:
         image = _union(up, _bits(v.values[g] for g in ext.up_in_base(a)))
-        if image not in sel_l._selected:
+        if image not in infima:
             raise MapError(f"value trace of {a} escapes the target selection")
-        m = _bounding_member(down, _common(down, image, n))
+        m = infima[image]
         if m is None:
             raise MapError(f"value trace of {a} has no infimum")
         values.append(m)

@@ -66,6 +66,12 @@ def _size_then_indices(mask):
     return bin(mask).count("1"), _indices(mask)
 
 
+def _ranks(keys):
+    """Each key's rank among the distinct keys in ascending order."""
+    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+    return [rank[key] for key in keys]
+
+
 @lru_cache(maxsize=1024)
 def _row(mask, n):
     """The relation-matrix row of the up-mask mask on n elements."""
@@ -311,7 +317,8 @@ class FinitePoset:
         def rec(allowed):
             if not allowed:
                 return [0]
-            for x in reversed(_indices(allowed)):
+            for x in reversed(_BITS[allowed] if allowed < _BITS_LIMIT
+                              else _indices(allowed)):
                 if not strict_up[x] & allowed:
                     break
             dx = down[x] & allowed
@@ -358,16 +365,73 @@ class FinitePoset:
                     out.append((i, j))
         return out
 
+    def _arrangements(self):
+        """The element orders that canonical_form tries, each a list.
+
+        Each element gets a colour: first the sizes of its strict down- and
+        up-set, then, round by round, its colour with the sorted colours of
+        the elements strictly below and strictly above it, each round's
+        colours ranked by their sorted distinct values, until a round adds
+        no class.  Twins, elements with equal strict down- and up-masks,
+        share every colour.  An arrangement lists the classes by colour;
+        within a class the twin groups stand in any order, and a group's
+        members stand together in index order.
+        """
+        n = self.n
+        strict = [(d & ~(1 << i), u & ~(1 << i))
+                  for i, (d, u) in enumerate(zip(self._downm, self._upm))]
+        below = [_indices(d) for d, _ in strict]
+        above = [_indices(u) for _, u in strict]
+        colour = _ranks([(len(b), len(a)) for b, a in zip(below, above)])
+        classes = len(set(colour))
+        while classes < n:
+            refined = _ranks([(c, tuple(sorted([colour[j] for j in b])),
+                               tuple(sorted([colour[j] for j in a])))
+                              for c, b, a in zip(colour, below, above)])
+            count = len(set(refined))
+            if count == classes:
+                break
+            colour, classes = refined, count
+        cells = [[] for _ in range(classes)]
+        groups = {}
+        for i, twin in enumerate(strict):
+            group = groups.get(twin)
+            if group is None:
+                group = groups[twin] = []
+                cells[colour[i]].append(group)
+            group.append(i)
+        for choice in itertools.product(*map(itertools.permutations, cells)):
+            yield [i for cell in choice for group in cell for i in group]
+
     def canonical_form(self):
-        """Relabeling-invariant key: the least relation matrix over all permutations."""
+        """Relabeling-invariant key: (n, the up-masks of p relabeled by an
+        arrangement, in arrangement order), least over `_arrangements`.
+
+        The key is exact.  If two posets have equal keys, each is
+        isomorphic to the poset the key spells, so they are isomorphic.
+        Conversely let s be an isomorphism from p onto q.  The colours are
+        computed from the order alone and ranked by value, so x in p and
+        s(x) in q get the same colour, and s maps the twin groups of p onto
+        those of q.  So s maps each arrangement of p to an order of q that
+        lists its classes by colour with each twin group together, which
+        becomes an arrangement of q once each group is put back in index
+        order.  Exchanging two twins is an automorphism, so that reordering
+        leaves the relabeled masks as they were.  Hence every key candidate
+        of p is one of q, the same holds from q to p, and the least
+        candidates agree.  Only one order among twins is tried, so the
+        antichain and the chain each take one arrangement; the worst case is
+        the product over the classes of the factorial of their number of
+        twin groups.
+        """
         if self._canon is None:
-            n = self.n
-            best = None
-            for perm in itertools.permutations(range(n)):
-                flat = tuple(self._rows[perm[i]][perm[j]]
-                             for i in range(n) for j in range(n))
-                if best is None or flat < best:
-                    best = flat
+            up, best = self._upm, None
+            for order in self._arrangements():
+                pos = [0] * self.n
+                for k, i in enumerate(order):
+                    pos[i] = 1 << k
+                key = tuple([_union(pos, up[i]) for i in order])
+                if best is None or key < best:
+                    best = key
             self._canon = (self.n, best)
         return self._canon
 

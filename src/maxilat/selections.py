@@ -41,14 +41,15 @@ class FilterSelection:
 
     The data are the bitmasks of the sets, the tuple `_masks` and the set
     `_selected`; the checks and membership tests of the library run on
-    them.  `fsets`, the frozenset of the sets, is built on first request.
+    them.  `fsets`, the frozenset of the sets, and `_infima`, the infimum
+    of each set by its mask, are built on first request.
     The public constructor takes the sets as collections of indices; each
     is range-checked as its mask is built and then checked like the masks
     of `_from_masks`.
     """
 
     __slots__ = ("poset", "kind", "recursion_kind", "_masks", "_selected",
-                 "_fsets")
+                 "_fsets", "_infima")
 
     def __init__(self, poset: FinitePoset, kind: SelectionKind, fsets,
                  recursion_kind=SelectionKind.PRINCIPAL):
@@ -84,13 +85,22 @@ class FilterSelection:
         self.recursion_kind = recursion_kind
         self._masks = tuple(kept)
         self._selected = selected
-        self._fsets = None
+        self._fsets = self._infima = None
 
     @property
     def fsets(self) -> frozenset:
         if self._fsets is None:
             self._fsets = frozenset(map(_frozen, self._masks))
         return self._fsets
+
+    def _infimum_table(self):
+        """The infimum of each selected set keyed by its mask, None where
+        it is missing; the top for the empty set."""
+        if self._infima is None:
+            down, n = self.poset._downm, self.poset.n
+            self._infima = {mask: _bounding_member(down, _common(down, mask, n))
+                            for mask in self._masks}
+        return self._infima
 
     def __eq__(self, other):
         if not isinstance(other, FilterSelection):
@@ -218,21 +228,18 @@ def _way_above_columns(p, sel):
     """One pass over the selected sets, as int bitmasks.
 
     Returns the way-above columns, cols[x] holding the y way-above x, and
-    the infimum of each selected set keyed by its bitmask (None if missing;
-    the top for the empty set).
+    the selection's table of infima.
     """
     if sel.poset is not p and sel.poset != p:
         raise SelectionError("selection was built on a different poset")
     n = p.n
-    down = p._downm
+    infs = sel._infimum_table()
     # at[m]: the intersection of the selected sets whose infimum is m
     at = [(1 << n) - 1] * n
-    infs = {}
-    for mask in sel._masks:
-        m = infs[mask] = _bounding_member(down, _common(down, mask, n))
+    for mask, m in infs.items():
         if m is not None:
             at[m] &= mask
-    return tuple(_common(at, below, n) for below in down), infs
+    return tuple(_common(at, below, n) for below in p._downm), infs
 
 
 def way_above(p, sel) -> WayAboveRelation:

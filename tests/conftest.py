@@ -286,10 +286,19 @@ def oracle_order_error(rows):
     return None
 
 
+def oracle_canonical_form(p):
+    """The relabeling-invariant key that canonical_form replaced: the least
+    flattened relation matrix over all n! permutations."""
+    n = p.n
+    return n, min(tuple(p.leq(perm[i], perm[j])
+                        for i in range(n) for j in range(n))
+                  for perm in itertools.permutations(range(n)))
+
+
 def oracle_enumerate_posets(n_max, dedup=False):
     """enumerate_posets by the frozenset loop that the mask growth replaced:
     the lower and upper sets of each parent sorted as frozensets, and each
-    child built as a relation matrix."""
+    child built as a relation matrix; dedup by the n! key."""
 
     def emit(level):
         if not dedup:
@@ -297,7 +306,7 @@ def oracle_enumerate_posets(n_max, dedup=False):
             return
         seen = set()
         for q in level:
-            key = q.canonical_form()
+            key = oracle_canonical_form(q)
             if key not in seen:
                 seen.add(key)
                 yield q
@@ -420,6 +429,39 @@ def oracle_cone_is_maxitive(v):
     the source has its largest value at s."""
     return all(v.values[sup] == max(v.values[g] for g in family)
                for family, sup in oracle_sups(v.source))
+
+
+def oracle_iter_monotone_values(e, l):
+    """iter_monotone_values by the recursion of nested generators that the
+    loop over a stack of candidate iterators replaced."""
+    n = e.n
+    up, down = l._upm, l._downm
+    below = [[h for h in range(g) if e.leq(h, g)] for g in range(n)]
+    above = [[h for h in range(g) if e.leq(g, h)] for g in range(n)]
+    values = [0] * n
+
+    def rec(g):
+        if g == n:
+            yield tuple(values)
+            return
+        allowed = (1 << l.n) - 1
+        for h in below[g]:
+            allowed &= up[values[h]]
+        for h in above[g]:
+            allowed &= down[values[h]]
+        for t in range(l.n):
+            if allowed >> t & 1:
+                values[g] = t
+                yield from rec(g + 1)
+
+    yield from rec(0)
+
+
+def oracle_cone_pairwise(v):
+    """RationalConeMap.is_maxitive as it was: the pairwise law on every
+    ordered pair (g, h), diagonal included."""
+    return all(v._scaled[v._joins[g][h]] == max(v._scaled[g], v._scaled[h])
+               for g in range(v.source.n) for h in range(v.source.n))
 
 
 def oracle_monotone_maps(e, l):
@@ -818,7 +860,7 @@ def oracle_monotone_map(source, target, values):
     if len(values) != source.n:
         raise MapError(f"expected {source.n} values, got {len(values)}")
     for t in values:
-        if not 0 <= t < target.n:
+        if isinstance(t, bool) or not 0 <= t < target.n:
             raise MapError(f"value {t} out of range for the target poset")
     for g in range(source.n):
         for h in source.up(g):

@@ -96,10 +96,10 @@ def test_criterion_6_ideal_round_trip():
 
 
 def test_criterion_7_extension_extremality():
-    records, counts, elapsed = _run("extension-extremality", max_size=4)
+    records, counts, elapsed = _run("extension-extremality", max_size=5)
     star = sum(r.instance["star_checked"] for r in records)
     lower = sum(r.instance["lower_checked"] for r in records)
-    ok = counts[FAIL] == 0 and star > 0 and lower > 0
+    ok = counts[FAIL] == 0 and star > 0 and lower > 0 and len(records) == 696
     assert _report("criterion-07 extension extremality", ok,
                    f"{len(records)} instances, {star} maximal and {lower} "
                    f"minimal extensions dominated, {elapsed:.1f}s"), \
@@ -107,12 +107,12 @@ def test_criterion_7_extension_extremality():
 
 
 def test_criterion_8_theorem_5_4():
-    records, counts, elapsed = _run("thm-5-4", max_size=4)
+    records, counts, elapsed = _run("thm-5-4", max_size=5)
     maps = sum(r.instance["monotone_maps"] for r in records)
     converse = sum(r.instance["converse_checked"] for r in records)
     searched = sum(r.instance["unresiduated_sup_maps_outside_hypotheses"]
                    for r in records)
-    ok = counts[FAIL] == 0 and converse > 0
+    ok = counts[FAIL] == 0 and converse > 0 and len(records) == 696
     assert _report("criterion-08 residuated/completely-maxitive theorem", ok,
                    f"{maps} monotone maps, forward everywhere, converse on "
                    f"{converse} applicable, {searched} open-question "

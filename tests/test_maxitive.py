@@ -1,10 +1,14 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import re
 from fractions import Fraction
 
 import pytest
 
-from maxilat import (IdealFamily, InvariantError, MapError, MonotoneMap,
+from maxilat import (FinitePoset, IdealFamily, InvariantError, MapError,
+                     MonotoneMap,
                      OrderExtension, RationalConeMap, alternating_witness, build_selection,
                      classify, delta, dm_completion, e_lower_star, e_star,
                      enumerate_posets, extend_lower_star, extend_star,
@@ -17,9 +21,10 @@ from maxilat.catalog import antichain, chain, diamond, m3
 
 from conftest import (FrozensetBounds, WholeBaseTraces,
                       oracle_alternating_witness, oracle_cone_is_maxitive,
-                      oracle_e_lower_star, oracle_extend_star_values,
-                      oracle_from_ideal_family, oracle_ideal_family,
-                      oracle_is_maxitive, oracle_is_right_continuous,
+                      oracle_cone_pairwise, oracle_e_lower_star,
+                      oracle_extend_star_values, oracle_from_ideal_family,
+                      oracle_ideal_family, oracle_is_maxitive,
+                      oracle_is_right_continuous, oracle_iter_monotone_values,
                       oracle_monotone_map, oracle_monotone_maps,
                       oracle_sublevel_family, oracle_sup)
 
@@ -83,6 +88,33 @@ class TestMonotoneMap:
                                match=f"value {bad} out of range"):
                 MonotoneMap(c2, c2, (0, bad))
 
+    def test_a_bool_is_not_an_index(self):
+        c2 = chain(2)
+        for values, bad in (((False, True), False), ((0, True), True)):
+            with pytest.raises(MapError) as info:
+                MonotoneMap(c2, c2, values)
+            assert str(info.value) == \
+                f"value {bad} out of range for the target poset"
+
+    def test_keeps_the_protocol_of_a_frozen_dataclass(self, chain3):
+        v = MonotoneMap(chain3, chain3, [0, 1, 1])
+        w = MonotoneMap(source=chain3, target=chain3, values=(0, 1, 1))
+        assert v.values == (0, 1, 1) and v(2) == 1
+        assert v == w and hash(v) == hash(w) and len({v, w}) == 1
+        assert v != MonotoneMap(chain3, chain3, (0, 1, 2))
+        assert v != MonotoneMap(chain3, chain(2), (0, 1, 1))
+        assert v != (0, 1, 1) and v != RationalConeMap(chain3, (0, 1, 1))
+        assert repr(v) == (f"MonotoneMap(source={chain3!r}, "
+                           f"target={chain3!r}, values=(0, 1, 1))")
+        for name in ("source", "target", "values", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(v, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(v, name)
+        assert v.values == (0, 1, 1)
+        assert copy.copy(v) == v and copy.deepcopy(v) == v
+        assert pickle.loads(pickle.dumps(v)) == v
+
     def test_cover_check_agrees_with_the_full_scan(self):
         # every value tuple, monotone or not, between unlabeled posets of
         # size <= 3: the same verdicts and the same error texts
@@ -96,6 +128,19 @@ class TestMonotoneMap:
                     assert got == expected
                     rejected += got != values
         assert rejected > 0
+
+    def test_iter_monotone_values_matches_the_recursive_generator(self):
+        # every pair of unlabeled posets of size <= 4, and the empty poset
+        # on either side: the same tuples in the same order
+        posets = [FinitePoset(())] + list(enumerate_posets(4, dedup=True))
+        maps = 0
+        for e in posets:
+            for l in posets:
+                got = list(iter_monotone_values(e, l))
+                assert got == list(oracle_iter_monotone_values(e, l))
+                maps += len(got)
+        assert list(iter_monotone_values(FinitePoset(()), chain(2))) == [()]
+        assert maps > 0
 
     def test_iter_monotone_values_matches_oracle(self):
         for e in enumerate_posets(3, dedup=True):
@@ -254,6 +299,27 @@ class TestIdealFamilies:
         with pytest.raises(MapError, match="membership"):
             from_ideal_family(fam, sel)
 
+    def test_both_errors_name_the_first_element(self, chain3):
+        c2 = chain(2)
+        # g = 0 has membership {1, 2}, a principal filter; g = 1 the empty
+        # set, which the principal selection does not hold
+        sel = build_selection(chain3, "principal")
+        fam = IdealFamily(c2, chain3, (frozenset(), frozenset({0}),
+                                       frozenset({0})))
+        expected = ("MapError", "membership set of 1 is not a selected set")
+        assert outcome(from_ideal_family, fam, sel) == expected
+        assert outcome(oracle_from_ideal_family, fam, sel) == expected
+        # the upper sets of an antichain hold the empty set, whose infimum
+        # would be a top that the antichain lacks
+        a2 = antichain(2)
+        sel = build_selection(a2, "upper")
+        for family, g in (((frozenset(), frozenset({0})), 1),
+                          ((frozenset(), frozenset()), 0)):
+            fam = IdealFamily(c2, a2, family)
+            expected = ("MapError", f"membership set of {g} has no infimum")
+            assert outcome(from_ideal_family, fam, sel) == expected
+            assert outcome(oracle_from_ideal_family, fam, sel) == expected
+
     def test_empty_membership_allowed_under_upper_selection(self, chain3):
         # the all-empty family gives the constant top map; it is not
         # right-continuous, yet evaluation is still well defined
@@ -329,6 +395,27 @@ class TestRationalCone:
                         RationalConeMap(p, values)
                     assert str(info.value) == \
                         f"not order-preserving on ({bad[0]}, {bad[1]})"
+
+    def test_a_bool_is_not_a_cone_value(self, chain3):
+        with pytest.raises(MapError) as info:
+            RationalConeMap(chain3, (0, True, 1))
+        assert str(info.value) == "value True is not a rational number"
+
+    def test_is_maxitive_agrees_with_the_all_pairs_law(self):
+        # the 4,234 cones of the alternating claim at size 4: one check
+        # per pair g < h decides as the law on every ordered pair does
+        value_range = chain(4)
+        cones = verdicts = 0
+        for p in enumerate_posets(4):
+            if not classify(p).is_join_semilattice:
+                continue
+            for values in iter_monotone_values(p, value_range):
+                cone = RationalConeMap(p, values)
+                verdict = cone.is_maxitive()
+                assert verdict == oracle_cone_pairwise(cone)
+                cones += 1
+                verdicts += verdict
+        assert cones == 4234 and 0 < verdicts < cones
 
     def test_int_values_stay_fractions(self, chain3):
         cone = RationalConeMap(chain3, (0, 1, 3))

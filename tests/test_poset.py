@@ -13,8 +13,8 @@ from maxilat.catalog import antichain, chain
 from maxilat.poset import _bits, _ensure_complete_lattice
 
 from conftest import (FrozensetBounds, brute_force_posets,
-                      oracle_bounding_member, oracle_classify, oracle_common,
-                      oracle_covers, oracle_dm_completion,
+                      oracle_bounding_member, oracle_canonical_form,
+                      oracle_classify, oracle_common, oracle_covers, oracle_dm_completion,
                       oracle_ensure_complete_lattice, oracle_enumerate_posets,
                       oracle_indices, oracle_inf, oracle_is_ideal,
                       oracle_is_meet_continuous, oracle_lower_sets,
@@ -511,6 +511,49 @@ class TestEnumeration:
         for p in enumerate_posets(3):
             for perm in itertools.permutations(range(p.n)):
                 assert relabeled(p, perm).canonical_form() == p.canonical_form()
+
+    def test_canonical_classes_and_representatives_are_the_oracles(self):
+        # every labeled poset of size <= 5: the key and the n! key split
+        # each size into the same classes, and dedup yields the first poset
+        # of each oracle class, sizes in turn and in scan order
+        levels = {}
+        for p in enumerate_posets(5):
+            levels.setdefault(p.n, []).append(p)
+        expected = []
+        for n, level in sorted(levels.items()):
+            ours, oracle = {}, {}
+            for k, p in enumerate(level):
+                ours.setdefault(p.canonical_form(), []).append(k)
+                oracle.setdefault(oracle_canonical_form(p), []).append(k)
+            assert sorted(ours.values()) == sorted(oracle.values())
+            expected += [level[ks[0]].matrix for ks in sorted(oracle.values())]
+        assert len(expected) == 1 + 2 + 5 + 16 + 63
+        assert [p.matrix for p in enumerate_posets(5, dedup=True)] == expected
+
+    def test_antichain_and_chain_take_one_arrangement(self):
+        # the antichain is one class of twins, the chain n classes of one
+        for p in (antichain(8), chain(8)):
+            arrangements = list(p._arrangements())
+            assert len(arrangements) == 1
+            assert sorted(arrangements[0]) == list(range(8))
+        assert antichain(8).canonical_form() != chain(8).canonical_form()
+
+    def test_canonical_form_decides_isomorphism_beyond_size_five(self):
+        # seeded random posets of size 6 and their relabelings: equal keys
+        # exactly where the n! keys are equal
+        rng = random.Random(15)
+        posets = []
+        for _ in range(12):
+            pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)
+                     if rng.random() < 0.3]
+            p = FinitePoset.from_relation(6, pairs)
+            perm = list(range(6))
+            rng.shuffle(perm)
+            posets += [p, relabeled(p, perm)]
+        oracle = [oracle_canonical_form(p) for p in posets]
+        ours = [p.canonical_form() for p in posets]
+        for a, b in itertools.combinations(range(len(posets)), 2):
+            assert (ours[a] == ours[b]) == (oracle[a] == oracle[b])
 
 
 class TestDerivedPosets:
