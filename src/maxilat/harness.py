@@ -1,15 +1,20 @@
 """Exhaustive desk-scale verification suites with machine-readable verdicts.
 
-Each claim enumerates a deterministic family of instances, checks one
-statement on each, and yields one verdict record per instance (or per
-instance group for map sweeps).  A failing record always carries a witness
-that replays through the library.
+A claim is a generator of instances.  It enumerates a deterministic family,
+builds what the instances of one source or one target share once, and
+yields one (fields, check) pair per instance (or per instance group for map
+sweeps).  A check takes no arguments and returns (measured fields, verdict,
+witness).  `run_suite` is the one driver: it times each check, turns an
+exception raised inside a check into a failing record, and builds the
+verdict records, whose instance is the fields followed by the measured
+fields.  A failing record always carries a witness that replays through the
+library.
 """
 
 import hashlib
 import time
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from operator import and_, getitem
 
 from .poset import (FinitePoset, _bits, _indices, _union, classify,
@@ -30,6 +35,11 @@ from . import io as iomod
 PASS = "pass"
 FAIL = "fail"
 SKIP = "hypothesis-not-met"
+
+# thm-5-4 and extension-extremality map every source into each unlabeled
+# poset of at most this size.  Targets up to 5 would take about 15 s per
+# claim at sources up to 5, against 0.5 s.
+MAX_TARGET_SIZE = 3
 
 
 class HarnessError(ValueError):
@@ -68,183 +78,186 @@ def describe_poset(p) -> dict:
             "key": hashlib.sha1(payload).hexdigest()[:12]}
 
 
-def _labelled(p, elems):
-    return sorted(p.label_of(i) for i in elems)
+def _unlabeled(max_size):
+    """The unlabeled posets of size <= max_size, each with its description."""
+    return [(p, describe_poset(p))
+            for p in enumerate_posets(max_size, dedup=True)]
 
 
 # -- claim: the seven-element counterexample --------------------------------
 
 
 def _claim_seven_element(bounds):
-    t0 = time.perf_counter()
     v = iomod.fixture_map("seven_indicator.json")
+    yield ({"poset": describe_poset(v.source), "values": list(v.values)},
+           partial(_check_seven_element, v))
+
+
+def _check_seven_element(v):
     seven = v.source
     pairwise = is_pairwise_maxitive(v)
     family = maxitivity_witness(v)
     expected = frozenset(seven.index_of(x) for x in ("a", "b", "c"))
-    ok = pairwise and family == expected
     witness = {"pairwise": pairwise,
                "maxitive": family is None,
-               "family": _labelled(seven, family) if family else None}
-    yield VerdictRecord("seven-element",
-                        {"poset": describe_poset(seven),
-                         "values": list(v.values)},
-                        PASS if ok else FAIL, witness,
-                        time.perf_counter() - t0)
+               "family": (sorted(seven.label_of(i) for i in family)
+                          if family else None)}
+    return {}, PASS if pairwise and family == expected else FAIL, witness
 
 
 # -- claim: interpolation under union-complete selections --------------------
 
 
 def _claim_interpolation(bounds):
-    max_size = bounds.max_size or 5
     kinds = bounds.selections or ("principal", "filtered", "upper")
-    for p in enumerate_posets(max_size):
+    for p in enumerate_posets(bounds.max_size or 5):
         desc = describe_poset(p)
         # the report depends on the selected masks alone, and FILTERED
         # selects PRINCIPAL's masks (see build_selection): one per family
         reports = {}
         for kind in kinds:
-            t0 = time.perf_counter()
-            sel = build_selection(p, kind)
-            union_complete = is_union_complete(sel)
-            report = reports.get(sel._masks)
-            if report is None:
-                report = reports[sel._masks] = continuity_report(p, sel)
-            instance = {"poset": desc, "selection": str(kind),
-                        "union_complete": union_complete,
-                        "continuous": report.is_continuous}
-            if not union_complete:
-                verdict, witness = SKIP, None
-            elif report.is_continuous and not report.has_interpolation:
-                verdict = FAIL
-                witness = {"pairs": [[p.label_of(y), p.label_of(x)]
-                                     for y, x in report.interpolation_failures]}
-            else:
-                verdict, witness = PASS, None
-            yield VerdictRecord("interpolation", instance, verdict, witness,
-                                time.perf_counter() - t0)
+            yield ({"poset": desc, "selection": kind},
+                   partial(_check_interpolation, p, kind, reports))
+
+
+def _check_interpolation(p, kind, reports):
+    sel = build_selection(p, kind)
+    union_complete = is_union_complete(sel)
+    report = reports.get(sel._masks)
+    if report is None:
+        report = reports[sel._masks] = continuity_report(p, sel)
+    measured = {"union_complete": union_complete,
+                "continuous": report.is_continuous}
+    if not union_complete:
+        return measured, SKIP, None
+    if report.is_continuous and not report.has_interpolation:
+        return measured, FAIL, {"pairs": [[p.label_of(y), p.label_of(x)]
+                                          for y, x in
+                                          report.interpolation_failures]}
+    return measured, PASS, None
 
 
 # -- claim: way-above under principal filters collapses to the order ---------
 
 
 def _claim_singleton_collapse(bounds):
-    max_size = bounds.max_size or 5
-    for p in enumerate_posets(max_size):
-        t0 = time.perf_counter()
-        rel = way_above(p, build_selection(p, SelectionKind.PRINCIPAL))
-        mismatches = [(y, x) for x, col in enumerate(rel._cols)
-                      for y in _indices(col ^ p._upm[x])]
-        yield VerdictRecord(
-            "singleton-collapse", {"poset": describe_poset(p)},
-            PASS if not mismatches else FAIL,
-            {"pairs": mismatches} if mismatches else None,
-            time.perf_counter() - t0)
+    for p in enumerate_posets(bounds.max_size or 5):
+        yield {"poset": describe_poset(p)}, partial(_check_singleton_collapse, p)
+
+
+def _check_singleton_collapse(p):
+    rel = way_above(p, build_selection(p, SelectionKind.PRINCIPAL))
+    mismatches = [(y, x) for x, col in enumerate(rel._cols)
+                  for y in _indices(col ^ p._upm[x])]
+    return ({}, FAIL if mismatches else PASS,
+            {"pairs": mismatches} if mismatches else None)
 
 
 # -- claim: supercontinuity iff distributivity on finite lattices -----------
 
 
 def _claim_supercontinuity(bounds):
-    max_size = bounds.max_size or 5
-    for p in enumerate_posets(max_size):
+    for p in enumerate_posets(bounds.max_size or 5):
         # a finite lattice has a top and a bottom; most posets have not
         if p.top() is None or p.bottom() is None:
             continue
         profile = classify(p)
-        if not profile.is_lattice:
-            continue
-        t0 = time.perf_counter()
-        report = continuity_report(p, build_selection(p, SelectionKind.UPPER))
-        ok = report.is_continuous == profile.is_distributive
-        yield VerdictRecord(
-            "supercontinuity-distributivity",
-            {"poset": describe_poset(p),
-             "distributive": profile.is_distributive},
-            PASS if ok else FAIL,
-            None if ok else {"continuous": report.is_continuous,
-                             "distributive": profile.is_distributive,
-                             "elements": list(report.continuity_failures)},
-            time.perf_counter() - t0)
+        if profile.is_lattice:
+            yield ({"poset": describe_poset(p),
+                    "distributive": profile.is_distributive},
+                   partial(_check_supercontinuity, p, profile.is_distributive))
+
+
+def _check_supercontinuity(p, distributive):
+    report = continuity_report(p, build_selection(p, SelectionKind.UPPER))
+    if report.is_continuous == distributive:
+        return {}, PASS, None
+    return {}, FAIL, {"continuous": report.is_continuous,
+                      "distributive": distributive,
+                      "elements": list(report.continuity_failures)}
 
 
 # -- claim: maxitive cone maps are alternating of infinite order -------------
 
 
 def _claim_alternating(bounds):
-    max_size = bounds.max_size or 4
     depth = bounds.depth or 4
     value_range = FinitePoset.chain(4)
-    for p in enumerate_posets(max_size):
-        if not classify(p).is_join_semilattice:
+    for p in enumerate_posets(bounds.max_size or 4):
+        if classify(p).is_join_semilattice:
+            yield ({"poset": describe_poset(p), "depth": depth},
+                   partial(_check_alternating, p, value_range, depth))
+
+
+def _check_alternating(p, value_range, depth):
+    checked = 0
+    failure = None
+    for values in iter_monotone_values(p, value_range):
+        cone = RationalConeMap(p, values)
+        if not cone.is_maxitive():
             continue
-        t0 = time.perf_counter()
-        checked = 0
-        failure = None
-        for values in iter_monotone_values(p, value_range):
-            cone = RationalConeMap(p, values)
-            if not cone.is_maxitive():
-                continue
-            checked += 1
-            bad = alternating_witness(cone, depth)
-            if bad is not None:
-                g, gs = bad
-                failure = {"values": [str(x) for x in values],
-                           "at": p.label_of(g),
-                           "along": [p.label_of(x) for x in gs]}
-                break
-        yield VerdictRecord(
-            "alternating",
-            {"poset": describe_poset(p), "depth": depth,
-             "maxitive_maps": checked},
-            PASS if failure is None else FAIL, failure,
-            time.perf_counter() - t0)
+        checked += 1
+        bad = alternating_witness(cone, depth)
+        if bad is not None:
+            g, gs = bad
+            failure = {"values": [str(x) for x in values],
+                       "at": p.label_of(g),
+                       "along": [p.label_of(x) for x in gs]}
+            break
+    return ({"maxitive_maps": checked}, PASS if failure is None else FAIL,
+            failure)
 
 
 # -- claim: ideal-family representation round-trip ---------------------------
 
 
 def _claim_ideal_round_trip(bounds):
-    max_size = bounds.max_size or 4
-    posets = [(p, describe_poset(p))
-              for p in enumerate_posets(max_size, dedup=True)]
+    posets = _unlabeled(bounds.max_size or 4)
+    # the round trip reads each target's FILTERED selection and way-above
+    targets = []
+    for l, l_desc in posets:
+        sel = build_selection(l, SelectionKind.FILTERED)
+        targets.append((l, l_desc, sel, way_above(l, sel)))
     for e, e_desc in posets:
-        for l, l_desc in posets:
-            t0 = time.perf_counter()
-            sel = build_selection(l, SelectionKind.FILTERED)
-            rel = way_above(l, sel)
-            checked = 0
-            failure = None
-            for values in iter_monotone_values(e, l):
-                v = MonotoneMap(e, l, values)
-                try:
-                    # its ideal check is the maxitivity test
-                    fam = ideal_family_of(v)
-                except MapError:
-                    continue
-                checked += 1
-                back = from_ideal_family(fam, sel)
-                if back.values != v.values:
-                    failure = {"values": list(values),
-                               "returned": list(back.values)}
-                    break
-                if not fam.is_right_continuous(rel):
-                    failure = {"values": list(values),
-                               "reason": "canonical family not right-continuous"}
-                    break
-            yield VerdictRecord(
-                "ideal-round-trip",
-                {"source": e_desc, "target": l_desc,
-                 "maxitive_maps": checked},
-                PASS if failure is None else FAIL, failure,
-                time.perf_counter() - t0)
+        for l, l_desc, sel, rel in targets:
+            yield ({"source": e_desc, "target": l_desc},
+                   partial(_check_ideal_round_trip, e, l, sel, rel))
+
+
+def _check_ideal_round_trip(e, l, sel, rel):
+    checked = 0
+    failure = None
+    for values in iter_monotone_values(e, l):
+        v = MonotoneMap(e, l, values)
+        try:
+            # its ideal check is the maxitivity test
+            fam = ideal_family_of(v)
+        except MapError:
+            continue
+        checked += 1
+        back = from_ideal_family(fam, sel)
+        if back.values != v.values:
+            failure = {"values": list(values),
+                       "returned": list(back.values)}
+            break
+        if not fam.is_right_continuous(rel):
+            failure = {"values": list(values),
+                       "reason": "canonical family not right-continuous"}
+            break
+    return ({"maxitive_maps": checked}, PASS if failure is None else FAIL,
+            failure)
 
 
 # -- claim: extremality of the two extensions --------------------------------
 
 
-def _maxitive_by_restriction(sub, l, positions):
+def _region(ext, region):
+    """A sorted region of the completion as a poset, with the position of
+    each base element's image in it."""
+    return ext.complete.restrict(region), [region.index(a) for a in ext.embed]
+
+
+def _maxitive_by_restriction(l, sub, positions):
     """Maxitive maps on sub grouped by their values at the given positions."""
     groups = {}
     for values in iter_monotone_values(sub, l):
@@ -255,142 +268,120 @@ def _maxitive_by_restriction(sub, l, positions):
     return groups
 
 
+def _unbounded_extension(l, values, side, groups, bound):
+    """The witness at the first maxitive extension of values that the
+    extension bound does not bound, from above on the star side and from
+    below on the lower side; None if it bounds them all."""
+    for w in groups.get(tuple(values), ()):
+        pairs = zip(w, bound) if side == "star" else zip(bound, w)
+        if not all(l.leq(x, y) for x, y in pairs):
+            return {"values": list(values), "side": side,
+                    "extension": list(w), "bound": list(bound)}
+    return None
+
+
 def _claim_extension_extremality(bounds):
-    max_e = bounds.max_size or 4
-    max_l = 3
-    sources = list(enumerate_posets(max_e, dedup=True))
-    targets = [(l, describe_poset(l))
-               for l in enumerate_posets(max_l, dedup=True)]
-    for e in sources:
-        e_desc = describe_poset(e)
+    targets = [(l, l_desc, build_selection(l, SelectionKind.PRINCIPAL))
+               for l, l_desc in _unlabeled(MAX_TARGET_SIZE)]
+    for e, e_desc in _unlabeled(bounds.max_size or 4):
         ext = dm_completion(e)
         e_joins = classify(e).is_join_semilattice
         ebar_distributive = classify(ext.complete).is_distributive
         sel_e = build_selection(e, SelectionKind.PRINCIPAL)
-        star = sorted(e_star(ext, sel_e))
-        star_pos = {a: k for k, a in enumerate(star)}
-        star_poset = ext.complete.restrict(star)
-        embed_star = [star_pos[ext.embed[g]] for g in range(e.n)]
+        # each side as its region and the base's positions in it, None
+        # where the side's hypothesis fails
+        star_side = (_region(ext, sorted(e_star(ext, sel_e)))
+                     if e_joins else None)
         lower = sorted(e_lower_star(ext))
-        lower_pos = {a: k for k, a in enumerate(lower)}
-        lower_poset = ext.complete.restrict(lower) if lower else None
-        base_in_lower = all(a in lower_pos for a in ext.embed)
-        for l, l_desc in targets:
-            t0 = time.perf_counter()
-            sel_l = build_selection(l, SelectionKind.PRINCIPAL)
-            star_groups = (_maxitive_by_restriction(star_poset, l, embed_star)
-                           if e_joins else None)
-            lower_groups = None
-            if ebar_distributive and base_in_lower and lower_poset is not None:
-                lower_groups = _maxitive_by_restriction(
-                    lower_poset, l, [lower_pos[a] for a in ext.embed])
-            checked = star_checked = lower_checked = lower_skipped = 0
-            failure = None
-            for values in iter_monotone_values(e, l):
-                v = MonotoneMap(e, l, values)
-                if maxitivity_witness(v) is not None:
-                    continue
-                checked += 1
-                if e_joins:
-                    try:
-                        vstar = extend_star(v, ext, sel_e, sel_l)
-                    except InvariantError as exc:
-                        failure = {"values": list(values), "side": "star",
-                                   "error": str(exc)}
-                        break
-                    star_checked += 1
-                    for w in star_groups.get(tuple(values), ()):
-                        if not all(l.leq(w[k], vstar.values[k])
-                                   for k in range(len(star))):
-                            failure = {"values": list(values), "side": "star",
-                                       "extension": list(w),
-                                       "bound": list(vstar.values)}
-                            break
-                    if failure:
-                        break
-                if lower_groups is not None:
-                    try:
-                        vlow = extend_lower_star(v, ext)
-                    except InvariantError as exc:
-                        failure = {"values": list(values), "side": "lower",
-                                   "error": str(exc)}
-                        break
-                    except MapError:
-                        lower_skipped += 1
-                        continue
+        lower_side = (_region(ext, lower)
+                      if ebar_distributive and lower
+                      and set(ext.embed) <= set(lower) else None)
+        for l, l_desc, sel_l in targets:
+            yield ({"source": e_desc, "target": l_desc,
+                    "join_semilattice": e_joins,
+                    "completion_distributive": ebar_distributive},
+                   partial(_check_extension_extremality, e, ext, sel_e,
+                           star_side, lower_side, l, sel_l))
+
+
+def _check_extension_extremality(e, ext, sel_e, star_side, lower_side, l,
+                                 sel_l):
+    star_groups = (_maxitive_by_restriction(l, *star_side)
+                   if star_side else None)
+    lower_groups = (_maxitive_by_restriction(l, *lower_side)
+                    if lower_side else None)
+    checked = star_checked = lower_checked = lower_skipped = 0
+    failure = None
+    for values in iter_monotone_values(e, l):
+        v = MonotoneMap(e, l, values)
+        if maxitivity_witness(v) is not None:
+            continue
+        checked += 1
+        side = "star"
+        try:
+            if star_groups is not None:
+                vstar = extend_star(v, ext, sel_e, sel_l)
+                star_checked += 1
+                failure = _unbounded_extension(l, values, side, star_groups,
+                                               vstar.values)
+            if failure is None and lower_groups is not None:
+                side = "lower"
+                try:
+                    vlow = extend_lower_star(v, ext)
+                except MapError:
+                    lower_skipped += 1
+                else:
                     lower_checked += 1
-                    for w in lower_groups.get(tuple(values), ()):
-                        if not all(l.leq(vlow.values[k], w[k])
-                                   for k in range(len(lower))):
-                            failure = {"values": list(values), "side": "lower",
-                                       "extension": list(w),
-                                       "bound": list(vlow.values)}
-                            break
-                    if failure:
-                        break
-            instance = {"source": e_desc,
-                        "target": l_desc,
-                        "join_semilattice": e_joins,
-                        "completion_distributive": ebar_distributive,
-                        "maxitive_maps": checked,
-                        "star_checked": star_checked,
-                        "lower_checked": lower_checked,
-                        "lower_skipped": lower_skipped}
-            if failure is not None:
-                verdict = FAIL
-            elif star_checked or lower_checked:
-                verdict = PASS
-            else:
-                verdict = SKIP
-            yield VerdictRecord("extension-extremality", instance, verdict,
-                                failure, time.perf_counter() - t0)
+                    failure = _unbounded_extension(l, values, side,
+                                                   lower_groups, vlow.values)
+        except InvariantError as exc:
+            failure = {"values": list(values), "side": side,
+                       "error": str(exc)}
+        if failure is not None:
+            break
+    verdict = (FAIL if failure is not None
+               else PASS if star_checked or lower_checked else SKIP)
+    return ({"maxitive_maps": checked, "star_checked": star_checked,
+             "lower_checked": lower_checked, "lower_skipped": lower_skipped},
+            verdict, failure)
 
 
 # -- claim: residuated vs completely maxitive --------------------------------
 
 
 def _claim_thm_5_4(bounds):
-    max_e = bounds.max_size or 4
-    max_l = 3
-    sources = list(enumerate_posets(max_e, dedup=True))
-    targets = [(l, describe_poset(l))
-               for l in enumerate_posets(max_l, dedup=True)]
-    for e in sources:
-        e_desc = describe_poset(e)
+    targets = _unlabeled(MAX_TARGET_SIZE)
+    for e, e_desc in _unlabeled(bounds.max_size or 4):
         ext = dm_completion(e)
         for l, l_desc in targets:
-            t0 = time.perf_counter()
-            checked = 0
-            converse_checked = 0
-            outside = 0
-            failure = None
-            applicable = None
-            for values in iter_monotone_values(e, l):
-                v = MonotoneMap(e, l, values)
-                checked += 1
-                verdict = theorem_5_4(v, ext)
-                applicable = verdict.converse_applicable
-                if not verdict.forward_holds:
-                    failure = {"values": list(values), "direction": "forward"}
-                    break
-                if verdict.converse_applicable:
-                    converse_checked += 1
-                    if not verdict.converse_holds:
-                        failure = {"values": list(values),
-                                   "direction": "converse"}
-                        break
-                elif verdict.sup_map and not verdict.residuated:
-                    # outside the hypotheses: recorded, never asserted
-                    outside += 1
-            yield VerdictRecord(
-                "thm-5-4",
-                {"source": e_desc, "target": l_desc,
-                 "monotone_maps": checked,
-                 "converse_applicable": bool(applicable),
-                 "converse_checked": converse_checked,
-                 "unresiduated_sup_maps_outside_hypotheses": outside},
-                PASS if failure is None else FAIL, failure,
-                time.perf_counter() - t0)
+            yield ({"source": e_desc, "target": l_desc},
+                   partial(_check_thm_5_4, e, ext, l))
+
+
+def _check_thm_5_4(e, ext, l):
+    checked = converse_checked = outside = 0
+    failure = applicable = None
+    for values in iter_monotone_values(e, l):
+        v = MonotoneMap(e, l, values)
+        checked += 1
+        verdict = theorem_5_4(v, ext)
+        applicable = verdict.converse_applicable
+        if not verdict.forward_holds:
+            failure = {"values": list(values), "direction": "forward"}
+            break
+        if verdict.converse_applicable:
+            converse_checked += 1
+            if not verdict.converse_holds:
+                failure = {"values": list(values), "direction": "converse"}
+                break
+        elif verdict.sup_map and not verdict.residuated:
+            # outside the hypotheses: recorded, never asserted
+            outside += 1
+    return ({"monotone_maps": checked,
+             "converse_applicable": bool(applicable),
+             "converse_checked": converse_checked,
+             "unresiduated_sup_maps_outside_hypotheses": outside},
+            PASS if failure is None else FAIL, failure)
 
 
 # -- map-space lemmas: one checker each, shared with `mspace verify` ----------
@@ -551,19 +542,11 @@ LEMMAS = {
 }
 
 
-def _space_instances(max_size):
-    sources = list(enumerate_posets(max_size, dedup=True))
-    targets = [l for l in sources if classify(l).is_complete_lattice]
-    for e in sources:
-        for l in targets:
-            yield e, l
-
-
-def _space_record(claim, e, l, lemmas, hypothesis=None, violated=False):
+def _check_space(e, l, lemmas, hypothesis=None, violated=False):
     """Check the lemmas on the space e -> l.  The record passes when a
     violation is found exactly if one is expected (violated); the first one
-    is the witness either way.  A hypothesis dict joins the instance."""
-    t0 = time.perf_counter()
+    is the witness either way.  A hypothesis dict follows the space size in
+    the instance."""
     space = build_space(e, l)
     found = next((dict(bad, lemma=name) for name in lemmas
                   for bad in LEMMAS[name](space)), None)
@@ -571,12 +554,8 @@ def _space_record(claim, e, l, lemmas, hypothesis=None, violated=False):
     if violated and found is None:
         witness = {"lemmas": list(lemmas),
                    "reason": "no violation where the hypothesis fails"}
-    return VerdictRecord(
-        claim,
-        {"source": describe_poset(e), "target": describe_poset(l),
-         "space": len(space), **(hypothesis or {})},
-        PASS if (found is not None) == violated else FAIL, witness,
-        time.perf_counter() - t0)
+    return ({"space": len(space), **(hypothesis or {})},
+            PASS if (found is not None) == violated else FAIL, witness)
 
 
 # -- claim: frame adjunctions in L and in the map space ----------------------
@@ -608,51 +587,56 @@ def _claim_frame_adjunction(bounds):
     three atoms under a top, where I(E) is shaped like M3, and a 2-chain
     and a point under a top, where it is shaped like N5.
     """
-    max_l = bounds.max_size or 5
-    for l in enumerate_posets(max_l):
+    for l in enumerate_posets(bounds.max_size or 5):
         profile = classify(l)
-        if not profile.is_lattice or l.n == 0:
-            continue
-        t0 = time.perf_counter()
-        desc = {"lattice": describe_poset(l),
-                "distributive": profile.is_distributive}
-        if not profile.is_distributive:
-            try:
-                heyting_arrow(l, 0, l.n - 1)
-            except ValueError:
-                yield VerdictRecord("frame-adjunction", desc, SKIP, None,
-                                    time.perf_counter() - t0)
-            else:
-                yield VerdictRecord(
-                    "frame-adjunction", desc, FAIL,
-                    {"reason": "arrow defined on a non-distributive lattice"},
-                    time.perf_counter() - t0)
-            continue
-        table = _admissible_table(l)
-        failure = next(adjunction_violations(
-            l.n, lambda r, s: table[r][s], lambda a: l._upm[a],
-            lambda r, s: heyting_arrow(l, r, s)), None)
-        yield VerdictRecord("frame-adjunction", desc,
-                            PASS if failure is None else FAIL, failure,
-                            time.perf_counter() - t0)
-    for e, l in _space_instances(bounds.max_size or 3):
-        if classify(l).is_distributive:
-            hypothesis = frame_hypothesis(e)
-            yield _space_record(
-                "frame-adjunction", e, l, ("frame",), hypothesis,
-                not hypothesis["ideal_lattice_distributive"] and l.n >= 2)
+        if profile.is_lattice and l.n:
+            yield ({"lattice": describe_poset(l),
+                    "distributive": profile.is_distributive},
+                   partial(_check_lattice_adjunction, l,
+                           profile.is_distributive))
+    posets = _unlabeled(bounds.max_size or 3)
+    targets = [(l, l_desc) for l, l_desc in posets
+               if classify(l).is_complete_lattice
+               and classify(l).is_distributive]
+    for e, e_desc in posets:
+        hypothesis = frame_hypothesis(e)
+        for l, l_desc in targets:
+            yield ({"source": e_desc, "target": l_desc},
+                   partial(_check_space, e, l, ("frame",), hypothesis,
+                           not hypothesis["ideal_lattice_distributive"]
+                           and l.n >= 2))
+
+
+def _check_lattice_adjunction(l, distributive):
+    if not distributive:
+        try:
+            heyting_arrow(l, 0, l.n - 1)
+        except ValueError:
+            return {}, SKIP, None
+        return {}, FAIL, {"reason": "arrow defined on a non-distributive "
+                                    "lattice"}
+    table = _admissible_table(l)
+    failure = next(adjunction_violations(
+        l.n, lambda r, s: table[r][s], lambda a: l._upm[a],
+        lambda r, s: heyting_arrow(l, r, s)), None)
+    return {}, PASS if failure is None else FAIL, failure
 
 
 # -- claim: generator representation and the way-above corollary -------------
 
 
 def _claim_representation(bounds):
-    for e, l in _space_instances(bounds.max_size or 3):
-        yield _space_record("representation", e, l,
-                            ("generator", "representation", "corollary"))
+    posets = _unlabeled(bounds.max_size or 3)
+    targets = [(l, l_desc) for l, l_desc in posets
+               if classify(l).is_complete_lattice]
+    for e, e_desc in posets:
+        for l, l_desc in targets:
+            yield ({"source": e_desc, "target": l_desc},
+                   partial(_check_space, e, l,
+                           ("generator", "representation", "corollary")))
 
 
-# -- registry ----------------------------------------------------------------
+# -- registry and driver -----------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -678,15 +662,19 @@ CLAIMS = {
 
 def run_suite(claim, *, max_size=None, selections=None, depth=None):
     """Yield the verdict stream of one claim; deterministic for fixed bounds.
+
     A bound left as None takes the claim's default; one below 1 is refused,
     and so are selections for any claim but interpolation and depth for any
-    claim but alternating, which would ignore them."""
-    try:
-        fn = CLAIMS[claim]
-    except KeyError:
+    claim but alternating, which would ignore them.  These refusals and an
+    error raised while the claim generates its instances propagate.  An
+    exception raised inside a check instead becomes a failing record with
+    the witness {"error": "<type>: <message>"}, and the stream goes on.
+    `elapsed` is the time of the check alone.
+    """
+    instances = CLAIMS.get(claim)
+    if instances is None:
         known = ", ".join(sorted(CLAIMS))
-        raise HarnessError(f"unknown claim {claim!r}; known claims: {known}") \
-            from None
+        raise HarnessError(f"unknown claim {claim!r}; known claims: {known}")
     for name, bound in (("max_size", max_size), ("depth", depth)):
         if bound is not None and bound < 1:
             raise HarnessError(f"{name} must be at least 1, got {bound}")
@@ -696,7 +684,15 @@ def run_suite(claim, *, max_size=None, selections=None, depth=None):
             raise HarnessError(f"{name} applies only to {owner}, not {claim}")
     if selections is not None:
         selections = tuple(str(SelectionKind(k)) for k in selections)
-    yield from fn(Bounds(max_size, selections, depth))
+    for fields, check in instances(Bounds(max_size, selections, depth)):
+        t0 = time.perf_counter()
+        try:
+            measured, verdict, witness = check()
+        except Exception as exc:
+            measured, verdict = {}, FAIL
+            witness = {"error": f"{type(exc).__name__}: {exc}"}
+        yield VerdictRecord(claim, {**fields, **measured}, verdict, witness,
+                            time.perf_counter() - t0)
 
 
 def summarize(records):

@@ -66,12 +66,6 @@ def load_poset(path) -> FinitePoset:
         return poset_from_dict(json.load(fh), where=str(path))
 
 
-def save_poset(p, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(poset_to_dict(p), fh, indent=2)
-        fh.write("\n")
-
-
 # -- maps ---------------------------------------------------------------------
 
 
@@ -139,12 +133,6 @@ def map_to_dict(v) -> dict:
 def load_map(path):
     with open(path, encoding="utf-8") as fh:
         return map_from_dict(json.load(fh), where=str(path))
-
-
-def save_map(v, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(map_to_dict(v), fh, indent=2)
-        fh.write("\n")
 
 
 # -- selections -----------------------------------------------------------------

@@ -234,23 +234,6 @@ class FinitePoset:
         """Upper set generated by a: all y with some x in a, x <= y."""
         return frozenset(_indices(_union(self._upm, self._mask(a))))
 
-    def lower_closure(self, a):
-        return frozenset(_indices(_union(self._downm, self._mask(a))))
-
-    def is_upper_set(self, a):
-        mask = self._mask(a)
-        return _union(self._upm, mask) == mask
-
-    def is_lower_set(self, a):
-        mask = self._mask(a)
-        return _union(self._downm, mask) == mask
-
-    def upper_bounds(self, a):
-        return frozenset(_indices(_common(self._upm, self._mask(a), self.n)))
-
-    def lower_bounds(self, a):
-        return frozenset(_indices(_common(self._downm, self._mask(a), self.n)))
-
     def least(self, a):
         """Least element of the subset a, or None."""
         return _bounding_member(self._upm, self._mask(a))
@@ -326,21 +309,6 @@ class FinitePoset:
                     + [part | dx for part in rec(allowed & ~dx)])
 
         return rec((1 << self.n) - 1)
-
-    def iter_lower_sets(self):
-        """All lower sets, each exactly once, in a deterministic order."""
-        return map(_frozen, self._lower_set_masks())
-
-    def iter_upper_sets(self):
-        """The complements of the lower sets, in the same order."""
-        full = (1 << self.n) - 1
-        for low in self._lower_set_masks():
-            yield _frozen(full ^ low)
-
-    def iter_ideals(self):
-        for low in self._lower_set_masks():
-            if self._unclosed_family(low) is None:
-                yield _frozen(low)
 
     # -- derived posets -----------------------------------------------------
 
@@ -664,10 +632,6 @@ class OrderExtension:
         object.__setattr__(self, "_down_traces", tuple(down))
         object.__setattr__(self, "_up_traces", tuple(up))
 
-    @classmethod
-    def identity(cls, p):
-        return cls(p, p, tuple(range(p.n)))
-
     def image(self):
         return frozenset(self.embed)
 
@@ -677,13 +641,6 @@ class OrderExtension:
 
     def down_in_base(self, a):
         return _frozen(self._down_traces[a])
-
-    def is_principal_ideal(self, a):
-        """True iff the ideal a of the base equals down(abar) meet E for some abar."""
-        a = frozenset(a)
-        if not self.base.is_ideal(a):
-            raise PosetError(f"{sorted(a)} is not an ideal of the base poset")
-        return self.base._mask(a) in self._down_traces
 
 
 def dm_completion(p: FinitePoset) -> OrderExtension:

@@ -205,13 +205,6 @@ class WayAboveRelation:
     def way_above(self, y, x):
         return bool(self._cols[x] >> y & 1)
 
-    def above_set(self, x):
-        """Elements way-above x."""
-        return _frozen(self._cols[x])
-
-    def equals_order(self):
-        return self._cols == self.poset._upm
-
 
 def _check_within_order(p, sel, cols):
     """For the built-in kinds, y way-above x implies x <= y; cols[x] is the

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 from types import SimpleNamespace
 
 import pytest
@@ -10,6 +11,7 @@ from maxilat import (ContinuityReport, FinitePoset, Generator, IdealFamily,
                      from_ideal_family, pointwise_inf, way_above)
 from maxilat.catalog import antichain, chain, diamond, m3, n5, seven_element
 from maxilat.harness import run_suite, summarize
+from maxilat.io import map_to_dict, poset_to_dict
 
 
 @pytest.fixture
@@ -152,12 +154,6 @@ class FrozensetBounds:
     def inf_of(self, a):
         return self.greatest(self.lower_bounds(a))
 
-    def is_upper_set(self, a):
-        return all(self.p.up(i) <= a for i in a)
-
-    def is_lower_set(self, a):
-        return all(self.p.down(i) <= a for i in a)
-
     def unclosed_family(self, a):
         """The first a meet down(x), x outside a, whose supremum is x."""
         for x in range(self.p.n):
@@ -266,6 +262,12 @@ def oracle_lower_sets(p):
     return list(rec(frozenset(range(p.n))))
 
 
+def oracle_upper_sets(p):
+    """The complements of oracle_lower_sets, in the same order."""
+    full = frozenset(range(p.n))
+    return [full - low for low in oracle_lower_sets(p)]
+
+
 def oracle_order_error(rows):
     """The PosetError text of the order axioms on a square matrix by the
     per-pair scan: for each i, reflexivity, then for each j above i,
@@ -317,9 +319,9 @@ def oracle_enumerate_posets(n_max, dedup=False):
         e = size - 1
         nxt = []
         for parent in level:
-            lows = sorted(parent.iter_lower_sets(),
+            lows = sorted(oracle_lower_sets(parent),
                           key=lambda s: (len(s), sorted(s)))
-            ups = sorted(parent.iter_upper_sets(),
+            ups = sorted(oracle_upper_sets(parent),
                          key=lambda s: (len(s), sorted(s)))
             for dset in lows:
                 for uset in ups:
@@ -376,6 +378,16 @@ def oracle_ensure_complete_lattice(p):
     return None
 
 
+def write_poset(p, path):
+    """Write p as a poset document for the CLI."""
+    path.write_text(json.dumps(poset_to_dict(p)))
+
+
+def write_map(v, path):
+    """Write v as a map document for the CLI."""
+    path.write_text(json.dumps(map_to_dict(v)))
+
+
 def buffered_harness_payload(claim, **bounds):
     """The `harness run --out` document as it was built before streaming:
     every record collected first, then one dict."""
@@ -392,7 +404,7 @@ def oracle_is_meet_continuous(p):
     if any(oracle_sup(p, pair) is None or oracle_inf(p, pair) is None
            for pair in pairs):
         return False
-    for low in p.iter_lower_sets():
+    for low in oracle_lower_sets(p):
         if not low or any(oracle_sup(p, pair) not in low
                           for pair in itertools.combinations(sorted(low), 2)):
             continue
@@ -503,7 +515,7 @@ def oracle_is_union_complete(sel):
     level = FinitePoset(tuple(tuple(a >= b for b in fsets) for a in fsets))
     kind = sel.recursion_kind if sel.kind is SelectionKind.EXPLICIT else sel.kind
     if kind is SelectionKind.UPPER:
-        members = level.iter_upper_sets()
+        members = oracle_upper_sets(level)
     else:
         members = (level.up(i) for i in range(level.n))
     return all(frozenset().union(*(fsets[i] for i in v)) in sel.fsets
@@ -614,8 +626,8 @@ def oracle_is_meet_continuous_over(ext):
     the images of the part of I below x (the bottom if that part is
     empty), each from sup_of/inf_of and big.leq one element at a time."""
     big = ext.complete
-    for ideal in ext.base.iter_ideals():
-        if not ideal:
+    for ideal in oracle_lower_sets(ext.base):
+        if not ideal or not oracle_is_ideal(ext.base, ideal):
             continue
         s = big.sup_of([ext.embed[g] for g in ideal])
         for x in range(big.n):

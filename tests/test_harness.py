@@ -96,14 +96,35 @@ class TestRunSuite:
          "21b42bc552e61daa9fa8aeaaf503adb04087be10cb75063584e3a72a7adbcd92"),
         ("supercontinuity-distributivity", 425,
          "d15750f63ca35c44e67b9b2e402ebd5adc296a9ca15f9be470d8a1d11e4deaef"),
+        ("seven-element", 1,
+         "e8255588610f2ee25265a6b4d26670b692d11c50ca683df5f35c8272f1bf5149"),
+        ("alternating", 88,
+         "5708f2902912f176e9328bb34320e474045f9cfe552b563f770904c2843e42d5"),
+        ("ideal-round-trip", 576,
+         "44d46b034d84d93decd480928c334bed26f5693ffb2811701a840a30010e8bc2"),
+        ("thm-5-4", 696,
+         "606ff3e359feab3211bd6980add50f005606f11842a6a2444f68099db0466d47"),
+        ("extension-extremality", 696,
+         "9b4fe01d2cc16231e7b73312be06b4bbbb157ce0df21255830860b79c2b36978"),
+        ("frame-adjunction", 165,
+         "f1a8eb9d93e12a16e96ac10733a018429843a6cd322c92880e97ee1f16448373"),
+        ("representation", 120,
+         "5fda938aa4f8345cccf087ada071ee17c9363977a57252ae9188ede49cd9a7cd"),
     ])
     def test_poset_claim_streams_keep_their_digest(self, claim, count, digest):
-        # SHA-256 of the records at size 5 without `elapsed`, one sorted-key
-        # JSON line each, as the frozenset-based poset and selection code
-        # produced them
+        # SHA-256 of the records without `elapsed`, one sorted-key JSON line
+        # each: the three poset claims at size 5 as the frozenset-based poset
+        # and selection code produced them, the others as the claims did
+        # when each had its own timer and record construction
+        bounds = {"seven-element": {},
+                  "alternating": {"max_size": 4, "depth": 4},
+                  "ideal-round-trip": {"max_size": 4},
+                  "frame-adjunction": {"max_size": 4},
+                  "representation": {"max_size": 4}}.get(claim,
+                                                          {"max_size": 5})
         h = hashlib.sha256()
         records = 0
-        for rec in run_suite(claim, max_size=5):
+        for rec in run_suite(claim, **bounds):
             doc = rec.to_dict()
             del doc["elapsed"]
             h.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
@@ -179,6 +200,66 @@ class TestWitnessReplay:
             assert rec.witness["side"] == side
             assert "does not restrict" in rec.witness["error"]
             assert len(set(rec.witness["values"])) > 1
+
+
+class TestExceptionHandler:
+    """An exception raised inside a check is a failing record and the
+    stream goes on; an error while generating instances propagates."""
+
+    @staticmethod
+    def _boom_on_two_elements(monkeypatch):
+        real = harness.extend_star
+
+        def extend(v, *args):
+            if v.source.n == 2:
+                raise RuntimeError("boom")
+            return real(v, *args)
+        monkeypatch.setattr(harness, "extend_star", extend)
+
+    @staticmethod
+    def _without_elapsed(records):
+        return [{k: x for k, x in rec.to_dict().items() if k != "elapsed"}
+                for rec in records]
+
+    def test_an_exception_in_a_check_is_a_fail_record(self, monkeypatch):
+        clean = list(run_suite("extension-extremality", max_size=3))
+        self._boom_on_two_elements(monkeypatch)
+        records = list(run_suite("extension-extremality", max_size=3))
+        assert len(records) == len(clean) == 64
+        failed = [r for r in records if r.verdict == FAIL]
+        # the star side runs on the 2-chain only: the 2-antichain is not a
+        # join-semilattice
+        assert len(failed) == 8
+        for rec in failed:
+            assert rec.witness == {"error": "RuntimeError: boom"}
+            assert rec.instance["source"]["n"] == 2
+            assert len(rec.instance["source"]["covers"]) == 1
+            assert list(rec.instance) == ["source", "target",
+                                          "join_semilattice",
+                                          "completion_distributive"]
+        kept = [k for k, r in enumerate(records) if r.verdict != FAIL]
+        assert (self._without_elapsed(records[k] for k in kept)
+                == self._without_elapsed(clean[k] for k in kept))
+
+    def test_the_run_exits_1_with_a_complete_document(self, monkeypatch,
+                                                      tmp_path, capsys):
+        self._boom_on_two_elements(monkeypatch)
+        out_path = tmp_path / "verdicts.json"
+        assert main(["harness", "run", "extension-extremality",
+                     "--max-size", "3", "--out", str(out_path)]) == 1
+        doc = json.loads(out_path.read_text())
+        assert len(doc["records"]) == 64
+        assert doc["summary"] == {"pass": 32, "fail": 8,
+                                  "hypothesis-not-met": 24}
+        assert "RuntimeError: boom" in capsys.readouterr().out
+
+    def test_an_error_generating_instances_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("no posets")
+            yield
+        monkeypatch.setattr(harness, "enumerate_posets", broken)
+        with pytest.raises(RuntimeError, match="no posets"):
+            list(run_suite("singleton-collapse", max_size=3))
 
 
 class TestFrameOracle:
@@ -332,6 +413,22 @@ class TestFrameReduction:
 class TestWorkCounts:
     """Counted runs of the claims whose repeated work was removed."""
 
+    @staticmethod
+    def _count_calls(monkeypatch, *names):
+        """Count the calls of each named library function through harness."""
+        calls = Counter()
+
+        def counting(name):
+            real = getattr(harness, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+            return counted
+        for name in names:
+            monkeypatch.setattr(harness, name, counting(name))
+        return calls
+
     def test_thm_5_4_scans_each_map_once(self, monkeypatch):
         from maxilat import maxitive, residuation
         calls = []
@@ -384,6 +481,15 @@ class TestWorkCounts:
         records = list(run_suite("ideal-round-trip", max_size=4))
         assert sum(r.instance["maxitive_maps"] for r in records) == 17990
         assert calls and max(calls.values()) == 1
+
+    def test_ideal_round_trip_builds_one_way_above_per_target(self,
+                                                            monkeypatch):
+        # the FILTERED selection and way-above depend on the target alone:
+        # 24 of each for the 24 targets at size 4, not 576
+        calls = self._count_calls(monkeypatch, "build_selection", "way_above")
+        records = list(run_suite("ideal-round-trip", max_size=4))
+        assert len(records) == 576
+        assert calls == {"build_selection": 24, "way_above": 24}
 
     def test_representation_builds_each_generator_map_once(self,
                                                            monkeypatch):
@@ -439,17 +545,8 @@ class TestWorkCounts:
     def test_interpolation_builds_one_report_per_family(self, monkeypatch):
         # on a finite poset FILTERED selects exactly PRINCIPAL's masks, so
         # its record reuses PRINCIPAL's continuity report
-        calls = Counter()
-
-        def counting(name):
-            real = getattr(harness, name)
-
-            def counted(*args):
-                calls[name] += 1
-                return real(*args)
-            return counted
-        for name in ("build_selection", "continuity_report"):
-            monkeypatch.setattr(harness, name, counting(name))
+        calls = self._count_calls(monkeypatch, "build_selection",
+                                  "continuity_report")
 
         def without_kind(rec):
             doc = rec.to_dict()

@@ -11,16 +11,17 @@ from maxilat.cli import main
 from maxilat.io import (FormatError, fixture, fixture_map, fixture_poset,
                         load_map, load_poset, map_from_dict, map_to_dict,
                         parse_selection_spec, poset_from_dict, poset_to_dict,
-                        save_map, save_poset, selection_from_dict)
+                        selection_from_dict)
 
-from conftest import WholeBaseTraces, buffered_harness_payload
+from conftest import (WholeBaseTraces, buffered_harness_payload, write_map,
+                      write_poset)
 
 
 class TestPosetFiles:
     def test_round_trip_on_enumerated_posets(self, tmp_path):
         path = tmp_path / "p.json"
         for p in enumerate_posets(4):
-            save_poset(p, path)
+            write_poset(p, path)
             again = load_poset(path)
             assert poset_to_dict(again) == poset_to_dict(p)
             assert again.matrix == p.matrix
@@ -83,7 +84,7 @@ class TestMapFiles:
     def test_round_trip_monotone(self, tmp_path):
         v = fixture_map("seven_indicator.json")
         path = tmp_path / "m.json"
-        save_map(v, path)
+        write_map(v, path)
         again = load_map(path)
         assert again.values == v.values
         assert again.source.matrix == v.source.matrix
@@ -94,7 +95,7 @@ class TestMapFiles:
         v = map_from_dict(doc)
         assert isinstance(v, RationalConeMap)
         path = tmp_path / "c.json"
-        save_map(v, path)
+        write_map(v, path)
         assert load_map(path).values == v.values
 
     def test_missing_value(self):
@@ -282,8 +283,8 @@ class TestCli:
         cx = three_atoms_under_top
         e, l, out = (tmp_path / name for name in ("e.json", "l.json",
                                                   "out.json"))
-        save_poset(cx.source, e)
-        save_poset(cx.target, l)
+        write_poset(cx.source, e)
+        write_poset(cx.target, l)
         assert main(["mspace", "verify", str(e), str(l), "--lemma", "frame",
                      "--out", str(out)]) == 1
         doc = json.loads(out.read_text())
@@ -291,7 +292,7 @@ class TestCli:
         assert [list(cx.u), list(cx.v)] in [[bad["u"], bad["v"]]
                                             for bad in doc["violations"]]
         # a non-distributive target fails the hypothesis, not the lemma
-        save_poset(m3(), l)
+        write_poset(m3(), l)
         assert main(["mspace", "verify", str(e), str(l),
                      "--lemma", "frame"]) == 2
         assert "distributive" in capsys.readouterr().err
@@ -302,8 +303,8 @@ class TestCli:
         cx = three_atoms_under_top
         e, l, out = (tmp_path / name for name in ("e.json", "l.json",
                                                   "out.json"))
-        save_poset(cx.source, e)
-        save_poset(cx.target, l)
+        write_poset(cx.source, e)
+        write_poset(cx.target, l)
         assert main(["mspace", "verify", str(e), str(l), "--lemma", "frame",
                      "--out", str(out)]) == 1
         doc = json.loads(out.read_text())
@@ -311,7 +312,7 @@ class TestCli:
                              "ideals", "violations"]
         assert (doc["ideal_lattice_distributive"], doc["ideals"]) == (False, 5)
         assert "I(E): 5 ideals, not distributive" in capsys.readouterr().out
-        save_poset(chain(3), e)
+        write_poset(chain(3), e)
         assert main(["mspace", "verify", str(e), str(l), "--lemma", "frame",
                      "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
@@ -325,8 +326,8 @@ class TestCli:
         # A4 -> C4: 65,536 arrows and their adjunctions, on the masks
         e, l, out = (tmp_path / name for name in ("e.json", "l.json",
                                                   "out.json"))
-        save_poset(antichain(4), e)
-        save_poset(chain(4), l)
+        write_poset(antichain(4), e)
+        write_poset(chain(4), l)
         assert main(["mspace", "verify", str(e), str(l), "--lemma", "frame",
                      "--out", str(out)]) == 0
         doc = json.loads(out.read_text())

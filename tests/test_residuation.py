@@ -54,7 +54,7 @@ class TestCompletelyMaxitive:
 
 class TestResiduated:
     def test_identity_on_a_chain(self, chain3):
-        ext = OrderExtension.identity(chain3)
+        ext = OrderExtension(chain3, chain3, (0, 1, 2))
         assert is_residuated(MonotoneMap(chain3, chain3, (0, 1, 2)), ext)
 
     def test_seven_element_counterexample(self, seven, seven_indicator):
@@ -94,12 +94,12 @@ class TestResiduated:
 
 class TestAdjoint:
     def test_identity_adjoint_is_identity(self, chain3):
-        ext = OrderExtension.identity(chain3)
+        ext = OrderExtension(chain3, chain3, (0, 1, 2))
         adj = adjoint_of(MonotoneMap(chain3, chain3, (0, 1, 2)), ext)
         assert adj.map.values == (0, 1, 2)
 
     def test_constant_bottom_map_has_constant_top_adjoint(self, chain3):
-        ext = OrderExtension.identity(chain3)
+        ext = OrderExtension(chain3, chain3, (0, 1, 2))
         adj = adjoint_of(MonotoneMap(chain3, chain3, (0, 0, 0)), ext)
         assert adj.map.values == (2, 2, 2)
 
@@ -116,7 +116,7 @@ class TestAdjoint:
                         assert ext.down_in_base(adj(t)) == sublevel(v, t)
 
     def test_galois_condition_is_validated(self, chain3):
-        ext = OrderExtension.identity(chain3)
+        ext = OrderExtension(chain3, chain3, (0, 1, 2))
         v = MonotoneMap(chain3, chain3, (0, 1, 2))
         bad = MonotoneMap(chain3, chain3, (0, 0, 0))
         with pytest.raises(MapError, match="Galois"):
