@@ -3,7 +3,8 @@ maxitive maps and their extensions, residuation, and the lattice of
 maxitive maps, verified by exhaustive desk-scale enumeration."""
 
 from .poset import (FinitePoset, OrderExtension, PosetError, PosetProfile,
-                    classify, dm_completion, enumerate_posets)
+                    classify, dm_completion, enumerate_posets,
+                    enumerate_unlabeled_posets)
 from .selections import (ContinuityReport, FilterSelection, SelectionError,
                          SelectionKind, WayAboveRelation, build_selection,
                          continuity_report, fmap, is_union_complete,

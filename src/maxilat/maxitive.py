@@ -291,18 +291,18 @@ def from_ideal_family(fam: IdealFamily, sel_l: FilterSelection) -> MonotoneMap:
 def ideal_family_of(v: MonotoneMap) -> IdealFamily:
     """The canonical family of sublevel ideals of a maxitive map.
 
-    IdealFamily's check that every member is an ideal is the sublevel test
-    of maxitivity_witness, so the witness is computed only to name the
-    offending family when that check fails.
+    A sublevel set D_t fails IdealFamily's ideal check exactly when its
+    closure-memo entry is not None, the test of maxitivity_witness; the
+    first such t names the offending family, as maxitivity_witness does.
     """
-    try:
-        return IdealFamily._from_masks(v.source, v.target, _sublevel_masks(v))
-    except MapError:
-        witness = maxitivity_witness(v)
-        if witness is None:
-            raise
-        raise MapError("map is not maxitive; offending family "
-                       f"{sorted(witness)}") from None
+    masks = _sublevel_masks(v)
+    memo = _closure_memo(v.source)
+    for mask in masks:
+        family = memo[mask]
+        if family is not None:
+            raise MapError("map is not maxitive; offending family "
+                           f"{_indices(family)}")
+    return IdealFamily._from_masks(v.source, v.target, masks)
 
 
 # -- the rational cone ----------------------------------------------------

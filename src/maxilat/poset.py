@@ -3,12 +3,17 @@
 Elements are dense indices 0..n-1.  The data of a poset are int bitmasks
 of each element's principal filter and ideal (bit i for element i); the
 order axioms, bounds, sups, infs and the set tests run on them, and
-`enumerate_posets` and `dm_completion` build their posets from them.  The
+both enumerators and `dm_completion` build their posets from them.  The
 boolean relation matrix (for I/O, equality and `matrix`) and the
 frozensets of `up` and `down` are views of the masks, shared between
 posets.  Subsets passed to the public methods are range-checked as their
 mask is built; the library's own masks are not checked again.
 Everything here is immutable after construction and safe to share.
+
+Two generators enumerate posets up to DEFAULT_ENUMERATION_CAP points:
+`enumerate_posets` yields every labeled poset, and
+`enumerate_unlabeled_posets` one poset per isomorphism class, grown by a
+new maximal element and kept by `canonical_form`.
 
 The kernels that walk the set bits of a mask (`_indices`, `_union`,
 `_common`, `_bounding_member` and the transpose in `FinitePoset._set_order`)
@@ -673,7 +678,14 @@ def dm_completion(p: FinitePoset) -> OrderExtension:
     return OrderExtension(p, completion, tuple(index[m] for m in down))
 
 
-def enumerate_posets(n_max, *, dedup=False, size_cap=DEFAULT_ENUMERATION_CAP):
+def _check_enumeration_cap(n_max):
+    """Refuse sizes above DEFAULT_ENUMERATION_CAP, read at call time."""
+    if n_max > DEFAULT_ENUMERATION_CAP:
+        raise PosetError(f"n_max={n_max} exceeds the enumeration cap "
+                         f"{DEFAULT_ENUMERATION_CAP}")
+
+
+def enumerate_posets(n_max):
     """Yield every labeled partial order on 1..n_max points, each exactly once.
 
     Posets of size k are grown from posets of size k-1 by attaching element
@@ -682,27 +694,13 @@ def enumerate_posets(n_max, *, dedup=False, size_cap=DEFAULT_ENUMERATION_CAP):
     labeled poset arises from exactly one such triple.  D and U are taken
     in order of size, then of their sorted elements.  A child is built from
     masks: the parent's up-masks gain bit k-1 on D, and up(k-1) is U plus
-    k-1.  With dedup=True only one representative per isomorphism class is
-    yielded.
+    k-1.
     """
-    if n_max > size_cap:
-        raise PosetError(f"n_max={n_max} exceeds the enumeration cap {size_cap}")
+    _check_enumeration_cap(n_max)
     if n_max < 1:
         return
-
-    def emit(level):
-        if not dedup:
-            yield from level
-            return
-        seen = set()
-        for q in level:
-            key = q.canonical_form()
-            if key not in seen:
-                seen.add(key)
-                yield q
-
     level = [FinitePoset._from_up_masks((1,))]
-    yield from emit(level)
+    yield from level
     for size in range(2, n_max + 1):
         e = size - 1
         bit, full = 1 << e, (1 << e) - 1
@@ -724,4 +722,43 @@ def enumerate_posets(n_max, *, dedup=False, size_cap=DEFAULT_ENUMERATION_CAP):
                     if not dset & ~below:
                         nxt.append(FinitePoset._from_up_masks(up + (up_e,)))
         level = nxt
-        yield from emit(level)
+        yield from level
+
+
+def enumerate_unlabeled_posets(n_max):
+    """Yield one poset per isomorphism class on 1..n_max points, sizes in
+    turn.
+
+    The posets of size k are grown from the representatives of size k-1:
+    each representative r gets a new maximal element k-1 over each lower
+    set D of r, in order of size, then of their sorted elements (its
+    up-masks gain bit k-1 on D, and up(k-1) is k-1 alone), and the first
+    child of each `canonical_form` is yielded.
+
+    No class is missed, by induction on k.  A poset q of size k has a
+    maximal element x.  Removing x leaves a poset of size k-1, isomorphic
+    by some s to a representative r, and the strict down-set of x is a
+    lower set of it, so s maps it to a lower set D of r.  The child of r
+    over D is isomorphic to q, by s extended with x -> k-1.  The key is
+    exact, so no class is yielded twice.
+    """
+    _check_enumeration_cap(n_max)
+    if n_max < 1:
+        return
+    level = [FinitePoset._from_up_masks((1,))]
+    yield from level
+    for size in range(2, n_max + 1):
+        bit = 1 << (size - 1)
+        nxt = {}
+        for parent in level:
+            pup = parent._upm
+            for low in sorted(parent._lower_set_masks(),
+                              key=_size_then_indices):
+                q = FinitePoset._from_up_masks(
+                    tuple(m | bit if low >> i & 1 else m
+                          for i, m in enumerate(pup)) + (bit,))
+                key = q.canonical_form()
+                if key not in nxt:
+                    nxt[key] = q
+                    yield q
+        level = list(nxt.values())

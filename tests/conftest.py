@@ -300,7 +300,9 @@ def oracle_canonical_form(p):
 def oracle_enumerate_posets(n_max, dedup=False):
     """enumerate_posets by the frozenset loop that the mask growth replaced:
     the lower and upper sets of each parent sorted as frozensets, and each
-    child built as a relation matrix; dedup by the n! key."""
+    child built as a relation matrix.  With dedup, the first poset of each
+    n! class in scan order: the representatives that the unlabeled claims
+    used before enumerate_unlabeled_posets."""
 
     def emit(level):
         if not dedup:
@@ -335,6 +337,29 @@ def oracle_enumerate_posets(n_max, dedup=False):
                     nxt.append(FinitePoset(rows))
         level = nxt
         yield from emit(level)
+
+
+def oracle_enumerate_unlabeled_posets(n_max):
+    """enumerate_unlabeled_posets by relation matrices: each representative
+    grows a new maximal element over each of its lower sets, sorted as
+    frozensets, and the first child of each n! key is kept."""
+    level = [FinitePoset(((True,),))]
+    yield from level
+    for size in range(2, n_max + 1):
+        e = size - 1
+        seen = {}
+        for parent in level:
+            for dset in sorted(oracle_lower_sets(parent),
+                               key=lambda s: (len(s), sorted(s))):
+                rows = [list(parent.matrix[i]) + [i in dset]
+                        for i in range(e)]
+                rows.append([False] * e + [True])
+                q = FinitePoset(rows)
+                key = oracle_canonical_form(q)
+                if key not in seen:
+                    seen[key] = q
+                    yield q
+        level = list(seen.values())
 
 
 def oracle_dm_completion(p):

@@ -6,7 +6,8 @@ from collections import Counter
 import pytest
 
 from maxilat import (FinitePoset, MonotoneMap, build_selection, build_space,
-                     classify, enumerate_posets, heyting_arrow, is_maxitive,
+                     classify, enumerate_posets, enumerate_unlabeled_posets,
+                     heyting_arrow, is_maxitive,
                      is_pairwise_maxitive, m_arrow)
 from maxilat import harness
 from maxilat.cli import main
@@ -16,6 +17,7 @@ from maxilat.io import poset_from_dict
 from maxilat.poset import _bits
 
 from conftest import (WholeBaseTraces, oracle_adjunction_violations,
+                      oracle_canonical_form, oracle_enumerate_posets,
                       oracle_space_poset, oracle_way_above)
 
 
@@ -101,21 +103,23 @@ class TestRunSuite:
         ("alternating", 88,
          "5708f2902912f176e9328bb34320e474045f9cfe552b563f770904c2843e42d5"),
         ("ideal-round-trip", 576,
-         "44d46b034d84d93decd480928c334bed26f5693ffb2811701a840a30010e8bc2"),
+         "e412eb4000e385ebc6847bf3bc0b8491d29166d6ab45d3a574604ab3c98fa7dc"),
         ("thm-5-4", 696,
-         "606ff3e359feab3211bd6980add50f005606f11842a6a2444f68099db0466d47"),
+         "40d8f682f3f6ce4ba4733f9ac585ec3d693f78d0b7791af2b3bdd360b5a78cc5"),
         ("extension-extremality", 696,
-         "9b4fe01d2cc16231e7b73312be06b4bbbb157ce0df21255830860b79c2b36978"),
+         "5b97448b540c7cf58401abfaf38195273180f84c862c0206646c3c844dc02493"),
         ("frame-adjunction", 165,
-         "f1a8eb9d93e12a16e96ac10733a018429843a6cd322c92880e97ee1f16448373"),
+         "43b3bd7882af8ba73cbf59747e24d71dd1e74940acfc6792bd218855d85e0c13"),
         ("representation", 120,
-         "5fda938aa4f8345cccf087ada071ee17c9363977a57252ae9188ede49cd9a7cd"),
+         "7971ee31ebe3509b72798fc5fd4de482d62bc5dcb849af88e33a1a785c106957"),
     ])
     def test_poset_claim_streams_keep_their_digest(self, claim, count, digest):
         # SHA-256 of the records without `elapsed`, one sorted-key JSON line
         # each: the three poset claims at size 5 as the frozenset-based poset
-        # and selection code produced them, the others as the claims did
-        # when each had its own timer and record construction
+        # and selection code produced them, seven-element and alternating as
+        # the claims did when each had its own timer and record
+        # construction, and the five claims over unlabeled posets on the
+        # representatives of enumerate_unlabeled_posets
         bounds = {"seven-element": {},
                   "alternating": {"max_size": 4, "depth": 4},
                   "ideal-round-trip": {"max_size": 4},
@@ -130,6 +134,37 @@ class TestRunSuite:
             h.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
             records += 1
         assert (records, h.hexdigest()) == (count, digest)
+
+    @staticmethod
+    def _by_class(records):
+        """The records as a multiset of (instance with each described poset
+        read as its n! class, verdict)."""
+        def fields(instance):
+            return {k: (oracle_canonical_form(poset_from_dict(x))
+                        if isinstance(x, dict) and "covers" in x else x)
+                    for k, x in instance.items()}
+        return Counter(json.dumps([fields(rec.instance), rec.verdict],
+                                  sort_keys=True) for rec in records)
+
+    def test_records_do_not_depend_on_the_representatives(self,
+                                                         monkeypatch):
+        # each unlabeled claim from the generator's representatives and
+        # from the first labeled poset of each class: the same verdicts and
+        # measured fields per (source class, target class)
+        runs = {"ideal-round-trip": 4, "thm-5-4": 3,
+                "extension-extremality": 3, "frame-adjunction": 3,
+                "representation": 3}
+        ours = {claim: list(run_suite(claim, max_size=size))
+                for claim, size in runs.items()}
+        monkeypatch.setattr(harness, "enumerate_unlabeled_posets",
+                            lambda n: oracle_enumerate_posets(n, dedup=True))
+        moved = 0
+        for claim, size in runs.items():
+            first = list(run_suite(claim, max_size=size))
+            assert self._by_class(ours[claim]) == self._by_class(first)
+            moved += ([r.instance for r in ours[claim]]
+                      != [r.instance for r in first])
+        assert moved == len(runs)
 
     def test_singleton_collapse_names_mismatches_in_scan_order(self,
                                                                monkeypatch):
@@ -286,8 +321,8 @@ class TestFrameOracle:
             if l.n and profile.is_lattice and profile.is_distributive:
                 self._check(l, lambda r, s: l.sup_of((r, s)),
                             lambda r, s: heyting_arrow(l, r, s))
-        for e in enumerate_posets(3, dedup=True):
-            for l in enumerate_posets(3, dedup=True):
+        for e in enumerate_unlabeled_posets(3):
+            for l in enumerate_unlabeled_posets(3):
                 profile = classify(l)
                 if profile.is_complete_lattice and profile.is_distributive:
                     space = build_space(e, l)
@@ -301,8 +336,8 @@ class TestFrameOracle:
         # counterexample and on every lattice of size <= 5 with an arrow
         cx = three_atoms_under_top
         for space in [*(build_space(e, l)
-                        for e in enumerate_posets(3, dedup=True)
-                        for l in enumerate_posets(3, dedup=True)
+                        for e in enumerate_unlabeled_posets(3)
+                        for l in enumerate_unlabeled_posets(3)
                         if classify(l).is_complete_lattice),
                       build_space(cx.source, cx.target)]:
             def arrow(u, v):
@@ -341,8 +376,8 @@ class TestFrameReduction:
     @staticmethod
     def _spaces(max_size):
         return [build_space(e, l)
-                for e in enumerate_posets(max_size, dedup=True)
-                for l in enumerate_posets(max_size, dedup=True)
+                for e in enumerate_unlabeled_posets(max_size)
+                for l in enumerate_unlabeled_posets(max_size)
                 if classify(l).is_complete_lattice
                 and classify(l).is_distributive]
 

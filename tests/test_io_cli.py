@@ -189,6 +189,29 @@ class TestCli:
         doc = json.loads(out_path.read_text())
         assert doc == {"maxitive": False, "witness": ["a", "b", "c"]}
 
+    def test_out_is_the_json_dumps_object(self, seven_path, indicator_path,
+                                          tmp_path, capsys):
+        # a payload without a streamed value goes through the writer of the
+        # streamed ones: each value written with json.dumps, on one line
+        c2 = tmp_path / "c2.json"
+        c2.write_text(json.dumps({"elements": ["0", "1"],
+                                  "covers": [["0", "1"]]}))
+        out_path = tmp_path / "out.json"
+        for argv in (["poset", "check", seven_path, "--selection", "upper"],
+                     ["map", "check", indicator_path, "--pairwise"],
+                     ["mspace", "build", str(c2), str(c2)],
+                     ["mspace", "verify", str(c2), str(c2), "--lemma",
+                      "corollary"]):
+            main([*argv, "--out", str(out_path)])
+            text = out_path.read_text()
+            doc = json.loads(text)
+            assert len(doc) >= 2, argv
+            assert text == "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}"
+                                           for k, v in doc.items()) + "}\n"
+        cli._write_out(argparse.Namespace(out=str(out_path)), {})
+        assert out_path.read_text() == "{}\n"
+        capsys.readouterr()
+
     def test_parse_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -427,11 +450,13 @@ class TestCli:
             assert not out_path.exists()
 
     def test_harness_error_leaves_no_out_file(self, tmp_path, capsys):
+        # a claim over labeled posets and one over unlabeled posets
         out_path = tmp_path / "f"
-        assert main(["harness", "run", "interpolation", "--max-size", "6",
-                     "--out", str(out_path)]) == 2
-        assert "exceeds the enumeration cap" in capsys.readouterr().err
-        assert not out_path.exists()
+        for claim in ("interpolation", "representation"):
+            assert main(["harness", "run", claim, "--max-size", "6",
+                         "--out", str(out_path)]) == 2
+            assert "exceeds the enumeration cap" in capsys.readouterr().err
+            assert not out_path.exists()
 
     def test_harness_unknown_claim_is_a_usage_error(self, capsys):
         import pytest as _pytest

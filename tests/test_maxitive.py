@@ -11,7 +11,8 @@ from maxilat import (FinitePoset, IdealFamily, InvariantError, MapError,
                      MonotoneMap,
                      OrderExtension, RationalConeMap, alternating_witness, build_selection,
                      classify, delta, dm_completion, e_lower_star, e_star,
-                     enumerate_posets, extend_lower_star, extend_star,
+                     enumerate_posets, enumerate_unlabeled_posets,
+                     extend_lower_star, extend_star,
                      from_ideal_family, ideal_family_of, is_alternating,
                      is_maxitive, is_pairwise_maxitive, iter_monotone_values,
                      maxitivity_witness, way_above)
@@ -119,7 +120,7 @@ class TestMonotoneMap:
     def test_cover_check_agrees_with_the_full_scan(self):
         # every value tuple, monotone or not, between unlabeled posets of
         # size <= 3: the same verdicts and the same error texts
-        posets = list(enumerate_posets(3, dedup=True))
+        posets = list(enumerate_unlabeled_posets(3))
         rejected = 0
         for e in posets:
             for l in posets:
@@ -133,7 +134,7 @@ class TestMonotoneMap:
     def test_iter_monotone_values_matches_the_recursive_generator(self):
         # every pair of unlabeled posets of size <= 4, and the empty poset
         # on either side: the same tuples in the same order
-        posets = [FinitePoset(())] + list(enumerate_posets(4, dedup=True))
+        posets = [FinitePoset(())] + list(enumerate_unlabeled_posets(4))
         maps = 0
         for e in posets:
             for l in posets:
@@ -144,8 +145,8 @@ class TestMonotoneMap:
         assert maps > 0
 
     def test_iter_monotone_values_matches_oracle(self):
-        for e in enumerate_posets(3, dedup=True):
-            for l in enumerate_posets(3, dedup=True):
+        for e in enumerate_unlabeled_posets(3):
+            for l in enumerate_unlabeled_posets(3):
                 assert (list(iter_monotone_values(e, l))
                         == sorted(oracle_monotone_maps(e, l)))
 
@@ -166,8 +167,8 @@ class TestMaxitivity:
 
     def test_agrees_with_the_definitional_oracle(self):
         checked = 0
-        for e in enumerate_posets(4, dedup=True):
-            for l in enumerate_posets(4, dedup=True):
+        for e in enumerate_unlabeled_posets(4):
+            for l in enumerate_unlabeled_posets(4):
                 for values in iter_monotone_values(e, l):
                     assert_agrees_with_oracle(MonotoneMap(e, l, values))
                     checked += 1
@@ -184,17 +185,17 @@ class TestMaxitivity:
         assert checked == 46922
 
     def test_pairwise_equals_maxitive_on_join_semilattices(self):
-        for e in enumerate_posets(5, dedup=True):
+        for e in enumerate_unlabeled_posets(5):
             if not classify(e).is_join_semilattice:
                 continue
-            for l in enumerate_posets(3, dedup=True):
+            for l in enumerate_unlabeled_posets(3):
                 for values in iter_monotone_values(e, l):
                     v = MonotoneMap(e, l, values)
                     assert is_maxitive(v) == is_pairwise_maxitive(v)
 
     def test_maxitive_implies_pairwise_everywhere(self):
-        for e in enumerate_posets(3, dedup=True):
-            for l in enumerate_posets(3, dedup=True):
+        for e in enumerate_unlabeled_posets(3):
+            for l in enumerate_unlabeled_posets(3):
                 for values in iter_monotone_values(e, l):
                     v = MonotoneMap(e, l, values)
                     if is_maxitive(v):
@@ -217,20 +218,40 @@ class TestIdealFamilies:
 
     def test_witness_only_on_the_failure_path(self, monkeypatch, chain3,
                                               seven_indicator):
-        # IdealFamily's ideal check decides maxitivity; the witness only
-        # names the offending family in the error
+        # the offending family is named only when the sublevel test fails,
+        # from the sublevel masks already built: maxitivity_witness does not
+        # scan the map a second time
         calls = []
         witness = maxitive.maxitivity_witness
         monkeypatch.setattr(maxitive, "maxitivity_witness",
                             lambda v: calls.append(v) or witness(v))
         ideal_family_of(MonotoneMap(chain3, chain3, (0, 1, 1)))
-        assert calls == []
         expected = sorted(witness(seven_indicator))
         with pytest.raises(MapError) as err:
             ideal_family_of(seven_indicator)
         assert str(err.value) == (
             f"map is not maxitive; offending family {expected}")
-        assert calls == [seven_indicator]
+        assert calls == []
+
+    def test_error_names_the_witness_family(self):
+        # every monotone map between unlabeled posets, sources <= 4 and
+        # targets <= 3: a family exactly for the maxitive maps, otherwise a
+        # MapError naming maxitivity_witness's family
+        failures = 0
+        for e in enumerate_unlabeled_posets(4):
+            for l in enumerate_unlabeled_posets(3):
+                for values in iter_monotone_values(e, l):
+                    v = MonotoneMap(e, l, values)
+                    family = maxitivity_witness(v)
+                    if family is None:
+                        assert ideal_family_of(v).target is l
+                        continue
+                    failures += 1
+                    with pytest.raises(MapError) as err:
+                        ideal_family_of(v)
+                    assert str(err.value) == ("map is not maxitive; offending "
+                                              f"family {sorted(family)}")
+        assert failures > 0
 
     def test_mask_route_agrees_with_the_frozenset_route(self):
         # between unlabeled posets of size <= 3: ideal_family_of on every
@@ -238,7 +259,7 @@ class TestIdealFamilies:
         # from_ideal_family and is_right_continuous under the three built-in
         # selections on each family it accepts; the same verdicts, values
         # and MapError texts as the frozenset route
-        posets = list(enumerate_posets(3, dedup=True))
+        posets = list(enumerate_unlabeled_posets(3))
         kinds = ("principal", "filtered", "upper")
         errors = set()
         for e in posets:
@@ -332,8 +353,8 @@ class TestIdealFamilies:
         assert not fam.is_right_continuous(way_above(chain3, sel))
 
     def test_round_trip_on_all_small_maxitive_maps(self):
-        for e in enumerate_posets(3, dedup=True):
-            for l in enumerate_posets(3, dedup=True):
+        for e in enumerate_unlabeled_posets(3):
+            for l in enumerate_unlabeled_posets(3):
                 sel = build_selection(l, "filtered")
                 rel = way_above(l, sel)
                 for values in iter_monotone_values(e, l):
@@ -349,7 +370,7 @@ class TestIdealFamilies:
         c3 = chain(3)
         sel = build_selection(c3, "filtered")
         rel = way_above(c3, sel)
-        for e in enumerate_posets(3, dedup=True):
+        for e in enumerate_unlabeled_posets(3):
             ideals = [i for i in oracle_lower_sets(e) if e.is_ideal(i)]
             for fam_tuple in itertools.product(ideals, repeat=3):
                 try:
@@ -447,7 +468,7 @@ class TestRationalCone:
 
     def test_maxitive_maps_alternate_small(self):
         value_range = chain(4)
-        for p in enumerate_posets(3, dedup=True):
+        for p in enumerate_unlabeled_posets(3):
             if not classify(p).is_join_semilattice:
                 continue
             for values in iter_monotone_values(p, value_range):
@@ -479,7 +500,7 @@ class TestRationalCone:
         # non-maxitive cones on size-4 lattices supply failing witnesses
         value_range = chain(4)
         failures = 0
-        for p in enumerate_posets(4, dedup=True):
+        for p in enumerate_unlabeled_posets(4):
             if not classify(p).is_join_semilattice:
                 continue
             depth = 4 if p.n <= 3 else 2
@@ -543,7 +564,7 @@ class TestStarRegion:
             assert e_star(ext, sel) == ext.image()
 
     def test_star_matches_definitional_scan(self):
-        for e in enumerate_posets(4, dedup=True):
+        for e in enumerate_unlabeled_posets(4):
             ext = dm_completion(e)
             sel = build_selection(e, "principal")
             expected = frozenset(
@@ -553,7 +574,7 @@ class TestStarRegion:
 
     def test_extension_restricts_to_the_original(self):
         c3 = chain(3)
-        for e in enumerate_posets(3, dedup=True):
+        for e in enumerate_unlabeled_posets(3):
             if not classify(e).is_join_semilattice:
                 continue
             ext = dm_completion(e)
@@ -574,12 +595,12 @@ class TestStarRegion:
         # poset of size <= 3, under the principal and upper selections (the
         # latter only where the target is a domain under it): the same
         # values, or the same MapError
-        targets = [(l, sel) for l in enumerate_posets(3, dedup=True)
+        targets = [(l, sel) for l in enumerate_unlabeled_posets(3)
                    for kind in ("principal", "upper")
                    if continuity_report(
                        l, sel := build_selection(l, kind)).is_domain]
         compared = refused = 0
-        for e in enumerate_posets(4, dedup=True):
+        for e in enumerate_unlabeled_posets(4):
             if not classify(e).is_join_semilattice:
                 continue
             ext = dm_completion(e)
@@ -655,7 +676,7 @@ class TestLowerStarRegion:
             assert e_lower_star(ext) == oracle_e_lower_star(ext)
 
     def test_meet_semilattice_base_is_kept(self):
-        for e in enumerate_posets(4, dedup=True):
+        for e in enumerate_unlabeled_posets(4):
             if classify(e).is_meet_semilattice:
                 ext = dm_completion(e)
                 assert ext.image() <= e_lower_star(ext)

@@ -6,7 +6,7 @@ import pytest
 from maxilat import (FinitePoset, Generator, MapError, MaxMapSpace,
                      MonotoneMap, PosetError, SelectionError, build_selection,
                      build_space, classify, corollary_above_set,
-                     enumerate_posets,
+                     enumerate_unlabeled_posets,
                      generator_map, generator_values, heyting_arrow, m_arrow,
                      maxitivity_witness, pointwise_inf, reconstruction,
                      representation, way_above)
@@ -24,8 +24,8 @@ from conftest import (oracle_frame_violations, oracle_generator_values,
 
 
 def small_spaces(max_size=3):
-    for e in enumerate_posets(max_size, dedup=True):
-        for l in enumerate_posets(max_size, dedup=True):
+    for e in enumerate_unlabeled_posets(max_size):
+        for l in enumerate_unlabeled_posets(max_size):
             if classify(l).is_complete_lattice:
                 yield build_space(e, l)
 
@@ -45,7 +45,7 @@ class TestBuildSpace:
         assert bad not in space.index
 
     def test_membership_matches_the_definitional_oracle(self):
-        for e in enumerate_posets(3, dedup=True):
+        for e in enumerate_unlabeled_posets(3):
             space = build_space(e, chain(2))
             expected = set()
             for values in oracle_monotone_maps(e, chain(2)):
@@ -392,7 +392,7 @@ class TestMArrow:
         # every (u, v) of every unlabeled source of size <= 4 into C2 and C3:
         # the same values, and a MapError on exactly the same pairs
         pairs = raised = 0
-        for e in enumerate_posets(4, dedup=True):
+        for e in enumerate_unlabeled_posets(4):
             for l in (chain(2), chain(3)):
                 space = build_space(e, l)
                 for u, v in itertools.product(range(len(space)), repeat=2):

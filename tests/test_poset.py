@@ -1,13 +1,15 @@
 import itertools
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxilat import (FinitePoset, OrderExtension, PosetError, classify,
-                     dm_completion, enumerate_posets)
+                     dm_completion, enumerate_posets,
+                     enumerate_unlabeled_posets)
 from maxilat import poset
 from maxilat.catalog import antichain, chain
 from maxilat.poset import _bits, _ensure_complete_lattice
@@ -16,6 +18,7 @@ from conftest import (FrozensetBounds, brute_force_posets,
                       oracle_bounding_member, oracle_canonical_form,
                       oracle_classify, oracle_common, oracle_covers, oracle_dm_completion,
                       oracle_ensure_complete_lattice, oracle_enumerate_posets,
+                      oracle_enumerate_unlabeled_posets,
                       oracle_indices, oracle_inf, oracle_is_ideal,
                       oracle_is_meet_continuous, oracle_lower_sets,
                       oracle_order_error, oracle_order_extension, oracle_sup,
@@ -421,13 +424,13 @@ class TestOrderExtension:
     def test_trace_test_matches_the_subset_scan_on_labeled_lattices(self):
         lattices = [l for l in enumerate_posets(5)
                     if classify(l).is_complete_lattice]
-        assert self._against_the_scan(enumerate_posets(3, dedup=True),
+        assert self._against_the_scan(enumerate_unlabeled_posets(3),
                                       lattices) == (11569, 240)
 
     def test_trace_test_matches_the_subset_scan_on_unlabeled_lattices(self):
-        lattices = [l for l in enumerate_posets(5, dedup=True)
+        lattices = [l for l in enumerate_unlabeled_posets(5)
                     if classify(l).is_complete_lattice]
-        assert self._against_the_scan(enumerate_posets(4, dedup=True),
+        assert self._against_the_scan(enumerate_unlabeled_posets(4),
                                       lattices) == (244, 8)
 
     def test_any_base_size_is_accepted(self):
@@ -454,11 +457,19 @@ class TestEnumeration:
     def test_size_five_count(self):
         assert sum(1 for p in enumerate_posets(5) if p.n == 5) == 4231
 
-    def test_unlabeled_counts(self):
-        counts = {}
-        for p in enumerate_posets(5, dedup=True):
-            counts[p.n] = counts.get(p.n, 0) + 1
-        assert counts == {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
+    def test_unlabeled_counts(self, monkeypatch):
+        # OEIS A000112 through n = 8, past the default cap
+        monkeypatch.setattr(poset, "DEFAULT_ENUMERATION_CAP", 8)
+        counts = Counter(p.n for p in enumerate_unlabeled_posets(8))
+        assert counts == {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045,
+                          8: 16999}
+
+    def test_unlabeled_posets_are_pairwise_distinct_under_the_oracle(
+            self, monkeypatch):
+        monkeypatch.setattr(poset, "DEFAULT_ENUMERATION_CAP", 6)
+        keys = [oracle_canonical_form(p)
+                for p in enumerate_unlabeled_posets(6)]
+        assert len(set(keys)) == len(keys) == 1 + 2 + 5 + 16 + 63 + 318
 
     def test_matches_brute_force_filter(self):
         for n in range(1, 4):
@@ -473,18 +484,23 @@ class TestEnumeration:
             assert key not in seen
             seen.add(key)
 
-    @pytest.mark.parametrize("dedup", [False, True])
-    def test_mask_growth_yields_the_frozenset_sequence(self, dedup):
+    @pytest.mark.parametrize("unlabeled", [False, True])
+    def test_mask_growth_yields_the_frozenset_sequence(self, unlabeled):
+        ours, oracle = ((enumerate_unlabeled_posets,
+                         oracle_enumerate_unlabeled_posets) if unlabeled
+                        else (enumerate_posets, oracle_enumerate_posets))
         for n in range(1, 6):
-            assert ([p.matrix for p in enumerate_posets(n, dedup=dedup)]
-                    == [p.matrix for p in oracle_enumerate_posets(n, dedup)])
+            assert ([p.matrix for p in ours(n)]
+                    == [p.matrix for p in oracle(n)])
 
-    def test_cap_enforced(self):
-        with pytest.raises(PosetError, match="cap"):
-            list(enumerate_posets(6))
-        # explicit override allows it
-        gen = enumerate_posets(6, size_cap=6)
-        next(gen)
+    def test_cap_enforced(self, monkeypatch):
+        for generate in (enumerate_posets, enumerate_unlabeled_posets):
+            with pytest.raises(PosetError,
+                               match="exceeds the enumeration cap 5"):
+                list(generate(6))
+        # the cap is read when the enumeration starts
+        monkeypatch.setattr(poset, "DEFAULT_ENUMERATION_CAP", 6)
+        next(enumerate_posets(6))
 
     def test_canonical_form_is_relabeling_invariant(self):
         for p in enumerate_posets(3):
@@ -493,21 +509,23 @@ class TestEnumeration:
 
     def test_canonical_classes_and_representatives_are_the_oracles(self):
         # every labeled poset of size <= 5: the key and the n! key split
-        # each size into the same classes, and dedup yields the first poset
-        # of each oracle class, sizes in turn and in scan order
+        # each size into the same classes, and the unlabeled generator
+        # yields one poset of each oracle class
         levels = {}
         for p in enumerate_posets(5):
             levels.setdefault(p.n, []).append(p)
-        expected = []
+        classes = set()
         for n, level in sorted(levels.items()):
             ours, oracle = {}, {}
             for k, p in enumerate(level):
                 ours.setdefault(p.canonical_form(), []).append(k)
                 oracle.setdefault(oracle_canonical_form(p), []).append(k)
             assert sorted(ours.values()) == sorted(oracle.values())
-            expected += [level[ks[0]].matrix for ks in sorted(oracle.values())]
-        assert len(expected) == 1 + 2 + 5 + 16 + 63
-        assert [p.matrix for p in enumerate_posets(5, dedup=True)] == expected
+            classes |= oracle.keys()
+        keys = [oracle_canonical_form(p)
+                for p in enumerate_unlabeled_posets(5)]
+        assert len(keys) == len(classes) == 1 + 2 + 5 + 16 + 63
+        assert set(keys) == classes
 
     def test_antichain_and_chain_take_one_arrangement(self):
         # the antichain is one class of twins, the chain n classes of one

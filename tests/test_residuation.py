@@ -4,7 +4,8 @@ import pytest
 
 from maxilat import (Adjoint, MapError, MonotoneMap, OrderExtension,
                      PosetError, adjoint_of, classify, dm_completion,
-                     enumerate_posets, heyting_arrow, is_maxitive,
+                     enumerate_posets, enumerate_unlabeled_posets,
+                     heyting_arrow, is_maxitive,
                      is_meet_continuous_over, is_residuated, is_sup_map,
                      iter_monotone_values, theorem_5_4)
 from maxilat import residuation
@@ -31,8 +32,8 @@ class TestCompletelyMaxitive:
         assert not is_maxitive(seven_indicator)
 
     def test_coincides_with_maxitivity_on_finite_posets(self):
-        for e in enumerate_posets(4, dedup=True):
-            for l in enumerate_posets(3, dedup=True):
+        for e in enumerate_unlabeled_posets(4):
+            for l in enumerate_unlabeled_posets(3):
                 for values in iter_monotone_values(e, l):
                     v = MonotoneMap(e, l, values)
                     assert is_maxitive(v) == oracle_is_maxitive(v)
@@ -61,11 +62,11 @@ class TestResiduated:
         assert not is_residuated(seven_indicator, dm_completion(seven))
 
     def test_complete_source_sup_maps_are_residuated(self):
-        for e in enumerate_posets(4, dedup=True):
+        for e in enumerate_unlabeled_posets(4):
             if not classify(e).is_complete_lattice:
                 continue
             ext = dm_completion(e)
-            for l in enumerate_posets(3, dedup=True):
+            for l in enumerate_unlabeled_posets(3):
                 for values in iter_monotone_values(e, l):
                     v = MonotoneMap(e, l, values)
                     if is_sup_map(v):
@@ -80,9 +81,9 @@ class TestResiduated:
     def test_lookup_matches_the_definition_on_the_thm_5_4_corpus(self):
         # the maps of the thm-5-4 claim at size 4, on the same completions
         maps = 0
-        for e in enumerate_posets(4, dedup=True):
+        for e in enumerate_unlabeled_posets(4):
             ext = dm_completion(e)
-            for l in enumerate_posets(3, dedup=True):
+            for l in enumerate_unlabeled_posets(3):
                 for values in iter_monotone_values(e, l):
                     v = MonotoneMap(e, l, values)
                     assert is_residuated(v, ext) == oracle_is_residuated(v, ext)
@@ -104,9 +105,9 @@ class TestAdjoint:
         assert adj.map.values == (2, 2, 2)
 
     def test_adjoint_recovers_the_sublevel_ideals(self):
-        for e in enumerate_posets(3, dedup=True):
+        for e in enumerate_unlabeled_posets(3):
             ext = dm_completion(e)
-            for l in enumerate_posets(3, dedup=True):
+            for l in enumerate_unlabeled_posets(3):
                 for values in iter_monotone_values(e, l):
                     v = MonotoneMap(e, l, values)
                     if not is_residuated(v, ext):
@@ -135,13 +136,13 @@ class TestMeetContinuityOverBase:
         assert not is_meet_continuous_over(ext)
 
     def test_complete_bases_are_relatively_meet_continuous(self):
-        for e in enumerate_posets(4, dedup=True):
+        for e in enumerate_unlabeled_posets(4):
             if classify(e).is_complete_lattice:
                 assert is_meet_continuous_over(dm_completion(e))
 
     def test_masks_agree_with_the_definition(self):
         verdicts = []
-        for e in enumerate_posets(4, dedup=True):
+        for e in enumerate_unlabeled_posets(4):
             ext = dm_completion(e)
             verdicts.append(is_meet_continuous_over(ext))
             assert verdicts[-1] == oracle_is_meet_continuous_over(ext)
@@ -161,7 +162,7 @@ class TestMeetContinuityOverBase:
             records = list(run_suite("thm-5-4", max_size=4))
         finally:
             residuation._meet_continuous_over_once.cache_clear()
-        sources = list(enumerate_posets(4, dedup=True))
+        sources = list(enumerate_unlabeled_posets(4))
         assert len(records) == 192
         assert [ext.base for ext in calls] == sources
         assert len(set(calls)) == len(sources) == 24
@@ -169,17 +170,17 @@ class TestMeetContinuityOverBase:
 
 class TestTheorem54:
     def test_forward_direction_never_fails(self):
-        for e in enumerate_posets(3, dedup=True):
+        for e in enumerate_unlabeled_posets(3):
             ext = dm_completion(e)
-            for l in enumerate_posets(3, dedup=True):
+            for l in enumerate_unlabeled_posets(3):
                 for values in iter_monotone_values(e, l):
                     verdict = theorem_5_4(MonotoneMap(e, l, values), ext)
                     assert verdict.forward_holds
 
     def test_converse_holds_under_its_hypotheses(self):
-        for e in enumerate_posets(3, dedup=True):
+        for e in enumerate_unlabeled_posets(3):
             ext = dm_completion(e)
-            for l in enumerate_posets(3, dedup=True):
+            for l in enumerate_unlabeled_posets(3):
                 for values in iter_monotone_values(e, l):
                     verdict = theorem_5_4(MonotoneMap(e, l, values), ext)
                     assert verdict.converse_holds

@@ -5,7 +5,8 @@ import pytest
 from maxilat import (FilterSelection, MonotoneMap, PosetError,
                      SelectionError, SelectionKind, WayAboveRelation,
                      build_selection, classify, continuity_report,
-                     enumerate_posets, fmap, is_union_complete, way_above)
+                     enumerate_posets, enumerate_unlabeled_posets, fmap,
+                     is_union_complete, way_above)
 from maxilat.catalog import antichain, chain
 from maxilat.poset import _bits
 
@@ -33,7 +34,7 @@ def builtin_selections():
 def explicit_selections():
     """Every explicit selection of the unlabeled posets of size <= 4: each
     family of non-principal upper sets, under principal and upper recursion."""
-    for p in enumerate_posets(4, dedup=True):
+    for p in enumerate_unlabeled_posets(4):
         principal = {p.up(x) for x in range(p.n)}
         extra = [f for f in oracle_upper_sets(p) if f not in principal]
         for r in range(len(extra) + 1):
