@@ -10,18 +10,16 @@ from .selections import (ContinuityReport, FilterSelection, SelectionError,
                          continuity_report, fmap, is_union_complete,
                          way_above)
 from .maxitive import (IdealFamily, InvariantError, MapError, MonotoneMap,
-                       RationalConeMap, alternating_witness, delta,
-                       e_lower_star, e_star, extend_lower_star, extend_star,
-                       from_ideal_family,
-                       ideal_family_of, is_alternating, is_maxitive,
+                       RationalConeMap, alternating_witness, e_lower_star,
+                       e_star, extend_lower_star, extend_star,
+                       from_ideal_family, ideal_family_of,
                        is_pairwise_maxitive, iter_monotone_values,
                        maxitivity_witness)
 from .residuation import (Adjoint, Theorem54Verdict, adjoint_of,
                           heyting_arrow, is_meet_continuous_over,
-                          is_residuated, is_sup_map, theorem_5_4)
-from .mspace import (Generator, MaxMapSpace, build_space, corollary_above_set,
-                     generator_map, generator_values, m_arrow, pointwise_inf,
-                     reconstruction, representation)
+                          is_residuated, theorem_5_4)
+from .mspace import (Generator, MaxMapSpace, build_space, generator_values,
+                     m_arrow, pointwise_inf, reconstruction, representation)
 from .harness import VerdictRecord, run_suite, summarize
 
 __version__ = "0.1.0"

@@ -120,10 +120,18 @@ def cmd_poset_check(args):
 
 
 def cmd_map_check(args):
+    """Maxitivity, with the pairwise law for a poset-valued map or the
+    alternating property for a rational-valued one; the flag of the other
+    kind would be ignored, so it is refused."""
     v = io.load_map(args.file)
+    poset_valued = isinstance(v, MonotoneMap)
+    if poset_valued and args.alternating is not None:
+        raise MapError("--alternating applies only to rational-valued maps")
+    if not poset_valued and args.pairwise:
+        raise MapError("--pairwise applies only to poset-valued maps")
     payload = {}
     code = 0
-    if isinstance(v, MonotoneMap):
+    if poset_valued:
         witness = maxitivity_witness(v)
         payload["maxitive"] = witness is None
         print(f"maxitive: {witness is None}")
@@ -143,7 +151,7 @@ def cmd_map_check(args):
         print(f"maxitive: {payload['maxitive']}")
         if not payload["maxitive"]:
             code = 1
-        if args.alternating:
+        if args.alternating is not None:
             bad = alternating_witness(v, args.alternating)
             payload["alternating"] = bad is None
             print(f"alternating (depth {args.alternating}): {bad is None}")

@@ -20,8 +20,8 @@ from operator import and_, getitem
 from .poset import (FinitePoset, _bits, _indices, _union, classify,
                     dm_completion, enumerate_posets,
                     enumerate_unlabeled_posets, join_table)
-from .selections import (SelectionKind, build_selection, continuity_report,
-                         is_union_complete, way_above)
+from .selections import (BUILTIN_KINDS, SelectionKind, build_selection,
+                         continuity_report, is_union_complete, way_above)
 from .maxitive import (InvariantError, MonotoneMap, RationalConeMap,
                        alternating_witness, e_lower_star, e_star,
                        extend_lower_star, extend_star, from_ideal_family,
@@ -496,8 +496,8 @@ def frame_hypothesis(e):
 
 def _check_inf(space):
     """Selected families of maps have maxitive pointwise infima.  The
-    filtered selection is the principal filters, in sorted_fsets order."""
-    for fam in sorted((_indices(space.up(k)) for k in range(len(space))),
+    filtered selection is the principal filters, by size, then elements."""
+    for fam in sorted(map(_indices, space.ups),
                       key=lambda fam: (len(fam), fam)):
         if maxitivity_witness(pointwise_inf(space, fam)) is not None:
             yield {"family": fam}
@@ -667,7 +667,8 @@ def run_suite(claim, *, max_size=None, selections=None, depth=None):
 
     A bound left as None takes the claim's default; one below 1 is refused,
     and so are selections for any claim but interpolation and depth for any
-    claim but alternating, which would ignore them.  These refusals and an
+    claim but alternating, which would ignore them, and any selection kind
+    but principal, filtered and upper.  These refusals and an
     error raised while the claim generates its instances propagate.  An
     exception raised inside a check instead becomes a failing record with
     the witness {"error": "<type>: <message>"}, and the stream goes on.
@@ -685,7 +686,11 @@ def run_suite(claim, *, max_size=None, selections=None, depth=None):
         if bound is not None and claim != owner:
             raise HarnessError(f"{name} applies only to {owner}, not {claim}")
     if selections is not None:
-        selections = tuple(str(SelectionKind(k)) for k in selections)
+        selections = tuple(map(str, selections))
+        for kind in selections:
+            if kind not in BUILTIN_KINDS:
+                raise HarnessError(f"selection {kind!r} is not one of "
+                                   "principal, filtered, upper")
     for fields, check in instances(Bounds(max_size, selections, depth)):
         t0 = time.perf_counter()
         try:

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .poset import (_BITS, _BITS_LIMIT, FinitePoset, _bits, _closure_memo,
-                    _common, _cover_pairs, _frozen, _indices, _pair_tables,
+                    _common, _cover_pairs, _indices, _pair_tables,
                     _union, classify, join_table)
 from .selections import FilterSelection, WayAboveRelation, continuity_report
 
@@ -168,10 +168,6 @@ def maxitivity_witness(v: MonotoneMap):
     return None
 
 
-def is_maxitive(v: MonotoneMap) -> bool:
-    return maxitivity_witness(v) is None
-
-
 def is_pairwise_maxitive(v: MonotoneMap) -> bool:
     """The pairwise law: v(g or g') is the join of v(g), v(g') when it exists."""
     e, l = v.source, v.target
@@ -188,10 +184,9 @@ def is_pairwise_maxitive(v: MonotoneMap) -> bool:
 class IdealFamily:
     """A nondecreasing family of ideals of a source poset, indexed by a target.
 
-    The data are the members' bitmasks, `_masks`, and the checks run on
-    them; `family`, the tuple of members as frozensets, is built on first
-    request.  The public constructor takes the members as collections of
-    indices and range-checks each as its mask is built.
+    The data are the members' bitmasks, `_masks`, one per target element;
+    the constructor takes them and range-checks each, and `ideal_family_of`
+    is the usual way to make one.
     A member is an ideal iff it is a lower set that no existing sup escapes,
     read from the source's closure memo, the test of maxitivity_witness;
     the memo holds lower sets only, so a member found in it is one.  By
@@ -200,44 +195,28 @@ class IdealFamily:
     name the first that decreases.
     """
 
-    __slots__ = ("source", "target", "_masks", "_family")
+    __slots__ = ("source", "target", "_masks")
 
-    def __init__(self, source: FinitePoset, target: FinitePoset, family):
-        family = tuple(frozenset(i) for i in family)
-        if len(family) != target.n:
+    def __init__(self, source: FinitePoset, target: FinitePoset, masks):
+        masks = tuple(masks)
+        if len(masks) != target.n:
             raise MapError("the family must index every target element")
-        self._set_masks(source, target, map(source._mask, family))
-
-    @classmethod
-    def _from_masks(cls, source, target, masks):
-        """The family of the masks masks, one per target element."""
-        fam = cls.__new__(cls)
-        fam._set_masks(source, target, masks)
-        return fam
-
-    def _set_masks(self, source, target, masks):
-        down, memo = source._downm, _closure_memo(source)
-        kept = []
+        n, down, memo = source.n, source._downm, _closure_memo(source)
         for t, mask in enumerate(masks):
+            if mask >> n:
+                raise MapError(f"member at {t} has a bit outside the {n} "
+                               "source elements")
             if ((mask not in memo and _union(down, mask) != mask)
                     or memo[mask] is not None):
                 raise MapError(f"member at {t} is not an ideal of the source")
-            kept.append(mask)
         for s, t in _cover_pairs(target):
-            if kept[s] & ~kept[t]:
+            if masks[s] & ~masks[t]:
                 s, t = next((s, t) for s in range(target.n)
-                            for t in target.up(s) if kept[s] & ~kept[t])
+                            for t in target.up(s) if masks[s] & ~masks[t])
                 raise MapError(f"family decreases from {s} to {t}")
         self.source = source
         self.target = target
-        self._masks = tuple(kept)
-        self._family = None
-
-    @property
-    def family(self) -> tuple:
-        if self._family is None:
-            self._family = tuple(map(_frozen, self._masks))
-        return self._family
+        self._masks = masks
 
     def __eq__(self, other):
         if not isinstance(other, IdealFamily):
@@ -302,7 +281,7 @@ def ideal_family_of(v: MonotoneMap) -> IdealFamily:
         if family is not None:
             raise MapError("map is not maxitive; offending family "
                            f"{_indices(family)}")
-    return IdealFamily._from_masks(v.source, v.target, masks)
+    return IdealFamily(v.source, v.target, masks)
 
 
 # -- the rational cone ----------------------------------------------------
@@ -357,9 +336,6 @@ class RationalConeMap:
     def __call__(self, g):
         return self.values[g]
 
-    def join(self, g, h):
-        return self._joins[g][h]
-
     def is_maxitive(self) -> bool:
         """The pairwise law through the source's join table; on a
         join-semilattice every nonempty finite sup is an iterated join, so
@@ -372,15 +348,6 @@ class RationalConeMap:
         return all(values[row[h]] == max(values[g], values[h])
                    for g, row in enumerate(self._joins)
                    for h in range(g + 1, len(row)))
-
-
-def delta(v: RationalConeMap, g, gs):
-    """Iterated Choquet difference of v at g along the list gs."""
-    gs = tuple(gs)
-    if not gs:
-        return v.values[g]
-    head, rest = gs[0], gs[1:]
-    return delta(v, v.join(g, head), rest) - delta(v, g, rest)
 
 
 def _sparse(packed, width, n):
@@ -460,10 +427,6 @@ def alternating_witness(v: RationalConeMap, depth=4):
         if sum(c * values[i] for i, c in terms) < 0:
             return found
     return None
-
-
-def is_alternating(v: RationalConeMap, depth=4) -> bool:
-    return alternating_witness(v, depth) is None
 
 
 # -- extensions -----------------------------------------------------------

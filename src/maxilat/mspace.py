@@ -15,8 +15,7 @@ from operator import getitem
 
 from .poset import (FinitePoset, PosetError, _cover_pairs, _indices,
                     _pair_tables, _union, classify, join_table)
-from .selections import (FilterSelection, SelectionError, SelectionKind,
-                         build_selection, way_above)
+from .selections import SelectionError, SelectionKind, build_selection, way_above
 from .maxitive import (MapError, MonotoneMap, iter_monotone_values,
                        maxitivity_witness)
 from .residuation import heyting_arrow
@@ -117,14 +116,6 @@ class MaxMapSpace:
             mask &= column[t]
         return mask
 
-    def up(self, k):
-        """The mask of the maps above map k, its principal filter."""
-        return self.ups[k]
-
-    def down(self, k):
-        """The mask of the maps below map k, its principal ideal."""
-        return self.below(self.maps[k])
-
     def __len__(self):
         return len(self.maps)
 
@@ -183,13 +174,6 @@ def generator_values(space, gen: Generator):
     return space.generator_maps[gen.h][gen.s]
 
 
-def generator_map(space, gen: Generator) -> MonotoneMap:
-    """The map of a generator pair, checked to be a member of the space."""
-    values = generator_values(space, gen)
-    space.index_of(values)
-    return MonotoneMap(space.source, space.target, values)
-
-
 @lru_cache(maxsize=64)
 def _filtered_columns(l):
     """The way-above columns of l under the filtered selection, built once
@@ -198,16 +182,15 @@ def _filtered_columns(l):
     return tuple(tuple(_indices(col)) for col in cols)
 
 
-def representation(space, values, sel_l: FilterSelection = None):
+def representation(space, values):
     """All generator pairs (h, s) with s way-above the value of the map at h.
 
-    The way-above relation of the target defaults to the filtered selection;
-    the pointwise infimum of the generators' maps reconstructs the map
-    exactly when the target is continuous under the chosen selection.
+    Way-above in the target is that of the filtered selection; the
+    pointwise infimum of the generators' maps reconstructs the map exactly
+    when the target is continuous under it.
     """
     values = tuple(getattr(values, "values", values))
-    above = (_filtered_columns(space.target) if sel_l is None
-             else [_indices(c) for c in way_above(space.target, sel_l)._cols])
+    above = _filtered_columns(space.target)
     return tuple(row[s] for row, t in zip(space.generators, values)
                  for s in above[t])
 
@@ -230,16 +213,6 @@ def way_above_in_space(space):
     """Way-above in the space under the filtered selection: entry v is the
     mask of the maps way-above v, which is the principal filter of v."""
     return space.ups
-
-
-def corollary_above_set(space, v) -> frozenset:
-    """The generator characterization: the maps w way-above v are those that
-    dominate the pointwise infimum of some finite family of generators of v.
-
-    Enlarging the family only lowers the infimum, so a witnessing family
-    exists exactly when the full generator family works.
-    """
-    return frozenset(_indices(space.above(space.reconstructions[v])))
 
 
 @lru_cache(maxsize=64)
@@ -342,7 +315,7 @@ def m_arrow(space, u, v) -> MonotoneMap:
 def ideal_lattice(e) -> FinitePoset:
     """I(E): the ideals of e, the lower sets closed under existing sups,
     ordered by inclusion, in the order of e's lower-set enumeration."""
-    masks = [low for low in e._lower_set_masks()
+    masks = [low for low in e._lower_masks()
              if e._unclosed_family(low) is None]
     return FinitePoset._from_up_masks(
         [sum(1 << j for j, b in enumerate(masks) if not a & ~b) for a in masks])

@@ -271,22 +271,13 @@ class FinitePoset:
 
     # -- ideals -------------------------------------------------------------
 
-    def is_ideal(self, a):
-        """True iff a is empty, or a lower set closed under existing finite sups.
-
-        A nonempty family in a with supremum x outside a lies inside
-        a meet down(x), whose supremum is then x too; so a lower set is
-        closed iff no x outside it is the supremum of its part below x.
-        """
-        mask = self._mask(a)
-        return (_union(self._downm, mask) == mask
-                and self._unclosed_family(mask) is None)
-
     def _unclosed_family(self, mask):
         """The first mask meet down(x), over x outside the lower set mask in
         index order, whose supremum is x, as a mask; None if mask is closed
-        under existing sups.  x bounds that part, so it is its supremum iff
-        every upper bound of the part lies above x."""
+        under existing sups, an ideal.  A nonempty family in the lower set
+        with supremum x outside it lies inside mask meet down(x), whose
+        supremum is then x too.  x bounds that part, so it is its supremum
+        iff every upper bound of the part lies above x."""
         up, down, n = self._upm, self._downm, self.n
         for x in range(n):
             if not mask >> x & 1:
@@ -295,7 +286,7 @@ class FinitePoset:
                     return below
         return None
 
-    def _lower_set_masks(self):
+    def _lower_masks(self):
         """The masks of all lower sets, each exactly once: those of the rest
         without its last maximal element x, then down(x) joined to those of
         the rest outside down(x)."""
@@ -707,7 +698,7 @@ def enumerate_posets(n_max):
         nxt = []
         for parent in level:
             pup, pdown = parent._upm, parent._downm
-            lows = sorted(parent._lower_set_masks(), key=_size_then_indices)
+            lows = sorted(parent._lower_masks(), key=_size_then_indices)
             # the children with strict down-set dset: the parent's up-masks
             # gain e on dset, and up(e) is uset plus e
             grown = [(dset, tuple(m | bit if dset >> i & 1 else m
@@ -752,7 +743,7 @@ def enumerate_unlabeled_posets(n_max):
         nxt = {}
         for parent in level:
             pup = parent._upm
-            for low in sorted(parent._lower_set_masks(),
+            for low in sorted(parent._lower_masks(),
                               key=_size_then_indices):
                 q = FinitePoset._from_up_masks(
                     tuple(m | bit if low >> i & 1 else m

@@ -11,25 +11,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .poset import (FinitePoset, OrderExtension, PosetError, _bits,
-                    _bounding_member, _frozen, _indices, _pair_tables,
+                    _bounding_member, _indices, _pair_tables,
                     classify)
 from .maxitive import (MapError, MonotoneMap, _sublevel_masks,
                        maxitivity_witness)
 
 
-def is_sup_map(v: MonotoneMap) -> bool:
-    """Complete maxitivity with the empty family included.
-
-    The empty family's supremum is the bottom of the source, and its value
-    join is the bottom of the target; a bottomed source therefore forces the
-    bottom to land on a bottom.  This stronger variant is what the
-    residuated/completely-maxitive equivalence needs.
-    """
-    return maxitivity_witness(v) is None and _keeps_bottom(v)
-
-
 def _keeps_bottom(v: MonotoneMap) -> bool:
-    """The empty-family half of is_sup_map: a bottom goes to a bottom."""
+    """The empty-family half of a sup map, complete maxitivity with the
+    empty family included: the empty family's supremum is the bottom of
+    the source, and its value join is the bottom of the target, so a
+    bottom must go to a bottom."""
     b = v.source.bottom()
     return b is None or v.values[b] == v.target.bottom()
 
@@ -59,7 +51,7 @@ def is_meet_continuous_over(ext: OrderExtension) -> bool:
                 a for a, trace in enumerate(traces) if not part & ~trace))
         return sups[part]
 
-    for ideal in base._lower_set_masks():
+    for ideal in base._lower_masks():
         if not ideal or base._unclosed_family(ideal) is not None:
             continue
         meet_s = meets[sup(ideal)]
@@ -74,11 +66,6 @@ def _meet_continuous_over_once(ext: OrderExtension) -> bool:
     """is_meet_continuous_over, computed once per extension: it depends only
     on the extension, and theorem_5_4 is asked about every map on it."""
     return is_meet_continuous_over(ext)
-
-
-def sublevel(v: MonotoneMap, t) -> frozenset:
-    """Source elements whose value sits below t."""
-    return _frozen(_sublevel_masks(v)[t])
 
 
 def is_residuated(v: MonotoneMap, ext: OrderExtension) -> bool:

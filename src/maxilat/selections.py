@@ -8,14 +8,14 @@ to apply one level up when testing union-completeness.
 
 The data are int bitmasks over the poset (bit i for element i): a
 selection keeps the masks of its sets and a way-above relation the mask
-of the elements way-above each x.  The frozensets of `fsets` and the
-boolean matrix `gg` are views built on first request.
+of the elements way-above each x, and each is constructed from them.  The
+frozensets of `fsets` are a view built on first request.
 """
 
 import enum
 from dataclasses import dataclass
 
-from .poset import (FinitePoset, _bits, _bounding_member, _common, _frozen,
+from .poset import (FinitePoset, _bounding_member, _common, _frozen,
                     _indices, _union)
 
 
@@ -43,32 +43,24 @@ class FilterSelection:
     `_selected`; the checks and membership tests of the library run on
     them.  `fsets`, the frozenset of the sets, and `_infima`, the infimum
     of each set by its mask, are built on first request.
-    The public constructor takes the sets as collections of indices; each
-    is range-checked as its mask is built and then checked like the masks
-    of `_from_masks`.
+    The constructor takes the masks of the sets, bit i for element i;
+    `build_selection` is the usual way to make one.
     """
 
     __slots__ = ("poset", "kind", "recursion_kind", "_masks", "_selected",
                  "_fsets", "_infima")
 
-    def __init__(self, poset: FinitePoset, kind: SelectionKind, fsets,
+    def __init__(self, poset: FinitePoset, kind: SelectionKind, masks,
                  recursion_kind=SelectionKind.PRINCIPAL):
-        self._set_masks(poset, kind, map(poset._mask, fsets), recursion_kind)
-
-    @classmethod
-    def _from_masks(cls, poset, kind, masks, recursion_kind):
-        """The selection of the distinct subset masks masks."""
-        sel = cls.__new__(cls)
-        sel._set_masks(poset, kind, masks, recursion_kind)
-        return sel
-
-    def _set_masks(self, p, kind, masks, recursion_kind):
         # The size checks follow the loop: the families they refuse, none or
         # only empty sets, pass the upper-set test, so a bad input raises
         # what it raised when they came first.
-        up = p._upm
+        up, n = poset._upm, poset.n
         kept = []
         for mask in masks:
+            if mask >> n:
+                raise SelectionError(f"mask {mask} has a bit outside the "
+                                     f"{n} elements")
             if _union(up, mask) != mask:
                 raise SelectionError(f"{_indices(mask)} is not an upper set")
             kept.append(mask)
@@ -77,10 +69,10 @@ class FilterSelection:
         if not any(kept):
             raise SelectionError("a selection needs at least one nonempty member")
         selected = set(kept)
-        for x in range(p.n):
+        for x in range(n):
             if up[x] not in selected:
                 raise SelectionError(f"principal filter of {x} is missing")
-        self.poset = p
+        self.poset = poset
         self.kind = kind
         self.recursion_kind = recursion_kind
         self._masks = tuple(kept)
@@ -113,12 +105,6 @@ class FilterSelection:
         return hash((self.poset, self.kind, frozenset(self._selected),
                      self.recursion_kind))
 
-    def __contains__(self, subset):
-        return frozenset(subset) in self.fsets
-
-    def sorted_fsets(self):
-        return sorted(self.fsets, key=lambda f: (len(f), sorted(f)))
-
 
 def build_selection(p, kind, explicit_sets=None,
                     recursion_kind=SelectionKind.PRINCIPAL) -> FilterSelection:
@@ -133,7 +119,7 @@ def build_selection(p, kind, explicit_sets=None,
         masks = p._upm
     elif kind is SelectionKind.UPPER:
         full = (1 << p.n) - 1
-        masks = [full ^ low for low in p._lower_set_masks()]
+        masks = [full ^ low for low in p._lower_masks()]
     elif kind is SelectionKind.EXPLICIT:
         if explicit_sets is None:
             raise SelectionError("explicit selections require explicit_sets")
@@ -148,8 +134,7 @@ def build_selection(p, kind, explicit_sets=None,
         raise SelectionError(f"unknown kind {kind!r}")
     if kind is not SelectionKind.EXPLICIT:
         recursion_kind = kind
-    return FilterSelection._from_masks(p, kind, masks,
-                                       SelectionKind(recursion_kind))
+    return FilterSelection(p, kind, masks, SelectionKind(recursion_kind))
 
 
 class WayAboveRelation:
@@ -157,41 +142,28 @@ class WayAboveRelation:
 
     y is way-above x iff every selected set with an infimum below x
     contains y.  The data are the columns as int bitmasks, `_cols[x]`
-    holding the y way-above x; the boolean matrix gg, gg[y][x] for y
-    way-above x, is built on first request.  The public constructor takes
-    gg.  For the built-in kinds, way-above is contained in the partial
-    order; this is asserted at construction and not claimed for explicit
-    selections.
+    holding the y way-above x; the constructor takes them, one per
+    element, and `way_above` computes them from the selection.  For the
+    built-in kinds, way-above is contained in the partial order; this is
+    asserted at construction and not claimed for explicit selections.
     """
 
-    __slots__ = ("poset", "selection", "_cols", "_gg")
+    __slots__ = ("poset", "selection", "_cols")
 
-    def __init__(self, poset: FinitePoset, selection: FilterSelection, gg):
+    def __init__(self, poset: FinitePoset, selection: FilterSelection, cols):
+        cols = tuple(cols)
         n = poset.n
-        self._set_columns(poset, selection,
-                          tuple(_bits(y for y in range(n) if gg[y][x])
-                                for x in range(n)))
-
-    @classmethod
-    def _from_columns(cls, poset, selection, cols):
-        rel = cls.__new__(cls)
-        rel._set_columns(poset, selection, cols)
-        return rel
-
-    def _set_columns(self, poset, selection, cols):
+        if len(cols) != n:
+            raise SelectionError(f"expected {n} way-above columns, "
+                                 f"got {len(cols)}")
+        for x, col in enumerate(cols):
+            if col >> n:
+                raise SelectionError(f"column {x} has a bit outside the "
+                                     f"{n} elements")
         _check_within_order(poset, selection, cols)
         self.poset = poset
         self.selection = selection
         self._cols = cols
-        self._gg = None
-
-    @property
-    def gg(self) -> tuple:
-        if self._gg is None:
-            n, cols = self.poset.n, self._cols
-            self._gg = tuple(tuple(bool(cols[x] >> y & 1) for x in range(n))
-                             for y in range(n))
-        return self._gg
 
     def __eq__(self, other):
         if not isinstance(other, WayAboveRelation):
@@ -237,7 +209,7 @@ def _way_above_columns(p, sel):
 
 def way_above(p, sel) -> WayAboveRelation:
     """Compute the way-above relation of p under the selection sel."""
-    return WayAboveRelation._from_columns(p, sel, _way_above_columns(p, sel)[0])
+    return WayAboveRelation(p, sel, _way_above_columns(p, sel)[0])
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,12 @@ import pytest
 from maxilat import (ContinuityReport, FinitePoset, Generator, IdealFamily,
                      MapError, PosetError, PosetProfile, SelectionError,
                      SelectionKind, build_selection, classify,
-                     from_ideal_family, pointwise_inf, way_above)
+                     from_ideal_family, maxitivity_witness, pointwise_inf,
+                     way_above)
 from maxilat.catalog import antichain, chain, diamond, m3, n5, seven_element
 from maxilat.harness import run_suite, summarize
 from maxilat.io import map_to_dict, poset_to_dict
+from maxilat.poset import _frozen
 
 
 @pytest.fixture
@@ -451,6 +453,19 @@ def oracle_is_maxitive(v):
     return True
 
 
+def is_sup_map(v):
+    """Complete maxitivity with the empty family included.
+
+    The empty family's supremum is the bottom of the source, and its value
+    join is the bottom of the target; a bottomed source therefore forces the
+    bottom to land on a bottom.  This stronger variant is what the
+    residuated/completely-maxitive equivalence needs.
+    """
+    b = v.source.bottom()
+    return (maxitivity_witness(v) is None
+            and (b is None or v.values[b] == v.target.bottom()))
+
+
 def oracle_is_ideal(p, a):
     """Empty, or a lower set holding the supremum of each of its nonempty
     subsets that has one: the subset scan of the definition."""
@@ -459,6 +474,16 @@ def oracle_is_ideal(p, a):
         return False
     return all(sup in a for family, sup in oracle_sups(p)
                if set(family) <= a)
+
+
+def delta(v, g, gs):
+    """Iterated Choquet difference of the cone v at g along the list gs, by
+    the recursion of its definition through the source's joins."""
+    gs = tuple(gs)
+    if not gs:
+        return v.values[g]
+    head, rest = gs[0], gs[1:]
+    return delta(v, v._joins[g][head], rest) - delta(v, g, rest)
 
 
 def oracle_cone_is_maxitive(v):
@@ -744,7 +769,7 @@ def oracle_m_arrow(space, u, v):
         fits = frozenset(h for h in range(e.n)
                          if l.leq(vvals[h], l.sup_of((uvals[h], t))))
         family.append(frozenset(g for g in range(e.n) if e.down(g) <= fits))
-    arrow = from_ideal_family(IdealFamily(e, l, tuple(family)),
+    arrow = from_ideal_family(IdealFamily(e, l, map(e._mask, family)),
                               build_selection(l, SelectionKind.PRINCIPAL))
     space.index_of(arrow.values)
     return arrow
@@ -907,19 +932,32 @@ def oracle_monotone_map(source, target, values):
 
 
 def oracle_ideal_family(source, target, family):
-    """IdealFamily's checks on frozensets, with is_ideal and subset tests,
-    raising the same MapError texts; returns the family as a tuple."""
+    """IdealFamily's checks on frozensets, with the definitional ideal test
+    and subset tests, raising the same MapError texts; returns the family
+    as a tuple."""
     family = tuple(frozenset(i) for i in family)
     if len(family) != target.n:
         raise MapError("the family must index every target element")
     for t, ideal in enumerate(family):
-        if not source.is_ideal(ideal):
+        if not oracle_is_ideal(source, ideal):
             raise MapError(f"member at {t} is not an ideal of the source")
     for s in range(target.n):
         for t in target.up(s):
             if not family[s] <= family[t]:
                 raise MapError(f"family decreases from {s} to {t}")
     return family
+
+
+def members(fam):
+    """The members of an IdealFamily as frozensets, read off its masks."""
+    return tuple(map(_frozen, fam._masks))
+
+
+def way_above_matrix(rel):
+    """gg[y][x]: whether y is way-above x under the relation rel."""
+    n = rel.poset.n
+    return tuple(tuple(rel.way_above(y, x) for x in range(n))
+                 for y in range(n))
 
 
 def oracle_sublevel_family(v):
@@ -936,7 +974,8 @@ def oracle_from_ideal_family(fam, sel_l):
         raise MapError("selection was built on a different target poset")
     values = []
     for g in range(fam.source.n):
-        ts = frozenset(t for t in range(fam.target.n) if g in fam.family[t])
+        ts = frozenset(t for t, member in enumerate(members(fam))
+                       if g in member)
         if ts not in sel_l.fsets:
             raise MapError(f"membership set of {g} is not a selected set")
         m = _inf_or_top(fam.target, ts)
@@ -948,15 +987,15 @@ def oracle_from_ideal_family(fam, sel_l):
 
 def oracle_is_right_continuous(fam, rel):
     """Each member is the intersection of the members way-above it, read
-    off rel.gg as frozensets."""
-    n = fam.target.n
+    off rel.way_above as frozensets."""
+    n, family = fam.target.n, members(fam)
     everything = frozenset(range(fam.source.n))
     for t in range(n):
         inter = everything
         for s in range(n):
-            if rel.gg[s][t]:
-                inter &= fam.family[s]
-        if inter != fam.family[t]:
+            if rel.way_above(s, t):
+                inter &= family[s]
+        if inter != family[t]:
             return False
     return True
 

@@ -7,8 +7,8 @@ import pytest
 
 from maxilat import (FinitePoset, MonotoneMap, build_selection, build_space,
                      classify, enumerate_posets, enumerate_unlabeled_posets,
-                     heyting_arrow, is_maxitive,
-                     is_pairwise_maxitive, m_arrow)
+                     heyting_arrow, is_pairwise_maxitive, m_arrow,
+                     maxitivity_witness)
 from maxilat import harness
 from maxilat.cli import main
 from maxilat.harness import (FAIL, PASS, SKIP, HarnessError, VerdictRecord,
@@ -74,6 +74,20 @@ class TestRunSuite:
         out_path = tmp_path / "verdicts.json"
         assert main(["harness", "run", *argv, "--out", str(out_path)]) == 2
         assert "applies only to" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("kind", ["bogus", "explicit"])
+    def test_a_selection_kind_interpolation_cannot_run_is_refused(self, kind):
+        with pytest.raises(HarnessError, match="not one of principal"):
+            next(run_suite("interpolation", selections=(kind,)))
+
+    @pytest.mark.parametrize("kind", ["bogus", "explicit"])
+    def test_a_selection_kind_interpolation_cannot_run_exits_2(
+            self, tmp_path, capsys, kind):
+        out_path = tmp_path / "verdicts.json"
+        assert main(["harness", "run", "interpolation", "--selections", kind,
+                     "--out", str(out_path)]) == 2
+        assert "not one of principal" in capsys.readouterr().err
         assert not out_path.exists()
 
     def test_all_registered_claims_produce_records(self):
@@ -212,7 +226,7 @@ class TestWitnessReplay:
         two = poset_from_dict({"elements": ["0", "1"], "covers": [["0", "1"]]})
         v = MonotoneMap(poset, two, tuple(rec.instance["values"]))
         assert is_pairwise_maxitive(v) == rec.witness["pairwise"]
-        assert is_maxitive(v) == rec.witness["maxitive"]
+        assert (maxitivity_witness(v) is None) == rec.witness["maxitive"]
         assert rec.witness["family"] == ["a", "b", "c"]
 
     def test_extension_witnesses_carry_the_map(self):
@@ -351,7 +365,7 @@ class TestFrameOracle:
             wrong = list(oracle_adjunction_violations(
                 oracle_space_poset(space), lambda u, w: w, lambda u, v: u))
             assert list(harness.adjunction_violations(
-                len(space), lambda u, v: space.up(v), space.up,
+                len(space), lambda u, v: space.ups[v], space.ups.__getitem__,
                 lambda u, v: u)) == wrong
             assert bool(wrong) == (len(space) > 1)
         for l in enumerate_posets(5):
@@ -543,9 +557,9 @@ class TestWorkCounts:
             assert built.setdefault((space, gen.h, gen.s), values) is values
             return values
 
-        def counted_representation(space, values, sel_l=None):
+        def counted_representation(space, values):
             represented[space, values] += 1
-            return real_representation(space, values, sel_l)
+            return real_representation(space, values)
         for module in (mspace, harness):
             monkeypatch.setattr(module, "generator_values", counted_values,
                                 raising=False)

@@ -189,6 +189,29 @@ class TestCli:
         doc = json.loads(out_path.read_text())
         assert doc == {"maxitive": False, "witness": ["a", "b", "c"]}
 
+    @pytest.mark.parametrize("kind, flags, message", [
+        ("poset", ["--alternating", "4"], "--alternating applies only"),
+        ("cone", ["--pairwise"], "--pairwise applies only"),
+        ("cone", ["--alternating", "0"], "depth must be at least 1")],
+        ids=["alternating-on-a-poset-map", "pairwise-on-a-cone",
+             "alternating-depth-0"])
+    def test_map_check_refuses_a_flag_it_would_ignore(
+            self, indicator_path, tmp_path, capsys, kind, flags, message):
+        # --alternating checks rational-valued maps and --pairwise
+        # poset-valued ones; the other kind would skip the check
+        if kind == "poset":
+            path = indicator_path
+        else:
+            path = tmp_path / "cone.json"
+            path.write_text(json.dumps({"source": {"elements": ["a", "b"],
+                                                   "covers": [["a", "b"]]},
+                                        "values": {"a": 0, "b": 1}}))
+        out_path = tmp_path / "verdict.json"
+        assert main(["map", "check", str(path), *flags,
+                     "--out", str(out_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_out_is_the_json_dumps_object(self, seven_path, indicator_path,
                                           tmp_path, capsys):
         # a payload without a streamed value goes through the writer of the

@@ -10,21 +10,21 @@ import pytest
 from maxilat import (FinitePoset, IdealFamily, InvariantError, MapError,
                      MonotoneMap,
                      OrderExtension, RationalConeMap, alternating_witness, build_selection,
-                     classify, delta, dm_completion, e_lower_star, e_star,
+                     classify, dm_completion, e_lower_star, e_star,
                      enumerate_posets, enumerate_unlabeled_posets,
                      extend_lower_star, extend_star,
-                     from_ideal_family, ideal_family_of, is_alternating,
-                     is_maxitive, is_pairwise_maxitive, iter_monotone_values,
+                     from_ideal_family, ideal_family_of,
+                     is_pairwise_maxitive, iter_monotone_values,
                      maxitivity_witness, way_above)
 from maxilat.selections import continuity_report
 from maxilat import maxitive
 from maxilat.catalog import antichain, chain, diamond, m3
 
-from conftest import (FrozensetBounds, WholeBaseTraces,
+from conftest import (FrozensetBounds, WholeBaseTraces, delta, members,
                       oracle_alternating_witness, oracle_cone_is_maxitive,
                       oracle_cone_pairwise, oracle_e_lower_star,
                       oracle_extend_star_values, oracle_from_ideal_family,
-                      oracle_ideal_family, oracle_is_maxitive,
+                      oracle_ideal_family, oracle_is_ideal, oracle_is_maxitive,
                       oracle_is_right_continuous, oracle_iter_monotone_values,
                       oracle_lower_sets, oracle_monotone_map,
                       oracle_monotone_maps, oracle_sublevel_family,
@@ -160,10 +160,12 @@ class TestMaxitivity:
     def test_constant_maps_are_maxitive(self, seven):
         two = chain(2)
         for c in range(2):
-            assert is_maxitive(MonotoneMap(seven, two, (c,) * seven.n))
+            assert maxitivity_witness(
+                MonotoneMap(seven, two, (c,) * seven.n)) is None
 
     def test_identity_on_a_lattice_is_maxitive(self, b2):
-        assert is_maxitive(MonotoneMap(b2, b2, tuple(range(b2.n))))
+        assert maxitivity_witness(
+            MonotoneMap(b2, b2, tuple(range(b2.n)))) is None
 
     def test_agrees_with_the_definitional_oracle(self):
         checked = 0
@@ -191,26 +193,26 @@ class TestMaxitivity:
             for l in enumerate_unlabeled_posets(3):
                 for values in iter_monotone_values(e, l):
                     v = MonotoneMap(e, l, values)
-                    assert is_maxitive(v) == is_pairwise_maxitive(v)
+                    assert (maxitivity_witness(v) is None) == is_pairwise_maxitive(v)
 
     def test_maxitive_implies_pairwise_everywhere(self):
         for e in enumerate_unlabeled_posets(3):
             for l in enumerate_unlabeled_posets(3):
                 for values in iter_monotone_values(e, l):
                     v = MonotoneMap(e, l, values)
-                    if is_maxitive(v):
+                    if maxitivity_witness(v) is None:
                         assert is_pairwise_maxitive(v)
 
 
 class TestIdealFamilies:
     def test_canonical_family_of_the_identity(self, chain3):
         fam = ideal_family_of(MonotoneMap(chain3, chain3, (0, 1, 2)))
-        assert fam.family == (frozenset({0}), frozenset({0, 1}),
-                              frozenset({0, 1, 2}))
+        assert members(fam) == (frozenset({0}), frozenset({0, 1}),
+                                frozenset({0, 1, 2}))
 
     def test_canonical_family_of_a_constant(self, chain3):
         fam = ideal_family_of(MonotoneMap(chain3, chain3, (0, 0, 0)))
-        assert all(ideal == frozenset({0, 1, 2}) for ideal in fam.family)
+        assert all(ideal == frozenset({0, 1, 2}) for ideal in members(fam))
 
     def test_rejects_non_maxitive_map(self, seven_indicator):
         with pytest.raises(MapError, match="not maxitive"):
@@ -278,15 +280,16 @@ class TestIdealFamilies:
                                                       family) if w)
                         expected = ("MapError", "map is not maxitive; "
                                     f"offending family {sorted(witness)}")
-                    assert outcome(lambda: ideal_family_of(v).family) == expected
+                    assert outcome(lambda: members(ideal_family_of(v))) == expected
                 for family in itertools.product(subsets, repeat=l.n):
                     expected = outcome(oracle_ideal_family, e, l, family)
-                    assert outcome(lambda: IdealFamily(e, l, family).family) \
+                    masks = [e._mask(f) for f in family]
+                    assert outcome(lambda: members(IdealFamily(e, l, masks))) \
                         == expected
                     if expected != family:
                         errors.add(re.sub(r"\d+", "#", expected[1]))
                         continue
-                    fam = IdealFamily(e, l, family)
+                    fam = IdealFamily(e, l, masks)
                     for sel, rel in zip(sels, rels):
                         assert (outcome(lambda: from_ideal_family(fam, sel).values)
                                 == outcome(oracle_from_ideal_family, fam, sel))
@@ -298,26 +301,23 @@ class TestIdealFamilies:
     def test_rejects_non_ideal_members(self, b2, chain3):
         atoms = frozenset({b2.index_of("a"), b2.index_of("b")})
         with pytest.raises(MapError, match="ideal"):
-            IdealFamily(b2, chain3, (atoms, atoms, atoms))
+            IdealFamily(b2, chain3, [b2._mask(atoms)] * 3)
 
     def test_rejects_decreasing_families(self, chain3):
         with pytest.raises(MapError, match="decreases"):
-            IdealFamily(chain3, chain3,
-                        (frozenset({0, 1}), frozenset({0}), frozenset({0})))
+            IdealFamily(chain3, chain3, map(chain3._mask, ({0, 1}, {0}, {0})))
 
     def test_sublevel_family_evaluates_back(self):
         c2, c3 = chain(2), chain(3)
         sel = build_selection(c3, "principal")
-        fam = IdealFamily(c2, c3, (frozenset(), frozenset({0}),
-                                   frozenset({0, 1})))
+        fam = IdealFamily(c2, c3, map(c2._mask, ((), {0}, {0, 1})))
         v = from_ideal_family(fam, sel)
         assert v.values == (1, 2)
 
     def test_missing_membership_set_is_an_error(self, chain3):
         c2 = chain(2)
         sel = build_selection(chain3, "principal")
-        fam = IdealFamily(c2, chain3, (frozenset(), frozenset({0}),
-                                       frozenset({0})))
+        fam = IdealFamily(c2, chain3, map(c2._mask, ((), {0}, {0})))
         with pytest.raises(MapError, match="membership"):
             from_ideal_family(fam, sel)
 
@@ -326,8 +326,7 @@ class TestIdealFamilies:
         # g = 0 has membership {1, 2}, a principal filter; g = 1 the empty
         # set, which the principal selection does not hold
         sel = build_selection(chain3, "principal")
-        fam = IdealFamily(c2, chain3, (frozenset(), frozenset({0}),
-                                       frozenset({0})))
+        fam = IdealFamily(c2, chain3, map(c2._mask, ((), {0}, {0})))
         expected = ("MapError", "membership set of 1 is not a selected set")
         assert outcome(from_ideal_family, fam, sel) == expected
         assert outcome(oracle_from_ideal_family, fam, sel) == expected
@@ -337,7 +336,7 @@ class TestIdealFamilies:
         sel = build_selection(a2, "upper")
         for family, g in (((frozenset(), frozenset({0})), 1),
                           ((frozenset(), frozenset()), 0)):
-            fam = IdealFamily(c2, a2, family)
+            fam = IdealFamily(c2, a2, map(c2._mask, family))
             expected = ("MapError", f"membership set of {g} has no infimum")
             assert outcome(from_ideal_family, fam, sel) == expected
             assert outcome(oracle_from_ideal_family, fam, sel) == expected
@@ -347,7 +346,7 @@ class TestIdealFamilies:
         # right-continuous, yet evaluation is still well defined
         c2 = chain(2)
         sel = build_selection(chain3, "upper")
-        fam = IdealFamily(c2, chain3, (frozenset(), frozenset(), frozenset()))
+        fam = IdealFamily(c2, chain3, (0, 0, 0))
         v = from_ideal_family(fam, sel)
         assert v.values == (2, 2)
         assert not fam.is_right_continuous(way_above(chain3, sel))
@@ -359,7 +358,7 @@ class TestIdealFamilies:
                 rel = way_above(l, sel)
                 for values in iter_monotone_values(e, l):
                     v = MonotoneMap(e, l, values)
-                    if not is_maxitive(v):
+                    if maxitivity_witness(v) is not None:
                         continue
                     fam = ideal_family_of(v)
                     assert from_ideal_family(fam, sel).values == v.values
@@ -371,10 +370,10 @@ class TestIdealFamilies:
         sel = build_selection(c3, "filtered")
         rel = way_above(c3, sel)
         for e in enumerate_unlabeled_posets(3):
-            ideals = [i for i in oracle_lower_sets(e) if e.is_ideal(i)]
+            ideals = [i for i in oracle_lower_sets(e) if oracle_is_ideal(e, i)]
             for fam_tuple in itertools.product(ideals, repeat=3):
                 try:
-                    fam = IdealFamily(e, c3, fam_tuple)
+                    fam = IdealFamily(e, c3, map(e._mask, fam_tuple))
                 except MapError:
                     continue
                 if not fam.is_right_continuous(rel):
@@ -383,7 +382,7 @@ class TestIdealFamilies:
                     v = from_ideal_family(fam, sel)
                 except MapError:
                     continue
-                assert is_maxitive(v)
+                assert maxitivity_witness(v) is None
 
 
 class TestRationalCone:
@@ -474,7 +473,7 @@ class TestRationalCone:
             for values in iter_monotone_values(p, value_range):
                 cone = RationalConeMap(p, values)
                 if cone.is_maxitive():
-                    assert is_alternating(cone, depth=4)
+                    assert alternating_witness(cone, depth=4) is None
 
     def test_is_maxitive_agrees_with_the_subset_scan(self):
         # every cone of the alternating claim at size <= 4, and the same
@@ -548,7 +547,7 @@ class TestRationalCone:
 
     def test_depth_must_be_positive(self, chain3):
         with pytest.raises(MapError, match="depth"):
-            is_alternating(RationalConeMap(chain3, (0, 0, 0)), depth=0)
+            alternating_witness(RationalConeMap(chain3, (0, 0, 0)), depth=0)
 
 
 class TestStarRegion:
@@ -583,10 +582,10 @@ class TestStarRegion:
             star = sorted(e_star(ext, sel_e))
             for values in iter_monotone_values(e, c3):
                 v = MonotoneMap(e, c3, values)
-                if not is_maxitive(v):
+                if maxitivity_witness(v) is not None:
                     continue
                 vstar = extend_star(v, ext, sel_e, sel_l)
-                assert is_maxitive(vstar)
+                assert maxitivity_witness(vstar) is None
                 for g in range(e.n):
                     assert vstar.values[star.index(ext.embed[g])] == values[g]
 
@@ -610,7 +609,7 @@ class TestStarRegion:
                 for l, sel_l in targets:
                     for values in iter_monotone_values(e, l):
                         v = MonotoneMap(e, l, values)
-                        if not is_maxitive(v):
+                        if maxitivity_witness(v) is not None:
                             continue
                         compared += 1
                         try:
@@ -718,7 +717,7 @@ class TestLowerStarRegion:
         sub = ext.complete.restrict(members)
         for values in iter_monotone_values(e, c2):
             v = MonotoneMap(e, c2, values)
-            if not is_maxitive(v):
+            if maxitivity_witness(v) is not None:
                 continue
             try:
                 vlow = extend_lower_star(v, ext)
@@ -726,7 +725,7 @@ class TestLowerStarRegion:
                 continue
             for wvals in iter_monotone_values(sub, c2):
                 w = MonotoneMap(sub, c2, wvals)
-                if not is_maxitive(w):
+                if maxitivity_witness(w) is not None:
                     continue
                 if all(wvals[members.index(ext.embed[g])] == values[g]
                        for g in range(e.n)):

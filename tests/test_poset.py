@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxilat import (FinitePoset, OrderExtension, PosetError, classify,
-                     dm_completion, enumerate_posets,
+from maxilat import (FinitePoset, IdealFamily, MapError, OrderExtension,
+                     PosetError, classify, dm_completion, enumerate_posets,
                      enumerate_unlabeled_posets)
 from maxilat import poset
 from maxilat.catalog import antichain, chain
@@ -27,7 +27,12 @@ from conftest import (FrozensetBounds, brute_force_posets,
 
 def lower_sets(p):
     """The lower sets of the mask recursion, as frozensets in its order."""
-    return [frozenset(oracle_indices(low)) for low in p._lower_set_masks()]
+    return [frozenset(oracle_indices(low)) for low in p._lower_masks()]
+
+
+def closed(p, members):
+    """Whether the lower set members is closed under existing sups."""
+    return p._unclosed_family(p._mask(members)) is None
 
 
 def relabeled(p, perm):
@@ -185,27 +190,28 @@ class TestBounds:
 class TestIdeals:
     def test_seven_element_ideal(self, seven):
         members = {seven.index_of(x) for x in ("a", "b", "alpha")}
-        assert seven.is_ideal(members)
+        assert closed(seven, members)
 
     def test_diamond_atoms_not_an_ideal(self, b2):
-        assert not b2.is_ideal({b2.index_of("a"), b2.index_of("b")})
+        assert not closed(b2, {b2.index_of("a"), b2.index_of("b")})
 
     def test_empty_set_is_an_ideal(self, seven):
-        assert seven.is_ideal(frozenset())
+        assert closed(seven, frozenset())
 
     def test_non_lower_set_is_not_an_ideal(self, chain3):
-        assert not chain3.is_ideal({1})
+        with pytest.raises(MapError, match="not an ideal"):
+            IdealFamily(chain3, chain(1), [chain3._mask({1})])
 
     def test_lower_set_missing_a_join_is_not_an_ideal(self, seven):
         # {a, b, c} has supremum z, which is missing
         members = {seven.index_of(x) for x in ("a", "b", "c")}
-        assert not seven.is_ideal(members)
+        assert not closed(seven, members)
 
     def test_is_ideal_agrees_with_the_definitional_oracle(self):
         checked = 0
         for p in enumerate_posets(5):
             for low in oracle_lower_sets(p):
-                assert p.is_ideal(low) == oracle_is_ideal(p, low)
+                assert closed(p, low) == oracle_is_ideal(p, low)
                 checked += 1
         assert checked == 48710
 

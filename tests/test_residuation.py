@@ -5,16 +5,17 @@ import pytest
 from maxilat import (Adjoint, MapError, MonotoneMap, OrderExtension,
                      PosetError, adjoint_of, classify, dm_completion,
                      enumerate_posets, enumerate_unlabeled_posets,
-                     heyting_arrow, is_maxitive,
-                     is_meet_continuous_over, is_residuated, is_sup_map,
-                     iter_monotone_values, theorem_5_4)
+                     heyting_arrow, is_meet_continuous_over, is_residuated,
+                     iter_monotone_values, maxitivity_witness, theorem_5_4)
 from maxilat import residuation
 from maxilat.catalog import antichain, chain, m3, n5
 from maxilat.harness import run_suite
-from maxilat.residuation import sublevel
+from maxilat.maxitive import _sublevel_masks
+from maxilat.poset import _frozen
 
-from conftest import (oracle_is_maxitive, oracle_is_meet_continuous_over,
-                      oracle_is_residuated, oracle_sublevel_family)
+from conftest import (is_sup_map, oracle_is_maxitive,
+                      oracle_is_meet_continuous_over, oracle_is_residuated,
+                      oracle_sublevel_family)
 
 
 @pytest.fixture
@@ -26,27 +27,27 @@ def seven_indicator(seven):
 
 class TestCompletelyMaxitive:
     def test_identity_on_a_lattice(self, b2):
-        assert is_maxitive(MonotoneMap(b2, b2, tuple(range(4))))
+        assert maxitivity_witness(MonotoneMap(b2, b2, tuple(range(4)))) is None
 
     def test_seven_element_counterexample(self, seven_indicator):
-        assert not is_maxitive(seven_indicator)
+        assert maxitivity_witness(seven_indicator) is not None
 
     def test_coincides_with_maxitivity_on_finite_posets(self):
         for e in enumerate_unlabeled_posets(4):
             for l in enumerate_unlabeled_posets(3):
                 for values in iter_monotone_values(e, l):
                     v = MonotoneMap(e, l, values)
-                    assert is_maxitive(v) == oracle_is_maxitive(v)
+                    assert (maxitivity_witness(v) is None) == oracle_is_maxitive(v)
 
     def test_sup_map_needs_bottom_to_go_to_bottom(self, chain3):
         point = chain(1)
         v = MonotoneMap(point, antichain(2), (0,))
-        assert is_maxitive(v)
+        assert maxitivity_witness(v) is None
         assert not is_sup_map(v)    # the target has no bottom
         w = MonotoneMap(chain3, chain3, (0, 0, 1))
         assert is_sup_map(w)
         x = MonotoneMap(chain3, chain3, (1, 1, 2))
-        assert is_maxitive(x) and not is_sup_map(x)
+        assert maxitivity_witness(x) is None and not is_sup_map(x)
 
     def test_sup_map_unconstrained_without_a_bottom(self, two_antichain):
         v = MonotoneMap(two_antichain, chain(2), (1, 1))
@@ -87,7 +88,7 @@ class TestResiduated:
                 for values in iter_monotone_values(e, l):
                     v = MonotoneMap(e, l, values)
                     assert is_residuated(v, ext) == oracle_is_residuated(v, ext)
-                    assert tuple(sublevel(v, t) for t in range(l.n)) \
+                    assert tuple(map(_frozen, _sublevel_masks(v))) \
                         == oracle_sublevel_family(v)
                     maps += 1
         assert maps == 2436
@@ -113,8 +114,8 @@ class TestAdjoint:
                     if not is_residuated(v, ext):
                         continue
                     adj = adjoint_of(v, ext)
-                    for t in range(l.n):
-                        assert ext.down_in_base(adj(t)) == sublevel(v, t)
+                    for t, level in enumerate(oracle_sublevel_family(v)):
+                        assert ext.down_in_base(adj(t)) == level
 
     def test_galois_condition_is_validated(self, chain3):
         ext = OrderExtension(chain3, chain3, (0, 1, 2))

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from maxilat import (FilterSelection, MonotoneMap, PosetError,
+from maxilat import (FilterSelection, IdealFamily, MapError, MonotoneMap,
                      SelectionError, SelectionKind, WayAboveRelation,
                      build_selection, classify, continuity_report,
                      enumerate_posets, enumerate_unlabeled_posets, fmap,
@@ -12,7 +12,7 @@ from maxilat.poset import _bits
 
 from conftest import (oracle_continuity_report, oracle_filtered_sets,
                       oracle_is_union_complete, oracle_lower_sets,
-                      oracle_upper_sets, oracle_way_above)
+                      oracle_upper_sets, oracle_way_above, way_above_matrix)
 
 
 def above(rel, x):
@@ -93,30 +93,22 @@ class TestBuildSelection:
         assert checked == 13419
 
     def test_constructor_checks_keep_their_messages(self, chain3):
-        principal = [chain3.up(x) for x in range(3)]
-        for fsets, error, message in (
-                ([], SelectionError, "at least one set"),
-                ([frozenset()], SelectionError, "at least one nonempty"),
-                (principal + [frozenset({0})], SelectionError,
-                 r"\[0\] is not an upper set"),
-                (principal + [frozenset({3})], PosetError, "out of range"),
-                (principal[1:], SelectionError,
-                 "principal filter of 0 is missing")):
-            with pytest.raises(error, match=message):
-                FilterSelection(chain3, SelectionKind.EXPLICIT,
-                                frozenset(fsets))
-
-    def test_membership_helper(self, chain3):
-        sel = build_selection(chain3, "principal")
-        assert {1, 2} in sel
-        assert {0, 2} not in sel
+        principal = [chain3._mask(chain3.up(x)) for x in range(3)]
+        for masks, message in (
+                ([], "at least one set"),
+                ([chain3._mask(())], "at least one nonempty"),
+                (principal + [chain3._mask({0})], r"\[0\] is not an upper set"),
+                (principal + [1 << 3], "a bit outside the 3 elements"),
+                (principal[1:], "principal filter of 0 is missing")):
+            with pytest.raises(SelectionError, match=message):
+                FilterSelection(chain3, SelectionKind.EXPLICIT, masks)
 
 
 class TestWayAbove:
     def test_principal_collapses_to_order(self):
         for p in enumerate_posets(4):
             rel = way_above(p, build_selection(p, "principal"))
-            assert rel.gg == tuple(zip(*p.matrix))
+            assert way_above_matrix(rel) == tuple(zip(*p.matrix))
 
     def test_chain_under_all_upper_sets(self, chain3):
         rel = way_above(chain3, build_selection(chain3, "upper"))
@@ -138,13 +130,14 @@ class TestWayAbove:
                 assert above(large, x) <= above(small, x)
 
     def test_relation_outside_the_order_is_rejected(self, chain3):
+        # 0 way-above 2, below it in the order
         sel = build_selection(chain3, "principal")
-        gg = [list(row) for row in way_above(chain3, sel).gg]
-        gg[0][2] = True
+        cols = list(way_above(chain3, sel)._cols)
+        cols[2] |= chain3._mask({0})
         with pytest.raises(SelectionError, match=r"escapes the order at \(0, 2\)"):
-            WayAboveRelation(chain3, sel, tuple(map(tuple, gg)))
+            WayAboveRelation(chain3, sel, cols)
         explicit = build_selection(chain3, "explicit", explicit_sets=[])
-        WayAboveRelation(chain3, explicit, tuple(map(tuple, gg)))
+        WayAboveRelation(chain3, explicit, cols)
 
     def test_within_order_for_builtin_kinds(self):
         for p in enumerate_posets(3):
@@ -215,7 +208,7 @@ class TestUnionCompleteness:
         # the empty set is selected, but {a} union {b} is not
         sel = build_selection(two_antichain, "explicit", explicit_sets=[[]],
                               recursion_kind=SelectionKind.UPPER)
-        assert frozenset() in sel
+        assert frozenset() in sel.fsets
         assert not is_union_complete(sel)
         assert not oracle_is_union_complete(sel)
 
@@ -234,7 +227,7 @@ class TestAgainstOracles:
     @staticmethod
     def assert_agrees(p, sel):
         assert is_union_complete(sel) == oracle_is_union_complete(sel)
-        assert way_above(p, sel).gg == oracle_way_above(p, sel)
+        assert way_above_matrix(way_above(p, sel)) == oracle_way_above(p, sel)
         assert continuity_report(p, sel) == oracle_continuity_report(p, sel)
 
     def test_builtin_selections_of_labeled_5_posets(self):
@@ -291,7 +284,34 @@ class TestFmap:
         for f in maps_f:
             for g in maps_g:
                 composed = tuple(g[f[x]] for x in range(2))
-                for fset in sel2.sorted_fsets():
+                for fset in sel2.fsets:
                     via_two_steps = fmap(sel3, sel3, g,
                                          fmap(sel2, sel3, f, fset))
                     assert fmap(sel2, sel3, composed, fset) == via_two_steps
+
+
+BAD_MASKS = {
+    "selection-bit-at-n": lambda p, sel: FilterSelection(
+        p, SelectionKind.EXPLICIT, [*p._upm, 1 << p.n]),
+    "selection-negative-mask": lambda p, sel: FilterSelection(
+        p, SelectionKind.EXPLICIT, [*p._upm, -1]),
+    "family-bit-at-n": lambda p, sel: IdealFamily(p, p, [0, 0, 1 << p.n]),
+    "column-bit-at-n": lambda p, sel: WayAboveRelation(p, sel,
+                                                       [0, 0, 1 << p.n]),
+    "family-too-short": lambda p, sel: IdealFamily(p, p, [0, 0]),
+    "family-too-long": lambda p, sel: IdealFamily(p, p, [0, 0, 0, 0]),
+    "columns-too-short": lambda p, sel: WayAboveRelation(p, sel, [0, 0]),
+    "columns-too-long": lambda p, sel: WayAboveRelation(p, sel, [0] * 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MASKS))
+def test_constructors_refuse_bad_masks(chain3, case):
+    # the constructors take masks from outside the library too, so a stray
+    # bit or a missing entry is the class's own error, never an IndexError;
+    # an explicit selection, whose way-above is not checked against the
+    # order, leaves the range and length checks alone to refuse a column
+    sel = build_selection(chain3, "explicit", explicit_sets=[])
+    error = MapError if case.startswith("family") else SelectionError
+    with pytest.raises(error):
+        BAD_MASKS[case](chain3, sel)
