@@ -667,8 +667,9 @@ def run_suite(claim, *, max_size=None, selections=None, depth=None):
 
     A bound left as None takes the claim's default; one below 1 is refused,
     and so are selections for any claim but interpolation and depth for any
-    claim but alternating, which would ignore them, and any selection kind
-    but principal, filtered and upper.  These refusals and an
+    claim but alternating, which would ignore them, any selection kind
+    but principal, filtered and upper, and a kind given twice, which would
+    run twice.  These refusals and an
     error raised while the claim generates its instances propagate.  An
     exception raised inside a check instead becomes a failing record with
     the witness {"error": "<type>: <message>"}, and the stream goes on.
@@ -687,10 +688,12 @@ def run_suite(claim, *, max_size=None, selections=None, depth=None):
             raise HarnessError(f"{name} applies only to {owner}, not {claim}")
     if selections is not None:
         selections = tuple(map(str, selections))
-        for kind in selections:
+        for k, kind in enumerate(selections):
             if kind not in BUILTIN_KINDS:
                 raise HarnessError(f"selection {kind!r} is not one of "
                                    "principal, filtered, upper")
+            if kind in selections[:k]:
+                raise HarnessError(f"selection {kind!r} is given twice")
     for fields, check in instances(Bounds(max_size, selections, depth)):
         t0 = time.perf_counter()
         try:

@@ -218,15 +218,6 @@ class IdealFamily:
         self.target = target
         self._masks = masks
 
-    def __eq__(self, other):
-        if not isinstance(other, IdealFamily):
-            return NotImplemented
-        return ((self.source, self.target, self._masks)
-                == (other.source, other.target, other._masks))
-
-    def __hash__(self):
-        return hash((self.source, self.target, self._masks))
-
     def is_right_continuous(self, rel: WayAboveRelation) -> bool:
         """True iff each member is the intersection of the members way-above
         it under rel, a way-above relation on the target."""
@@ -332,9 +323,6 @@ class RationalConeMap:
                 g, h = next((g, h) for g in range(source.n)
                             for h in source.up(g) if scaled[g] > scaled[h])
                 raise MapError(f"not order-preserving on ({g}, {h})")
-
-    def __call__(self, g):
-        return self.values[g]
 
     def is_maxitive(self) -> bool:
         """The pairwise law through the source's join table; on a

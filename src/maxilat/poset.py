@@ -3,9 +3,10 @@
 Elements are dense indices 0..n-1.  The data of a poset are int bitmasks
 of each element's principal filter and ideal (bit i for element i); the
 order axioms, bounds, sups, infs and the set tests run on them, and
-both enumerators and `dm_completion` build their posets from them.  The
-boolean relation matrix (for I/O, equality and `matrix`) and the
-frozensets of `up` and `down` are views of the masks, shared between
+every constructor but the public matrix one builds its poset from them.
+Equality and hashing compare the up-masks and labels; the boolean
+relation matrix of `matrix` is built from the up-masks on request, and
+the frozensets of `up` and `down` are views of the masks, shared between
 posets.  Subsets passed to the public methods are range-checked as their
 mask is built; the library's own masks are not checked again.
 Everything here is immutable after construction and safe to share.
@@ -77,12 +78,6 @@ def _ranks(keys):
     return [rank[key] for key in keys]
 
 
-@lru_cache(maxsize=1024)
-def _row(mask, n):
-    """The relation-matrix row of the up-mask mask on n elements."""
-    return tuple(bool(mask >> j & 1) for j in range(n))
-
-
 @lru_cache(maxsize=4096)
 def _frozen(mask):
     """The frozenset of the indices in mask, one object per mask: posets of
@@ -123,17 +118,20 @@ def _bounding_member(masks, mask):
 class FinitePoset:
     """A partial order on {0, ..., n-1}.
 
-    The public constructor takes the relation as an n x n boolean matrix;
-    the library builds posets from up-masks with `_from_up_masks`.  Either
-    way the up-masks are checked for reflexivity, antisymmetry and
-    transitivity, the down-masks are their transpose, and the masks carry
-    the bounds, sups and infs.  The matrix rows and the frozensets returned
-    by `up` and `down` are derived from the masks and shared between posets.
+    The up-masks are the order: bit j of `_upm[i]` is set iff i <= j.  The
+    public constructor reads the rows of an n x n boolean matrix as
+    up-masks; `from_relation`, `chain`, `antichain`, `restrict` and the
+    rest of the library build up-masks for `_from_up_masks`.  Either way
+    they are checked for reflexivity, antisymmetry and transitivity, the
+    down-masks are their transpose, and the masks carry the bounds, sups
+    and infs.  Equality and hashing compare the up-masks and labels;
+    `matrix` is built on request, and the frozensets returned by `up` and
+    `down` are shared between posets.
     Optional labels name elements for I/O; they play no role in the order
     itself.
     """
 
-    __slots__ = ("n", "_rows", "_upm", "_downm", "labels", "_label_index",
+    __slots__ = ("n", "_upm", "_downm", "labels", "_label_index",
                  "_top", "_bottom", "_canon", "_hash")
 
     def __init__(self, leq, labels=None):
@@ -154,9 +152,9 @@ class FinitePoset:
         return p
 
     def _set_order(self, up, labels):
-        """Derive the down-masks, by transposing, and the rows from the
-        up-masks, and check the order axioms on the masks: up(i) must hold
-        i, meet down(i) in i alone and hold the up-masks of its members.
+        """Derive the down-masks, by transposing the up-masks, and check the
+        order axioms on the masks: up(i) must hold i, meet down(i) in i
+        alone and hold the up-masks of its members.
         The per-pair scan runs only to name a violation."""
         n = len(up)
         down = [0] * n
@@ -186,7 +184,6 @@ class FinitePoset:
             if len(set(labels)) != n:
                 raise PosetError("labels must be distinct")
         self.n = n
-        self._rows = tuple(_row(mask, n) for mask in up)
         self._upm = up
         self._downm = tuple(down)
         self.labels = labels
@@ -196,7 +193,10 @@ class FinitePoset:
     # -- basic queries ----------------------------------------------------
 
     def leq(self, i, j):
-        return self._rows[i][j]
+        """Whether i <= j; IndexError for an index outside 0..n-1."""
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise IndexError(f"element pair ({i}, {j}) out of range")
+        return bool(self._upm[i] >> j & 1)
 
     def up(self, i):
         """Principal filter of i (elements above i, inclusive)."""
@@ -208,7 +208,10 @@ class FinitePoset:
 
     @property
     def matrix(self):
-        return self._rows
+        """The relation as a tuple of n rows of bools, row i holding i <= j."""
+        n = self.n
+        return tuple(tuple(bool(mask >> j & 1) for j in range(n))
+                     for mask in self._upm)
 
     def index_of(self, label):
         if self.labels is None:
@@ -238,13 +241,6 @@ class FinitePoset:
     def upper_closure(self, a):
         """Upper set generated by a: all y with some x in a, x <= y."""
         return frozenset(_indices(_union(self._upm, self._mask(a))))
-
-    def least(self, a):
-        """Least element of the subset a, or None."""
-        return _bounding_member(self._upm, self._mask(a))
-
-    def greatest(self, a):
-        return _bounding_member(self._downm, self._mask(a))
 
     def sup_of(self, a):
         """Least upper bound of the nonempty subset a, or None if missing."""
@@ -311,9 +307,10 @@ class FinitePoset:
     def restrict(self, elements):
         """Induced subposet on the given elements, reindexed in sorted order."""
         elems = _indices(self._mask(elements))
-        rows = tuple(tuple(self._rows[i][j] for j in elems) for i in elems)
+        up = [_bits(k for k, j in enumerate(elems) if self._upm[i] >> j & 1)
+              for i in elems]
         labels = tuple(self.labels[i] for i in elems) if self.labels else None
-        return FinitePoset(rows, labels)
+        return FinitePoset._from_up_masks(up, labels)
 
     def dual(self):
         return FinitePoset._from_up_masks(self._downm, self.labels)
@@ -403,46 +400,44 @@ class FinitePoset:
 
     @classmethod
     def from_relation(cls, n, pairs, labels=None):
-        """Reflexive-transitive closure of the given pairs, then validation."""
-        rows = [[i == j for j in range(n)] for i in range(n)]
+        """Reflexive-transitive closure of the given pairs, on up-masks in
+        Warshall's order, then validation."""
+        up = [1 << i for i in range(n)]
         for i, j in pairs:
             if not (0 <= i < n and 0 <= j < n):
                 raise PosetError(f"pair ({i}, {j}) out of range for n={n}")
-            rows[i][j] = True
+            up[i] |= 1 << j
         for k in range(n):
             for i in range(n):
-                if rows[i][k]:
-                    row_i, row_k = rows[i], rows[k]
-                    for j in range(n):
-                        if row_k[j]:
-                            row_i[j] = True
+                if up[i] >> k & 1:
+                    up[i] |= up[k]
         for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i][j] and rows[j][i]:
-                    cycle = sorted(k for k in range(n) if rows[i][k] and rows[k][i])
-                    names = [labels[k] if labels else str(k) for k in cycle]
-                    raise PosetError(f"relation not antisymmetric; cycle through "
-                                     f"{{{', '.join(names)}}}")
-        return cls(rows, labels)
+            cycle = [k for k in _indices(up[i]) if up[k] >> i & 1]
+            if len(cycle) > 1:
+                names = [labels[k] if labels else str(k) for k in cycle]
+                raise PosetError(f"relation not antisymmetric; cycle through "
+                                 f"{{{', '.join(names)}}}")
+        return cls._from_up_masks(up, labels)
 
     @classmethod
     def chain(cls, n, labels=None):
-        return cls(tuple(tuple(i <= j for j in range(n)) for i in range(n)), labels)
+        full = (1 << n) - 1
+        return cls._from_up_masks([full >> i << i for i in range(n)], labels)
 
     @classmethod
     def antichain(cls, n, labels=None):
-        return cls(tuple(tuple(i == j for j in range(n)) for i in range(n)), labels)
+        return cls._from_up_masks([1 << i for i in range(n)], labels)
 
     # -- protocol ----------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, FinitePoset):
             return NotImplemented
-        return self._rows == other._rows and self.labels == other.labels
+        return self._upm == other._upm and self.labels == other.labels
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self._rows, self.labels))
+            self._hash = hash((self._upm, self.labels))
         return self._hash
 
     def __repr__(self):

@@ -94,17 +94,6 @@ class FilterSelection:
                             for mask in self._masks}
         return self._infima
 
-    def __eq__(self, other):
-        if not isinstance(other, FilterSelection):
-            return NotImplemented
-        return (self.poset == other.poset and self.kind == other.kind
-                and self._selected == other._selected
-                and self.recursion_kind == other.recursion_kind)
-
-    def __hash__(self):
-        return hash((self.poset, self.kind, frozenset(self._selected),
-                     self.recursion_kind))
-
 
 def build_selection(p, kind, explicit_sets=None,
                     recursion_kind=SelectionKind.PRINCIPAL) -> FilterSelection:
@@ -143,7 +132,8 @@ class WayAboveRelation:
     y is way-above x iff every selected set with an infimum below x
     contains y.  The data are the columns as int bitmasks, `_cols[x]`
     holding the y way-above x; the constructor takes them, one per
-    element, and `way_above` computes them from the selection.  For the
+    element, with a selection built on the poset, and `way_above` computes
+    them from the selection.  For the
     built-in kinds, way-above is contained in the partial order; this is
     asserted at construction and not claimed for explicit selections.
     """
@@ -151,6 +141,8 @@ class WayAboveRelation:
     __slots__ = ("poset", "selection", "_cols")
 
     def __init__(self, poset: FinitePoset, selection: FilterSelection, cols):
+        if selection.poset is not poset and selection.poset != poset:
+            raise SelectionError("selection was built on a different poset")
         cols = tuple(cols)
         n = poset.n
         if len(cols) != n:
@@ -164,15 +156,6 @@ class WayAboveRelation:
         self.poset = poset
         self.selection = selection
         self._cols = cols
-
-    def __eq__(self, other):
-        if not isinstance(other, WayAboveRelation):
-            return NotImplemented
-        return ((self.poset, self.selection, self._cols)
-                == (other.poset, other.selection, other._cols))
-
-    def __hash__(self):
-        return hash((self.poset, self.selection, self._cols))
 
     def way_above(self, y, x):
         return bool(self._cols[x] >> y & 1)

@@ -290,6 +290,32 @@ def oracle_order_error(rows):
     return None
 
 
+def oracle_from_relation(n, pairs, labels=None):
+    """FinitePoset.from_relation by Warshall's closure on a list of bool
+    rows, the code the up-mask closure replaced: the relation matrix, or
+    the PosetError text of an out-of-range pair or of the cycle through
+    the first pair i < j related both ways."""
+    rows = [[i == j for j in range(n)] for i in range(n)]
+    for i, j in pairs:
+        if not (0 <= i < n and 0 <= j < n):
+            return f"pair ({i}, {j}) out of range for n={n}"
+        rows[i][j] = True
+    for k in range(n):
+        for i in range(n):
+            if rows[i][k]:
+                for j in range(n):
+                    if rows[k][j]:
+                        rows[i][j] = True
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rows[i][j] and rows[j][i]:
+                cycle = sorted(k for k in range(n) if rows[i][k] and rows[k][i])
+                names = [labels[k] if labels else str(k) for k in cycle]
+                return (f"relation not antisymmetric; cycle through "
+                        f"{{{', '.join(names)}}}")
+    return tuple(map(tuple, rows))
+
+
 def oracle_canonical_form(p):
     """The relabeling-invariant key that canonical_form replaced: the least
     flattened relation matrix over all n! permutations."""

@@ -90,6 +90,18 @@ class TestRunSuite:
         assert "not one of principal" in capsys.readouterr().err
         assert not out_path.exists()
 
+    def test_a_repeated_selection_kind_is_refused(self):
+        with pytest.raises(HarnessError, match="'upper' is given twice"):
+            next(run_suite("interpolation", max_size=2,
+                           selections=["upper", "upper"]))
+
+    def test_a_repeated_selection_kind_exits_2(self, tmp_path, capsys):
+        out_path = tmp_path / "verdicts.json"
+        assert main(["harness", "run", "interpolation", "--selections",
+                     "upper", "upper", "--out", str(out_path)]) == 2
+        assert "'upper' is given twice" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_all_registered_claims_produce_records(self):
         for claim in CLAIMS:
             records = list(run_suite(claim, max_size=2))

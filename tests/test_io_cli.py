@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 
 import pytest
 
@@ -154,6 +155,66 @@ class TestSelectionSpecs:
             selection_from_dict(labeled, {"fsets": [["zz"]]})
 
 
+DIAMOND_DOC = {"elements": ["bot", "a", "b", "top"],
+               "covers": [["bot", "a"], ["bot", "b"], ["a", "top"],
+                          ["b", "top"]]}
+C3_DOC = {"elements": ["0", "1", "2"], "covers": [["0", "1"], ["1", "2"]]}
+
+# one document per refusal of io that the other tests leave alone: the
+# reader it goes to ("poset", "map", a selection "spec" or a "selection"
+# document on C3_DOC), the document and the message
+MALFORMED = {
+    "field-of-the-wrong-type": (
+        "poset", {"elements": "ab", "covers": []},
+        "field 'elements' must be a list"),
+    "non-string-element-name": (
+        "poset", {"elements": ["a", 1], "covers": []},
+        "element names must be strings"),
+    "cover-not-a-pair": (
+        "poset", {"elements": ["a", "b"], "covers": [["a", "b", "a"]]},
+        r"covers\[0\] must be a pair"),
+    "value-not-a-target-name": (
+        "map", {"source": {"elements": ["x"], "covers": []},
+                "target": {"elements": ["0"], "covers": []},
+                "values": {"x": 0}},
+        "values must name target elements"),
+    "non-monotone-cone": (
+        "map", {"source": {"elements": ["x", "y"], "covers": [["x", "y"]]},
+                "values": {"x": 1, "y": 0}},
+        r"not order-preserving on \(0, 1\)"),
+    "bare-explicit-spec": (
+        "spec", "explicit", "explicit selections need a file"),
+    "fsets-entry-not-a-list": (
+        "selection", {"fsets": ["1"]},
+        r"fsets\[0\] must be a list of labels"),
+    "explicit-set-not-upper": (
+        "selection", {"fsets": [["1"]]},
+        r"explicit set \[1\] is not upper"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_a_malformed_document_is_a_format_error(tmp_path, capsys, case):
+    reader, doc, message = MALFORMED[case]
+    c3 = poset_from_dict(C3_DOC)
+    read = {"poset": poset_from_dict, "map": map_from_dict,
+            "spec": lambda spec: parse_selection_spec(c3, spec),
+            "selection": lambda sel: selection_from_dict(c3, sel)}[reader]
+    with pytest.raises(FormatError, match=message):
+        read(doc)
+    path, sel_path = tmp_path / "doc.json", tmp_path / "sel.json"
+    path.write_text(json.dumps(C3_DOC if reader in ("spec", "selection")
+                               else doc))
+    sel_path.write_text(json.dumps(doc))
+    argv = {"poset": ["poset", "check", str(path)],
+            "map": ["map", "check", str(path)],
+            "spec": ["poset", "check", str(path), "--selection", doc],
+            "selection": ["poset", "check", str(path), "--selection",
+                          f"explicit:{sel_path}"]}[reader]
+    assert main(argv) == 2
+    assert re.search(message, capsys.readouterr().err)
+
+
 @pytest.fixture
 def seven_path(tmp_path):
     path = tmp_path / "seven.json"
@@ -211,6 +272,37 @@ class TestCli:
                      "--out", str(out_path)]) == 2
         assert message in capsys.readouterr().err
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("values, code, expected", [
+        ({"bot": 0, "a": 0, "b": 0, "top": 1}, 1,
+         {"maxitive": False, "alternating": False,
+          "witness": {"at": "bot", "along": ["a", "b"]}}),
+        ({"bot": 0, "a": 1, "b": 1, "top": 1}, 0,
+         {"maxitive": True, "alternating": True})],
+        ids=["fails-at-depth-3", "maxitive"])
+    def test_map_check_alternating_on_the_diamond(
+            self, tmp_path, capsys, values, code, expected):
+        # the diamond bot < a, b < top; 0, 0, 0, 1 breaks the depth-3
+        # inequality at bot along (a, b)
+        path = tmp_path / "cone.json"
+        path.write_text(json.dumps({"source": DIAMOND_DOC, "values": values}))
+        out_path = tmp_path / "verdict.json"
+        assert main(["map", "check", str(path), "--alternating", "3",
+                     "--out", str(out_path)]) == code
+        capsys.readouterr()
+        assert json.loads(out_path.read_text()) == expected
+
+    def test_map_check_pairwise_failure_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({
+            "source": DIAMOND_DOC,
+            "target": {"elements": ["0", "1"], "covers": [["0", "1"]]},
+            "values": {"bot": "0", "a": "0", "b": "0", "top": "1"}}))
+        out_path = tmp_path / "verdict.json"
+        assert main(["map", "check", str(path), "--pairwise",
+                     "--out", str(out_path)]) == 1
+        assert "pairwise maxitive: False" in capsys.readouterr().out
+        assert json.loads(out_path.read_text())["pairwise_maxitive"] is False
 
     def test_out_is_the_json_dumps_object(self, seven_path, indicator_path,
                                           tmp_path, capsys):
@@ -311,6 +403,28 @@ class TestCli:
         assert "residuated: True" in out
         assert main(["map", "adjoint", str(path)]) == 0
         assert "w(0)" in capsys.readouterr().out
+
+    def test_map_residuated_with_a_completion_file(self, tmp_path, capsys):
+        # the 2-chain inside the 3-chain 0 < 1 < 2, labels matched by name;
+        # the default completion would label its elements {0} and {0,1}
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({
+            "source": {"elements": ["0", "1"], "covers": [["0", "1"]]},
+            "target": {"elements": ["0", "1"], "covers": [["0", "1"]]},
+            "values": {"0": "0", "1": "1"}}))
+        ext = tmp_path / "c3.json"
+        ext.write_text(json.dumps(C3_DOC))
+        out_path = tmp_path / "out.json"
+        assert main(["map", "residuated", str(path), "--ext", str(ext),
+                     "--out", str(out_path)]) == 0
+        assert "w(1) = 1" in capsys.readouterr().out
+        assert json.loads(out_path.read_text()) == {
+            "residuated": True, "adjoint": {"0": "0", "1": "1"}}
+        ext.write_text(json.dumps({"elements": ["0", "x"],
+                                   "covers": [["0", "x"]]}))
+        assert main(["map", "residuated", str(path), "--ext", str(ext)]) == 2
+        assert ("completion does not cover the base"
+                in capsys.readouterr().err)
 
     def test_mspace_build_and_verify(self, tmp_path, capsys):
         c2 = tmp_path / "c2.json"

@@ -19,7 +19,7 @@ from conftest import (FrozensetBounds, brute_force_posets,
                       oracle_classify, oracle_common, oracle_covers, oracle_dm_completion,
                       oracle_ensure_complete_lattice, oracle_enumerate_posets,
                       oracle_enumerate_unlabeled_posets,
-                      oracle_indices, oracle_inf, oracle_is_ideal,
+                      oracle_from_relation, oracle_indices, oracle_inf, oracle_is_ideal,
                       oracle_is_meet_continuous, oracle_lower_sets,
                       oracle_order_error, oracle_order_extension, oracle_sup,
                       oracle_traces, oracle_union, order_embeddings)
@@ -88,6 +88,24 @@ class TestConstruction:
     def test_from_relation_reports_cycle(self):
         with pytest.raises(PosetError, match="cycle through {a, b}"):
             FinitePoset.from_relation(2, [(0, 1), (1, 0)], labels=("a", "b"))
+
+    def test_from_relation_agrees_with_the_row_closure(self):
+        # every set of pairs i != j on at most 4 points, with and without
+        # labels, and pairs out of range: the same matrix or the same text
+        for n in range(5):
+            strict = [(i, j) for i in range(n) for j in range(n) if i != j]
+            cases = [[pair for b, pair in enumerate(strict) if m >> b & 1]
+                     for m in range(1 << len(strict))]
+            cases += [[*strict[:1], (0, n)], [(-1, 0)]]
+            for pairs in cases:
+                for labels in (None, tuple("abcd"[:n])):
+                    expected = oracle_from_relation(n, pairs, labels)
+                    try:
+                        p = FinitePoset.from_relation(n, pairs, labels)
+                    except PosetError as exc:
+                        assert str(exc) == expected
+                        continue
+                    assert (p.matrix, p.labels) == (expected, labels)
 
 
 class TestClosures:
@@ -158,14 +176,13 @@ class TestBounds:
         for call, arg, message in ((chain3.sup_of, {-1}, "out of range"),
                                    (chain3.inf_of, {n}, "out of range"),
                                    (chain3.sup_of, [], "empty"),
-                                   (chain3.inf_of, (), "empty"),
-                                   (chain3.greatest, {n}, "out of range")):
+                                   (chain3.inf_of, (), "empty")):
             with pytest.raises(PosetError, match=message):
                 call(arg)
 
     def test_bitmask_core_agrees_with_the_frozenset_code(self):
         # every nonempty subset of every labeled poset of size <= 5
-        names = ("sup_of", "inf_of", "least", "greatest")
+        names = ("sup_of", "inf_of")
         subsets = {n: [(mask, frozenset(i for i in range(n) if mask >> i & 1))
                        for mask in range(1, 1 << n)] for n in range(1, 6)}
         checked = 0
@@ -181,6 +198,13 @@ class TestBounds:
                                   else sum(1 << i for i in expected))
                 checked += 1
         assert checked == 134589
+
+    @pytest.mark.parametrize("i, j", [(0, 3), (2, -1), (-1, 0), (3, 0)])
+    def test_leq_refuses_an_index_out_of_range(self, chain3, i, j):
+        # a bare shift of an up-mask would read j >= n as False and a
+        # negative index would wrap around
+        with pytest.raises(IndexError, match="out of range"):
+            chain3.leq(i, j)
 
     def test_top_bottom(self, chain3, two_antichain):
         assert chain3.top() == 2 and chain3.bottom() == 0

@@ -13,9 +13,8 @@ from maxilat.harness import run_suite
 from maxilat.maxitive import _sublevel_masks
 from maxilat.poset import _frozen
 
-from conftest import (is_sup_map, oracle_is_maxitive,
-                      oracle_is_meet_continuous_over, oracle_is_residuated,
-                      oracle_sublevel_family)
+from conftest import (is_sup_map, oracle_is_meet_continuous_over,
+                      oracle_is_residuated, oracle_sublevel_family)
 
 
 @pytest.fixture
@@ -31,13 +30,6 @@ class TestCompletelyMaxitive:
 
     def test_seven_element_counterexample(self, seven_indicator):
         assert maxitivity_witness(seven_indicator) is not None
-
-    def test_coincides_with_maxitivity_on_finite_posets(self):
-        for e in enumerate_unlabeled_posets(4):
-            for l in enumerate_unlabeled_posets(3):
-                for values in iter_monotone_values(e, l):
-                    v = MonotoneMap(e, l, values)
-                    assert (maxitivity_witness(v) is None) == oracle_is_maxitive(v)
 
     def test_sup_map_needs_bottom_to_go_to_bottom(self, chain3):
         point = chain(1)

@@ -139,6 +139,12 @@ class TestWayAbove:
         explicit = build_selection(chain3, "explicit", explicit_sets=[])
         WayAboveRelation(chain3, explicit, cols)
 
+    def test_a_selection_on_another_poset_is_rejected(self, chain3):
+        # the 2-chain's kind would be read against the 3-chain's order
+        sel = build_selection(chain(2), "principal")
+        with pytest.raises(SelectionError, match="built on a different poset"):
+            WayAboveRelation(chain3, sel, chain3._upm)
+
     def test_within_order_for_builtin_kinds(self):
         for p in enumerate_posets(3):
             for kind in ("principal", "filtered", "upper"):
