@@ -18,8 +18,8 @@ from .maxitive import (IdealFamily, InvariantError, MapError, MonotoneMap,
 from .residuation import (Adjoint, Theorem54Verdict, adjoint_of,
                           heyting_arrow, is_meet_continuous_over,
                           is_residuated, theorem_5_4)
-from .mspace import (Generator, MaxMapSpace, build_space, generator_values,
-                     m_arrow, pointwise_inf, reconstruction, representation)
+from .mspace import (MaxMapSpace, build_space, m_arrow, pointwise_inf,
+                     reconstruction, representation)
 from .harness import VerdictRecord, run_suite, summarize
 
 __version__ = "0.1.0"

@@ -1,8 +1,8 @@
 """Command-line front end: poset and map checks, extensions, arrows, map
 spaces, and the theorem-verification harness.
 
-Exit codes: 0 all checks passed, 1 some verdict failed, 2 usage or parse
-error.
+Exit codes: 0 all checks passed, 1 some verdict failed or a proved
+consequence failed (InvariantError), 2 usage or parse error.
 """
 
 import argparse
@@ -14,9 +14,10 @@ from collections.abc import Iterator
 
 from .poset import PosetError, classify, dm_completion
 from .selections import SelectionError, continuity_report, is_union_complete
-from .maxitive import (MapError, MonotoneMap, alternating_witness,
-                       e_lower_star, e_star, extend_lower_star, extend_star,
-                       is_pairwise_maxitive, maxitivity_witness)
+from .maxitive import (InvariantError, MapError, MonotoneMap,
+                       alternating_witness, e_lower_star, e_star,
+                       extend_lower_star, extend_star, is_pairwise_maxitive,
+                       maxitivity_witness)
 from .residuation import adjoint_of, heyting_arrow, is_residuated
 from .mspace import build_space, m_arrow
 from . import harness, io
@@ -419,6 +420,9 @@ def main(argv=None):
             harness.HarnessError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"error: InvariantError: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -513,10 +513,10 @@ def _check_generator(space):
              for row in space.generator_maps]
     for values, gens, above in zip(space.maps, space.representations,
                                    way_above_in_space(space)):
-        for gen in gens:
-            g = index[gen.h][gen.s]
+        for h, s in gens:
+            g = index[h][s]
             if g is None or not above >> g & 1:
-                yield {"map": list(values), "h": gen.h, "s": gen.s}
+                yield {"map": list(values), "h": h, "s": s}
 
 
 def _check_representation(space):

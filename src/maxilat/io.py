@@ -56,8 +56,9 @@ def poset_from_dict(doc, where="poset") -> FinitePoset:
 
 
 def poset_to_dict(p) -> dict:
-    labels = p.labels or tuple(f"e{i}" for i in range(p.n))
-    return {"elements": list(labels),
+    """Each element is named by label_of, an unlabeled poset's by its index."""
+    labels = [p.label_of(i) for i in range(p.n)]
+    return {"elements": labels,
             "covers": [[labels[i], labels[j]] for i, j in p.covers()]}
 
 
@@ -119,14 +120,13 @@ def map_from_dict(doc, where="map"):
 
 def map_to_dict(v) -> dict:
     doc = {"source": poset_to_dict(v.source)}
-    labels = v.source.labels or tuple(f"e{i}" for i in range(v.source.n))
+    name = v.source.label_of
     if isinstance(v, MonotoneMap):
         doc["target"] = poset_to_dict(v.target)
-        doc["values"] = {labels[g]: v.target.label_of(v.values[g])
-                         for g in range(v.source.n)}
+        doc["values"] = {name(g): v.target.label_of(t)
+                         for g, t in enumerate(v.values)}
     else:
-        doc["values"] = {labels[g]: str(v.values[g])
-                         for g in range(v.source.n)}
+        doc["values"] = {name(g): str(x) for g, x in enumerate(v.values)}
     return doc
 
 

@@ -425,8 +425,8 @@ def e_star(ext, sel_e: FilterSelection) -> frozenset:
     selected set; always contains the image of the base."""
     if sel_e.poset != ext.base:
         raise MapError("selection was built on a different base poset")
-    star = frozenset(a for a in range(ext.complete.n)
-                     if (trace := ext.up_in_base(a)) and trace in sel_e.fsets)
+    star = frozenset(a for a, trace in enumerate(ext._up_traces)
+                     if trace and trace in sel_e._selected)
     if not ext.image() <= star:
         raise InvariantError("the star region misses part of the base image")
     return star

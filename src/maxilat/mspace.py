@@ -9,7 +9,6 @@ upper set has a least element, so that selection is the principal filters
 and way-above in the space is its pointwise order.
 """
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import getitem
 
@@ -23,20 +22,12 @@ from .residuation import heyting_arrow
 DEFAULT_SPACE_CAP = 10 ** 6
 
 
-@dataclass(frozen=True)
-class Generator:
-    """The pair (h, s) naming the maxitive map that is s below h and top
-    elsewhere."""
-
-    h: int
-    s: int
-
-
 class MaxMapSpace:
     """All maxitive maps source -> target, ordered pointwise.
 
     Maps are value tuples sorted lexicographically; a set of maps is an int
-    bitmask over their indices.
+    bitmask over their indices; a generator is a plain pair (h, s), whose
+    map is generator_maps[h][s].
     """
 
     def __init__(self, source, target, maps):
@@ -70,12 +61,6 @@ class MaxMapSpace:
     def ups(self):
         """ups[k]: the mask of the maps above map k, its principal filter."""
         return tuple(map(self.above, self.maps))
-
-    @cached_property
-    def generators(self):
-        """generators[h][s]: the pair (h, s), one object per pair."""
-        return tuple(tuple(Generator(h, s) for s in range(self.target.n))
-                     for h in range(self.source.n))
 
     @cached_property
     def generator_maps(self):
@@ -120,7 +105,7 @@ class MaxMapSpace:
         return len(self.maps)
 
     def index_of(self, values):
-        values = tuple(getattr(values, "values", values))
+        values = tuple(values)
         try:
             return self.index[values]
         except KeyError:
@@ -169,11 +154,6 @@ def pointwise_inf(space, family) -> MonotoneMap:
     return MonotoneMap(space.source, space.target, tuple(values))
 
 
-def generator_values(space, gen: Generator):
-    """The values of the map of a generator pair, from the space's table."""
-    return space.generator_maps[gen.h][gen.s]
-
-
 @lru_cache(maxsize=64)
 def _filtered_columns(l):
     """The way-above columns of l under the filtered selection, built once
@@ -183,26 +163,26 @@ def _filtered_columns(l):
 
 
 def representation(space, values):
-    """All generator pairs (h, s) with s way-above the value of the map at h.
+    """The generator pairs (h, s) of a value tuple: every s way-above its
+    value at h.
 
     Way-above in the target is that of the filtered selection; the
     pointwise infimum of the generators' maps reconstructs the map exactly
     when the target is continuous under it.
     """
-    values = tuple(getattr(values, "values", values))
     above = _filtered_columns(space.target)
-    return tuple(row[s] for row, t in zip(space.generators, values)
-                 for s in above[t])
+    return tuple((h, s) for h, t in enumerate(values) for s in above[t])
 
 
 def reconstruction(space, gens):
-    """Pointwise infimum of the maps of the given generators, folded
-    through the target's meet table from the top."""
+    """Pointwise infimum of the maps of the given (h, s) pairs, read from
+    space.generator_maps and folded through the target's meet table from
+    the top."""
     l = space.target
     meets = _pair_tables(l)[1]
     values = [l.top()] * space.source.n
-    for gen in gens:
-        for g, t in enumerate(generator_values(space, gen)):
+    for h, s in gens:
+        for g, t in enumerate(space.generator_maps[h][s]):
             values[g] = meets[values[g]][t]
     if None in values:
         raise MapError(f"generator infimum missing at {values.index(None)}")

@@ -407,6 +407,8 @@ class FinitePoset:
             if not (0 <= i < n and 0 <= j < n):
                 raise PosetError(f"pair ({i}, {j}) out of range for n={n}")
             up[i] |= 1 << j
+        if labels is not None and len(labels) != n:
+            raise PosetError(f"expected {n} labels, got {len(labels)}")
         for k in range(n):
             for i in range(n):
                 if up[i] >> k & 1:

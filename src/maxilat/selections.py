@@ -103,13 +103,16 @@ def build_selection(p, kind, explicit_sets=None,
     the filtered sets are exactly the principal filters; the upper sets are
     the complements of the lower sets.
     """
-    kind = SelectionKind(kind)
+    try:
+        kind = SelectionKind(kind)
+    except ValueError:
+        raise SelectionError(f"unknown selection kind {kind!r}") from None
     if kind in (SelectionKind.PRINCIPAL, SelectionKind.FILTERED):
         masks = p._upm
     elif kind is SelectionKind.UPPER:
         full = (1 << p.n) - 1
         masks = [full ^ low for low in p._lower_masks()]
-    elif kind is SelectionKind.EXPLICIT:
+    else:
         if explicit_sets is None:
             raise SelectionError("explicit selections require explicit_sets")
         masks = set()
@@ -119,8 +122,6 @@ def build_selection(p, kind, explicit_sets=None,
                 raise SelectionError(f"explicit set {_indices(mask)} is not upper")
             masks.add(mask)
         masks.update(p._upm)
-    else:  # pragma: no cover
-        raise SelectionError(f"unknown kind {kind!r}")
     if kind is not SelectionKind.EXPLICIT:
         recursion_kind = kind
     return FilterSelection(p, kind, masks, SelectionKind(recursion_kind))

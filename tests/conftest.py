@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from maxilat import (ContinuityReport, FinitePoset, Generator, IdealFamily,
+from maxilat import (ContinuityReport, FinitePoset, IdealFamily,
                      MapError, PosetError, PosetProfile, SelectionError,
                      SelectionKind, build_selection, classify,
                      from_ideal_family, maxitivity_witness, pointwise_inf,
@@ -822,11 +822,13 @@ def oracle_adjunction_violations(poset, join, arrow):
 
 
 def oracle_generator_values(space, gen):
-    """The values of the map of (h, s), built from leq on every call."""
+    """The values of the map of the pair gen = (h, s), built from leq on
+    every call."""
+    h, s = gen
     top = space.target.top()
     if top is None:
         raise MapError("the target needs a top for generator maps")
-    return tuple(gen.s if space.source.leq(g, gen.h) else top
+    return tuple(s if space.source.leq(g, h) else top
                  for g in range(space.source.n))
 
 
@@ -835,7 +837,7 @@ def oracle_representation(space, values, sel_l=None):
     if sel_l is None:
         sel_l = build_selection(space.target, SelectionKind.FILTERED)
     rel = way_above(space.target, sel_l)
-    return tuple(Generator(h, s) for h in range(space.source.n)
+    return tuple((h, s) for h in range(space.source.n)
                  for s in range(space.target.n)
                  if rel.way_above(s, values[h]))
 
@@ -864,11 +866,11 @@ def oracle_lemma_witnesses(space):
     floors = []
     for k, values in enumerate(space.maps):
         gens = oracle_representation(space, values)
-        for gen in gens:
-            g = space.index.get(oracle_generator_values(space, gen))
+        for h, s in gens:
+            g = space.index.get(oracle_generator_values(space, (h, s)))
             if g not in above[k]:
                 found["generator"].append(
-                    {"map": list(values), "h": gen.h, "s": gen.s})
+                    {"map": list(values), "h": h, "s": s})
         floors.append(oracle_reconstruction(space, gens))
         if floors[k] != values:
             found["representation"].append({"map": list(values)})

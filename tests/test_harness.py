@@ -554,27 +554,25 @@ class TestWorkCounts:
 
     def test_representation_builds_each_generator_map_once(self,
                                                            monkeypatch):
-        # the three lemmas read every generator map through one object per
-        # (space, h, s), built once, and each map's representation once
+        # the three lemmas read every generator map from one table per
+        # space, built once, and each map's representation once
+        from functools import cached_property
         from maxilat import mspace
-        built, represented = {}, Counter()
-        calls = 0
-        real_values, real_representation = (mspace.generator_values,
-                                            mspace.representation)
+        built, represented = Counter(), Counter()
+        real_table = mspace.MaxMapSpace.generator_maps.func
+        real_representation = mspace.representation
 
-        def counted_values(space, gen):
-            nonlocal calls
-            calls += 1
-            values = real_values(space, gen)
-            assert built.setdefault((space, gen.h, gen.s), values) is values
-            return values
+        def counted_table(space):
+            built[space] += 1
+            return real_table(space)
+        table = cached_property(counted_table)
+        table.__set_name__(mspace.MaxMapSpace, "generator_maps")
+        monkeypatch.setattr(mspace.MaxMapSpace, "generator_maps", table)
 
         def counted_representation(space, values):
             represented[space, values] += 1
             return real_representation(space, values)
         for module in (mspace, harness):
-            monkeypatch.setattr(module, "generator_values", counted_values,
-                                raising=False)
             monkeypatch.setattr(module, "representation",
                                 counted_representation, raising=False)
         records = list(run_suite("representation", max_size=3))
@@ -583,9 +581,7 @@ class TestWorkCounts:
         assert len(spaces) == 24
         assert sum(len(space) for space in spaces) == len(represented)
         assert set(represented.values()) == {1}
-        assert len(built) <= sum(space.source.n * space.target.n
-                                 for space in spaces)
-        assert calls > 2 * len(built)
+        assert set(built) == spaces and set(built.values()) == {1}
 
     def test_alternating_builds_one_plan_per_source(self, monkeypatch):
         # building a plan runs combinations_with_replacement once per length,

@@ -1,11 +1,13 @@
 import argparse
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
-from maxilat import (InvariantError, MonotoneMap, RationalConeMap,
-                     enumerate_posets)
+from maxilat import (FinitePoset, InvariantError, MonotoneMap,
+                     RationalConeMap, enumerate_posets,
+                     enumerate_unlabeled_posets, iter_monotone_values)
 from maxilat import cli, harness
 from maxilat.catalog import antichain, chain, m3, seven_element
 from maxilat.cli import main
@@ -98,6 +100,30 @@ class TestMapFiles:
         path = tmp_path / "c.json"
         write_map(v, path)
         assert load_map(path).values == v.values
+
+    def test_round_trip_on_unlabeled_posets(self):
+        # an unlabeled element is written under its index, "0", "1", ...,
+        # in the posets and in the values alike, so every map reads back
+        posets = list(enumerate_unlabeled_posets(3))
+        checked = 0
+        for e in posets:
+            for l in posets:
+                for values in iter_monotone_values(e, l):
+                    v = MonotoneMap(e, l, values)
+                    again = map_from_dict(map_to_dict(v))
+                    assert again.source.matrix == e.matrix
+                    assert again.target.matrix == l.matrix
+                    assert again.values == values
+                    checked += 1
+        assert checked == 476
+        diamond = FinitePoset.from_relation(4, [(0, 1), (0, 2), (1, 3),
+                                                (2, 3)])
+        cone = RationalConeMap(diamond, (0, Fraction(1, 2), Fraction(1, 3), 1))
+        again = map_from_dict(map_to_dict(cone))
+        assert isinstance(again, RationalConeMap)
+        assert again.source.matrix == diamond.matrix
+        assert again.values == cone.values
+        assert again.source.labels == ("0", "1", "2", "3")
 
     def test_missing_value(self):
         doc = {"source": {"elements": ["x"], "covers": []},
@@ -380,17 +406,31 @@ class TestCli:
         assert "star region" in capsys.readouterr().out
 
     def test_map_extend_invariant_failure_is_not_a_usage_error(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, capsys):
+        # a failed proved consequence is a failed check, exit 1, not 2
         doc = {"source": {"elements": ["0", "1"], "covers": [["0", "1"]]},
                "target": {"elements": ["0", "1"], "covers": [["0", "1"]]},
                "values": {"0": "0", "1": "1"}}
-        path = tmp_path / "v.json"
+        path, out_path = tmp_path / "v.json", tmp_path / "out.json"
         path.write_text(json.dumps(doc))
         real = cli.extend_lower_star
         monkeypatch.setattr(cli, "extend_lower_star",
                             lambda v, ext: real(v, WholeBaseTraces(ext)))
-        with pytest.raises(InvariantError, match="does not restrict"):
-            main(["map", "extend", str(path), "--mode", "lower-star"])
+        assert main(["map", "extend", str(path), "--mode", "lower-star",
+                     "--out", str(out_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: InvariantError: lower-star extension does not restrict "
+            "to v at 0\n")
+        assert not out_path.exists()
+
+    def test_map_extend_refuses_an_unknown_selection_kind(self, indicator_path,
+                                                          tmp_path, capsys):
+        out_path = tmp_path / "out.json"
+        assert main(["map", "extend", str(indicator_path), "--mode", "star",
+                     "--selection", "bogus", "--out", str(out_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown selection kind 'bogus'\n")
+        assert not out_path.exists()
 
     def test_map_residuated_and_adjoint(self, tmp_path, capsys):
         doc = {"source": {"elements": ["0", "1"], "covers": [["0", "1"]]},
@@ -594,6 +634,22 @@ class TestCli:
                          "--out", str(out_path)]) == 2
             assert "exceeds the enumeration cap" in capsys.readouterr().err
             assert not out_path.exists()
+
+    def test_harness_invariant_failure_exits_1(self, tmp_path, monkeypatch,
+                                               capsys):
+        # an InvariantError while generating instances stops the run as a
+        # failed check: exit 1, the error on stderr, no --out file
+        def broken(ext, sel_e):
+            raise InvariantError("the star region misses part of the base "
+                                 "image")
+        monkeypatch.setattr(harness, "e_star", broken)
+        out_path = tmp_path / "f"
+        assert main(["harness", "run", "extension-extremality", "--max-size",
+                     "2", "--out", str(out_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: InvariantError: the star region misses part of the base "
+            "image\n")
+        assert not out_path.exists()
 
     def test_harness_unknown_claim_is_a_usage_error(self, capsys):
         import pytest as _pytest

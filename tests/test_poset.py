@@ -89,6 +89,11 @@ class TestConstruction:
         with pytest.raises(PosetError, match="cycle through {a, b}"):
             FinitePoset.from_relation(2, [(0, 1), (1, 0)], labels=("a", "b"))
 
+    def test_from_relation_counts_the_labels_before_naming_a_cycle(self):
+        for pairs in ([(0, 1), (1, 0)], [(0, 1)]):
+            with pytest.raises(PosetError, match="expected 2 labels, got 1"):
+                FinitePoset.from_relation(2, pairs, labels=("a",))
+
     def test_from_relation_agrees_with_the_row_closure(self):
         # every set of pairs i != j on at most 4 points, with and without
         # labels, and pairs out of range: the same matrix or the same text

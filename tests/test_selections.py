@@ -92,6 +92,11 @@ class TestBuildSelection:
             checked += 1
         assert checked == 13419
 
+    def test_an_unknown_kind_is_a_selection_error(self, chain3):
+        with pytest.raises(SelectionError,
+                           match="unknown selection kind 'bogus'"):
+            build_selection(chain3, "bogus")
+
     def test_constructor_checks_keep_their_messages(self, chain3):
         principal = [chain3._mask(chain3.up(x)) for x in range(3)]
         for masks, message in (
