@@ -145,13 +145,9 @@ def parse_selection_spec(p, spec) -> FilterSelection:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         return selection_from_dict(p, doc, where=path)
-    try:
-        kind = SelectionKind(spec)
-    except ValueError:
-        raise FormatError(f"unknown selection kind {spec!r}") from None
-    if kind is SelectionKind.EXPLICIT:
+    if spec == SelectionKind.EXPLICIT:
         raise FormatError("explicit selections need a file: explicit:<path>")
-    return build_selection(p, kind)
+    return build_selection(p, spec)
 
 
 def selection_from_dict(p, doc, where="selection") -> FilterSelection:

@@ -8,7 +8,7 @@ semilattice this reduces to the pairwise law, but not in general.
 """
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -23,12 +23,18 @@ class MapError(ValueError):
     """A map violates monotonicity, maxitivity or an extension hypothesis."""
 
 
+class NoSupremumError(MapError):
+    """The values under a completion element have no supremum in the
+    target, so the lower-star extension is undefined there."""
+
+
 class InvariantError(RuntimeError):
     """A consequence of a proved result failed on inputs that meet its
     hypotheses: a defect in this library or a counterexample, never a
     hypothesis failure, so callers must not treat it as a MapError."""
 
 
+@dataclass(frozen=True)
 class MonotoneMap:
     """An order-preserving map, stored as one target index per source element.
 
@@ -36,15 +42,17 @@ class MonotoneMap:
     Order preservation is decided on the source's covering pairs, listed
     once per source: by transitivity it holds on them iff it holds on every
     pair.  Only when it fails does the scan of all pairs g <= h run, to name
-    the first offending (g, h) in index order.  A map is immutable and
-    compares, hashes and prints by its three fields, like a frozen
-    dataclass; assignment raises `dataclasses.FrozenInstanceError`.
+    the first offending (g, h) in index order.  The enumerators
+    `iter_monotone_values` and `iter_maxitive_values` yield plain value
+    tuples; a map is built only where a check or a result needs one.
     """
 
-    __slots__ = ("source", "target", "values")
+    source: FinitePoset
+    target: FinitePoset
+    values: tuple
 
-    def __init__(self, source: FinitePoset, target: FinitePoset, values):
-        values = tuple(values)
+    def __post_init__(self):
+        source, target, values = self.source, self.target, tuple(self.values)
         if len(values) != source.n:
             raise MapError(f"expected {source.n} values, got {len(values)}")
         n = target.n
@@ -61,39 +69,10 @@ class MonotoneMap:
                             for h in source.up(g)
                             if not target.leq(values[g], values[h]))
                 raise MapError(f"not order-preserving on ({g}, {h})")
-        _set_source(self, source)
-        _set_target(self, target)
-        _set_values(self, values)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return self.__class__, (self.source, self.target, self.values)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.source, self.target, self.values)
-                == (other.source, other.target, other.values))
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.values))
-
-    def __repr__(self):
-        return (f"{self.__class__.__qualname__}(source={self.source!r}, "
-                f"target={self.target!r}, values={self.values!r})")
+        object.__setattr__(self, "values", values)
 
     def __call__(self, g):
         return self.values[g]
-
-
-# the slot setters, which bypass the refusing __setattr__
-_set_source, _set_target, _set_values = (
-    MonotoneMap.__dict__[name].__set__ for name in MonotoneMap.__slots__)
 
 
 def iter_monotone_values(e, l):
@@ -136,20 +115,21 @@ def iter_monotone_values(e, l):
                           else _indices(allowed)))
 
 
-def _sublevel_masks(v: MonotoneMap):
-    """The masks of the sublevel sets D_t = {g : v(g) <= t}, t in index
-    order: g joins D_t for each t above v(g)."""
-    up = v.target._upm
-    sublevels = [0] * v.target.n
-    for g, t in enumerate(v.values):
+def _sublevel_masks(l, values):
+    """The masks of the sublevel sets D_t = {g : values[g] <= t} of a value
+    tuple into l, t in index order: g joins D_t for each t above its value."""
+    up = l._upm
+    sublevels = [0] * l.n
+    for g, t in enumerate(values):
         bit = 1 << g
         for s in _BITS[up[t]] if up[t] < _BITS_LIMIT else _indices(up[t]):
             sublevels[s] |= bit
     return sublevels
 
 
-def maxitivity_witness(v: MonotoneMap):
-    """An offending family D_t meet down(x), or None if v is maxitive.
+def _unclosed_sublevel(e, l, values):
+    """The mask of an offending family D_t meet down(x) of a monotone value
+    tuple e -> l, or None if the tuple is maxitive.
 
     A monotone v is maxitive iff every sublevel set D_t = {g : v(g) <= t}
     is closed under existing sups: then v(s) lies below every upper bound
@@ -160,12 +140,27 @@ def maxitivity_witness(v: MonotoneMap):
     The test of each D_t is read from the source's closure memo, so each
     lower set of a source is tested once for all the maps out of it.
     """
-    memo = _closure_memo(v.source)
-    for sublevel in _sublevel_masks(v):
+    memo = _closure_memo(e)
+    for sublevel in _sublevel_masks(l, values):
         family = memo[sublevel]
         if family is not None:
-            return frozenset(_indices(family))
+            return family
     return None
+
+
+def maxitivity_witness(v: MonotoneMap):
+    """An offending family D_t meet down(x), or None if v is maxitive: the
+    scan of _unclosed_sublevel on v's values, its mask as a frozenset."""
+    family = _unclosed_sublevel(v.source, v.target, v.values)
+    return None if family is None else frozenset(_indices(family))
+
+
+def iter_maxitive_values(e, l):
+    """All maxitive value tuples E -> L: the tuples of iter_monotone_values
+    that pass the scan of _unclosed_sublevel, in the same order."""
+    for values in iter_monotone_values(e, l):
+        if _unclosed_sublevel(e, l, values) is None:
+            yield values
 
 
 def is_pairwise_maxitive(v: MonotoneMap) -> bool:
@@ -261,18 +256,17 @@ def from_ideal_family(fam: IdealFamily, sel_l: FilterSelection) -> MonotoneMap:
 def ideal_family_of(v: MonotoneMap) -> IdealFamily:
     """The canonical family of sublevel ideals of a maxitive map.
 
-    A sublevel set D_t fails IdealFamily's ideal check exactly when its
-    closure-memo entry is not None, the test of maxitivity_witness; the
-    first such t names the offending family, as maxitivity_witness does.
+    A sublevel set D_t fails IdealFamily's ideal check exactly when the
+    scan of _unclosed_sublevel finds it unclosed, so a map that is not
+    maxitive is refused up front, with the family that maxitivity_witness
+    names.
     """
-    masks = _sublevel_masks(v)
-    memo = _closure_memo(v.source)
-    for mask in masks:
-        family = memo[mask]
-        if family is not None:
-            raise MapError("map is not maxitive; offending family "
-                           f"{_indices(family)}")
-    return IdealFamily(v.source, v.target, masks)
+    family = _unclosed_sublevel(v.source, v.target, v.values)
+    if family is not None:
+        raise MapError("map is not maxitive; offending family "
+                       f"{_indices(family)}")
+    return IdealFamily(v.source, v.target,
+                       _sublevel_masks(v.target, v.values))
 
 
 # -- the rational cone ----------------------------------------------------
@@ -495,9 +489,9 @@ def e_lower_star(ext) -> frozenset:
 def extend_lower_star(v: MonotoneMap, ext) -> MonotoneMap:
     """Minimal maxitive extension of v to the lower-star region.
 
-    Requires a distributive completion; raises when some needed supremum of
-    values is missing in the target, which can happen for targets that are
-    not complete.
+    Requires a distributive completion; raises NoSupremumError when some
+    needed supremum of values is missing in the target, which can happen
+    for targets that are not complete.
     """
     if v.source != ext.base:
         raise MapError("map and extension have different base posets")
@@ -515,7 +509,8 @@ def extend_lower_star(v: MonotoneMap, ext) -> MonotoneMap:
             raise MapError(f"lower trace of {a} is empty")
         s = l.sup_of(frozenset(v.values[g] for g in trace))
         if s is None:
-            raise MapError(f"values under {a} have no supremum in the target")
+            raise NoSupremumError(
+                f"values under {a} have no supremum in the target")
         values.append(s)
     result = MonotoneMap(ext.complete.restrict(members), l, tuple(values))
     index = {a: k for k, a in enumerate(members)}

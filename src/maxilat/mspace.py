@@ -15,8 +15,7 @@ from operator import getitem
 from .poset import (FinitePoset, PosetError, _cover_pairs, _indices,
                     _pair_tables, _union, classify, join_table)
 from .selections import SelectionError, SelectionKind, build_selection, way_above
-from .maxitive import (MapError, MonotoneMap, iter_monotone_values,
-                       maxitivity_witness)
+from .maxitive import MapError, MonotoneMap, iter_maxitive_values
 from .residuation import heyting_arrow
 
 DEFAULT_SPACE_CAP = 10 ** 6
@@ -122,17 +121,13 @@ class MaxMapSpace:
 
 
 def build_space(e, l, cap=DEFAULT_SPACE_CAP) -> MaxMapSpace:
-    """Materialize every maxitive map e -> l; the candidate pool is |L|^|E|."""
+    """Materialize every maxitive map e -> l, as the value tuples of
+    iter_maxitive_values; the cap bounds the candidate pool |L|^|E|."""
     if l.n ** e.n > cap:
         raise MapError(f"candidate pool {l.n}^{e.n} exceeds the cap {cap}")
     if not classify(l).is_complete_lattice:
         raise MapError("the target must be a complete lattice")
-    maps = []
-    for values in iter_monotone_values(e, l):
-        candidate = MonotoneMap(e, l, values)
-        if maxitivity_witness(candidate) is None:
-            maps.append(values)
-    return MaxMapSpace(e, l, maps)
+    return MaxMapSpace(e, l, iter_maxitive_values(e, l))
 
 
 def pointwise_inf(space, family) -> MonotoneMap:

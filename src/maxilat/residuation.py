@@ -75,7 +75,8 @@ def is_residuated(v: MonotoneMap, ext: OrderExtension) -> bool:
     if v.source != ext.base:
         raise MapError("map and extension have different base posets")
     traces = ext._down_traces
-    return all(level in traces for level in _sublevel_masks(v))
+    return all(level in traces
+               for level in _sublevel_masks(v.target, v.values))
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,7 @@ def adjoint_of(v: MonotoneMap, ext: OrderExtension) -> Adjoint:
         raise MapError("map is not residuated on this extension")
     big = ext.complete
     values = []
-    for level in _sublevel_masks(v):
+    for level in _sublevel_masks(v.target, v.values):
         if level:
             values.append(big.sup_of([ext.embed[g] for g in _indices(level)]))
         else:

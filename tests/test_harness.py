@@ -5,10 +5,10 @@ from collections import Counter
 
 import pytest
 
-from maxilat import (FinitePoset, MonotoneMap, build_selection, build_space,
-                     classify, enumerate_posets, enumerate_unlabeled_posets,
-                     heyting_arrow, is_pairwise_maxitive, m_arrow,
-                     maxitivity_witness)
+from maxilat import (FinitePoset, MapError, MonotoneMap, build_selection,
+                     build_space, classify, enumerate_posets,
+                     enumerate_unlabeled_posets, heyting_arrow,
+                     is_pairwise_maxitive, m_arrow, maxitivity_witness)
 from maxilat import harness
 from maxilat.cli import main
 from maxilat.harness import (FAIL, PASS, SKIP, HarnessError, VerdictRecord,
@@ -313,6 +313,18 @@ class TestExceptionHandler:
         assert doc["summary"] == {"pass": 32, "fail": 8,
                                   "hypothesis-not-met": 24}
         assert "RuntimeError: boom" in capsys.readouterr().out
+
+    def test_only_a_missing_supremum_skips_the_lower_side(self, monkeypatch):
+        # any other refusal of extend_lower_star is a defect, not an
+        # extension that the target cannot hold
+        def refuse(v, ext):
+            raise MapError("boom")
+        monkeypatch.setattr(harness, "extend_lower_star", refuse)
+        failed = [rec for rec in run_suite("extension-extremality", max_size=4)
+                  if rec.verdict == FAIL]
+        assert failed
+        assert all(rec.witness == {"error": "MapError: boom"}
+                   for rec in failed)
 
     def test_an_error_generating_instances_propagates(self, monkeypatch):
         def broken(*args, **kwargs):

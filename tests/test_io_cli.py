@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from maxilat import (FinitePoset, InvariantError, MonotoneMap,
-                     RationalConeMap, enumerate_posets,
+                     RationalConeMap, SelectionError, enumerate_posets,
                      enumerate_unlabeled_posets, iter_monotone_values)
 from maxilat import cli, harness
 from maxilat.catalog import antichain, chain, m3, seven_element
@@ -164,7 +164,7 @@ class TestSelectionSpecs:
             assert str(sel.kind) == kind
 
     def test_unknown_kind(self, chain3):
-        with pytest.raises(FormatError, match="unknown selection kind"):
+        with pytest.raises(SelectionError, match="unknown selection kind"):
             parse_selection_spec(chain3, "bogus")
 
     def test_explicit_file(self, tmp_path):

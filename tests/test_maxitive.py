@@ -10,12 +10,13 @@ import pytest
 from maxilat import (FinitePoset, IdealFamily, InvariantError, MapError,
                      MonotoneMap,
                      OrderExtension, RationalConeMap, alternating_witness, build_selection,
+                     build_space,
                      classify, dm_completion, e_lower_star, e_star,
                      enumerate_posets, enumerate_unlabeled_posets,
                      extend_lower_star, extend_star,
                      from_ideal_family, ideal_family_of,
-                     is_pairwise_maxitive, iter_monotone_values,
-                     maxitivity_witness, way_above)
+                     is_pairwise_maxitive, iter_maxitive_values,
+                     iter_monotone_values, maxitivity_witness, way_above)
 from maxilat.selections import continuity_report
 from maxilat import maxitive
 from maxilat.catalog import antichain, chain, diamond, m3
@@ -143,6 +144,25 @@ class TestMonotoneMap:
                 maps += len(got)
         assert list(iter_monotone_values(FinitePoset(()), chain(2))) == [()]
         assert maps > 0
+
+    def test_iter_maxitive_values_matches_the_oracle(self):
+        # every pair of unlabeled posets of size <= 4, and the empty poset
+        # on either side: the monotone tuples that the definitional oracle
+        # calls maxitive, in the same order; into a complete lattice they
+        # are also the maps of build_space
+        posets = [FinitePoset(())] + list(enumerate_unlabeled_posets(4))
+        maps = spaces = 0
+        for e in posets:
+            for l in posets:
+                got = list(iter_maxitive_values(e, l))
+                assert got == [
+                    values for values in oracle_monotone_maps(e, l)
+                    if oracle_is_maxitive(MonotoneMap(e, l, values))]
+                if classify(l).is_complete_lattice:
+                    assert list(build_space(e, l).maps) == got
+                    spaces += 1
+                maps += len(got)
+        assert spaces > 0 and maps > 0
 
     def test_iter_monotone_values_matches_oracle(self):
         for e in enumerate_unlabeled_posets(3):

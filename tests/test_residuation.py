@@ -80,7 +80,7 @@ class TestResiduated:
                 for values in iter_monotone_values(e, l):
                     v = MonotoneMap(e, l, values)
                     assert is_residuated(v, ext) == oracle_is_residuated(v, ext)
-                    assert tuple(map(_frozen, _sublevel_masks(v))) \
+                    assert tuple(map(_frozen, _sublevel_masks(v.target, v.values))) \
                         == oracle_sublevel_family(v)
                     maps += 1
         assert maps == 2436
