@@ -13,7 +13,8 @@ import sys
 from collections.abc import Iterator
 
 from .poset import PosetError, classify, dm_completion
-from .selections import SelectionError, continuity_report, is_union_complete
+from .selections import (SelectionError, SelectionKind, continuity_report,
+                         is_union_complete)
 from .maxitive import (InvariantError, MapError, MonotoneMap,
                        alternating_witness, e_lower_star, e_star,
                        extend_lower_star, extend_star, is_pairwise_maxitive,
@@ -168,6 +169,11 @@ def cmd_map_check(args):
 
 
 def cmd_map_extend(args):
+    if args.selection.partition(":")[0] == SelectionKind.EXPLICIT:
+        raise SelectionError(
+            "map extend builds the source's and the target's selection from "
+            "the one --selection kind, and an explicit selection names the "
+            "sets of one poset: use principal, filtered or upper")
     v = io.load_map(args.file)
     if not isinstance(v, MonotoneMap):
         raise MapError("extension needs a poset-valued map")
@@ -336,7 +342,8 @@ def _command_table():
                                "required": True}),
                 (("--ext",), {"default": "dm",
                               "help": "completion: dm or a poset file"}),
-                (("--selection",), {"default": "principal"}),
+                (("--selection",), {"default": "principal",
+                                    "help": "principal|filtered|upper"}),
                 out]),
             "residuated": ("residuation check", cmd_map_residuated,
                            [(("file",), {}), ext, out]),

@@ -49,7 +49,7 @@ class HarnessError(ValueError):
     """Unknown claim or malformed verdict."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class VerdictRecord:
     claim: str
     instance: dict
@@ -72,7 +72,7 @@ class VerdictRecord:
 def describe_poset(p) -> dict:
     """Elements, covering pairs and the key, a stable short digest of the
     presentation."""
-    labels = p.labels or tuple(str(i) for i in range(p.n))
+    labels = p.labels or tuple(map(str, range(p.n)))
     covers = p.covers()
     payload = repr((p.n, covers, p.labels)).encode()
     return {"n": p.n,
@@ -112,7 +112,7 @@ def _check_seven_element(v):
 
 
 def _claim_interpolation(bounds):
-    kinds = bounds.selections or ("principal", "filtered", "upper")
+    kinds = tuple(map(SelectionKind, bounds.selections or BUILTIN_KINDS))
     for p in enumerate_posets(bounds.max_size or 5):
         desc = describe_poset(p)
         # the report depends on the selected masks alone, and FILTERED
@@ -150,8 +150,8 @@ def _claim_singleton_collapse(bounds):
 
 def _check_singleton_collapse(p):
     rel = way_above(p, build_selection(p, SelectionKind.PRINCIPAL))
-    mismatches = [(y, x) for x, col in enumerate(rel._cols)
-                  for y in _indices(col ^ p._upm[x])]
+    mismatches = [(y, x) for x, (col, up) in enumerate(zip(rel._cols, p._upm))
+                  if col != up for y in _indices(col ^ up)]
     return ({}, FAIL if mismatches else PASS,
             {"pairs": mismatches} if mismatches else None)
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .poset import (_BITS, _BITS_LIMIT, FinitePoset, _bits, _closure_memo,
+from .poset import (_BITS, _BITS_LIMIT, FinitePoset, _closure_memo,
                     _common, _cover_pairs, _indices, _pair_tables,
                     _union, classify, join_table)
 from .selections import FilterSelection, WayAboveRelation, continuity_report
@@ -449,10 +449,12 @@ def extend_star(v: MonotoneMap, ext, sel_e: FilterSelection,
         raise MapError(f"map is not maxitive; offending family {sorted(witness)}")
     star = sorted(e_star(ext, sel_e))
     l = v.target
-    up, infima = l._upm, sel_l._infimum_table()
+    infima = sel_l._infimum_table()
+    # at_least[g]: the mask of up(v(g)) in the target
+    at_least = [l._upm[t] for t in v.values]
     values = []
     for a in star:
-        image = _union(up, _bits(v.values[g] for g in ext.up_in_base(a)))
+        image = _union(at_least, ext._up_traces[a])
         if image not in infima:
             raise MapError(f"value trace of {a} escapes the target selection")
         m = infima[image]

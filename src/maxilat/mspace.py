@@ -289,7 +289,9 @@ def m_arrow(space, u, v) -> MonotoneMap:
 @lru_cache(maxsize=64)
 def ideal_lattice(e) -> FinitePoset:
     """I(E): the ideals of e, the lower sets closed under existing sups,
-    ordered by inclusion, in the order of e's lower-set enumeration."""
+    ordered by inclusion, in the order of e's lower-set enumeration, where
+    each lower set follows every lower set inside it, so the empty ideal
+    is element 0."""
     masks = [low for low in e._lower_masks()
              if e._unclosed_family(low) is None]
     return FinitePoset._from_up_masks(

@@ -153,24 +153,26 @@ class FinitePoset:
 
     def _set_order(self, up, labels):
         """Derive the down-masks, by transposing the up-masks, and check the
-        order axioms on the masks: up(i) must hold i, meet down(i) in i
-        alone and hold the up-masks of its members.
-        The per-pair scan runs only to name a violation."""
+        order axioms on the masks: up(i) must meet down(i) in exactly i
+        (reflexivity and antisymmetry) and hold the up-masks of its members
+        (transitivity).  The per-pair scan runs only at the elements that
+        fail, in index order, to name the first violation."""
         n = len(up)
         down = [0] * n
-        unclosed = 0
+        flagged = 0
         for i, mask in enumerate(up):
             bit, reach = 1 << i, 0
             for j in _BITS[mask] if mask < _BITS_LIMIT else _indices(mask):
                 down[j] |= bit
                 reach |= up[j]
             if reach != mask:
-                unclosed |= bit
-        for i in range(n):
+                flagged |= bit
+        for i, mask in enumerate(up):
+            if mask & down[i] != 1 << i:
+                flagged |= 1 << i
+        for i in _indices(flagged):
             if not up[i] >> i & 1:
                 raise PosetError(f"relation not reflexive at {i}")
-            if up[i] & down[i] == 1 << i and not unclosed >> i & 1:
-                continue
             for j in _indices(up[i]):
                 if i != j and up[j] >> i & 1:
                     raise PosetError(f"relation not antisymmetric on ({i}, {j})")
@@ -283,24 +285,21 @@ class FinitePoset:
         return None
 
     def _lower_masks(self):
-        """The masks of all lower sets, each exactly once: those of the rest
-        without its last maximal element x, then down(x) joined to those of
-        the rest outside down(x)."""
+        """The masks of all lower sets, each exactly once, in one pass over
+        a linear extension: the elements in the order of their down-masks
+        as integers, which extends the order, as a proper subset has the
+        smaller mask.  After element x the list holds every lower set inside
+        the elements taken so far: those before it, which miss x, then x
+        joined to each of them that holds x's strict down-set, in their
+        order.  So a lower set comes after every lower set inside it, and
+        the empty set comes first."""
         down = self._downm
-        strict_up = tuple(m & ~(1 << i) for i, m in enumerate(self._upm))
-
-        def rec(allowed):
-            if not allowed:
-                return [0]
-            for x in reversed(_BITS[allowed] if allowed < _BITS_LIMIT
-                              else _indices(allowed)):
-                if not strict_up[x] & allowed:
-                    break
-            dx = down[x] & allowed
-            return (rec(allowed & ~(1 << x))
-                    + [part | dx for part in rec(allowed & ~dx)])
-
-        return rec((1 << self.n) - 1)
+        lows = [0]
+        for x in sorted(range(self.n), key=down.__getitem__):
+            bit = 1 << x
+            below = down[x] ^ bit
+            lows += [low | bit for low in lows if not below & ~low]
+        return lows
 
     # -- derived posets -----------------------------------------------------
 
@@ -316,13 +315,13 @@ class FinitePoset:
         return FinitePoset._from_up_masks(self._downm, self.labels)
 
     def covers(self):
-        """Covering pairs (i, j): i < j with nothing strictly between."""
-        out = []
-        for i in range(self.n):
-            for j in _indices(self._upm[i]):
-                if i == j:
-                    continue
-                if not self._upm[i] & self._downm[j] & ~(1 << i | 1 << j):
+        """Covering pairs (i, j): i < j with nothing strictly between, the
+        minimal elements j of the strict up-set of i, both ascending."""
+        down, out = self._downm, []
+        for i, mask in enumerate(self._upm):
+            above = mask ^ 1 << i
+            for j in _BITS[above] if above < _BITS_LIMIT else _indices(above):
+                if down[j] & above == 1 << j:
                     out.append((i, j))
         return out
 

@@ -15,7 +15,7 @@ frozensets of `fsets` are a view built on first request.
 import enum
 from dataclasses import dataclass
 
-from .poset import (FinitePoset, _bounding_member, _common, _frozen,
+from .poset import (_BITS, _BITS_LIMIT, FinitePoset, _common, _frozen,
                     _indices, _union)
 
 
@@ -56,26 +56,27 @@ class FilterSelection:
         # only empty sets, pass the upper-set test, so a bad input raises
         # what it raised when they came first.
         up, n = poset._upm, poset.n
-        kept = []
+        masks = tuple(masks)
         for mask in masks:
             if mask >> n:
                 raise SelectionError(f"mask {mask} has a bit outside the "
                                      f"{n} elements")
-            if _union(up, mask) != mask:
-                raise SelectionError(f"{_indices(mask)} is not an upper set")
-            kept.append(mask)
-        if not kept:
+            outside = ~mask
+            for i in _BITS[mask] if mask < _BITS_LIMIT else _indices(mask):
+                if up[i] & outside:
+                    raise SelectionError(f"{_indices(mask)} is not an upper set")
+        if not masks:
             raise SelectionError("a selection must contain at least one set")
-        if not any(kept):
+        if not any(masks):
             raise SelectionError("a selection needs at least one nonempty member")
-        selected = set(kept)
-        for x in range(n):
-            if up[x] not in selected:
-                raise SelectionError(f"principal filter of {x} is missing")
+        selected = set(masks)
+        if not selected.issuperset(up):
+            x = next(x for x in range(n) if up[x] not in selected)
+            raise SelectionError(f"principal filter of {x} is missing")
         self.poset = poset
         self.kind = kind
         self.recursion_kind = recursion_kind
-        self._masks = tuple(kept)
+        self._masks = masks
         self._selected = selected
         self._fsets = self._infima = None
 
@@ -87,11 +88,19 @@ class FilterSelection:
 
     def _infimum_table(self):
         """The infimum of each selected set keyed by its mask, None where
-        it is missing; the top for the empty set."""
+        it is missing; the top for the empty set.
+
+        The lower bounds of a set are a lower set, so its infimum, their
+        greatest member, is the element whose down-set they are."""
         if self._infima is None:
-            down, n = self.poset._downm, self.poset.n
-            self._infima = {mask: _bounding_member(down, _common(down, mask, n))
-                            for mask in self._masks}
+            down, full = self.poset._downm, (1 << self.poset.n) - 1
+            named = {mask: m for m, mask in enumerate(down)}
+            infima = self._infima = {}
+            for mask in self._masks:
+                bounds = full
+                for i in _BITS[mask] if mask < _BITS_LIMIT else _indices(mask):
+                    bounds &= down[i]
+                infima[mask] = named.get(bounds)
         return self._infima
 
 
@@ -103,10 +112,11 @@ def build_selection(p, kind, explicit_sets=None,
     the filtered sets are exactly the principal filters; the upper sets are
     the complements of the lower sets.
     """
-    try:
-        kind = SelectionKind(kind)
-    except ValueError:
-        raise SelectionError(f"unknown selection kind {kind!r}") from None
+    if not isinstance(kind, SelectionKind):
+        try:
+            kind = SelectionKind(kind)
+        except ValueError:
+            raise SelectionError(f"unknown selection kind {kind!r}") from None
     if kind in (SelectionKind.PRINCIPAL, SelectionKind.FILTERED):
         masks = p._upm
     elif kind is SelectionKind.UPPER:
@@ -122,9 +132,8 @@ def build_selection(p, kind, explicit_sets=None,
                 raise SelectionError(f"explicit set {_indices(mask)} is not upper")
             masks.add(mask)
         masks.update(p._upm)
-    if kind is not SelectionKind.EXPLICIT:
-        recursion_kind = kind
-    return FilterSelection(p, kind, masks, SelectionKind(recursion_kind))
+        return FilterSelection(p, kind, masks, SelectionKind(recursion_kind))
+    return FilterSelection(p, kind, masks, kind)
 
 
 class WayAboveRelation:
@@ -166,8 +175,8 @@ def _check_within_order(p, sel, cols):
     """For the built-in kinds, y way-above x implies x <= y; cols[x] is the
     bitmask of the y way-above x."""
     if sel.kind in BUILTIN_KINDS:
-        for x in range(p.n):
-            escaped = cols[x] & ~p._upm[x]
+        for x, (col, up) in enumerate(zip(cols, p._upm)):
+            escaped = col & ~up
             if escaped:
                 y = (escaped & -escaped).bit_length() - 1
                 raise SelectionError(f"way-above escapes the order at ({y}, {x})")
@@ -188,7 +197,7 @@ def _way_above_columns(p, sel):
     for mask, m in infs.items():
         if m is not None:
             at[m] &= mask
-    return tuple(_common(at, below, n) for below in p._downm), infs
+    return tuple([_common(at, below, n) for below in p._downm]), infs
 
 
 def way_above(p, sel) -> WayAboveRelation:
@@ -196,7 +205,7 @@ def way_above(p, sel) -> WayAboveRelation:
     return WayAboveRelation(p, sel, _way_above_columns(p, sel)[0])
 
 
-@dataclass(frozen=True)
+@dataclass
 class ContinuityReport:
     """Continuity, domain and interpolation verdicts with failure witnesses."""
 
@@ -222,16 +231,18 @@ def continuity_report(p, sel) -> ContinuityReport:
     """
     cols, infs = _way_above_columns(p, sel)
     _check_within_order(p, sel, cols)
-    n = p.n
-    continuity_failures = tuple(x for x in range(n) if infs.get(cols[x]) != x)
-    missing = tuple(sorted(
-        (tuple(_indices(mask)) for mask, m in infs.items() if m is None),
-        key=lambda f: (len(f), f)))
+    continuity_failures = tuple([x for x, col in enumerate(cols)
+                                 if infs.get(col) != x])
+    missing = ()
+    if None in infs.values():
+        missing = tuple(sorted(
+            (tuple(_indices(mask)) for mask, m in infs.items() if m is None),
+            key=lambda f: (len(f), f)))
     interp_failures = []
     for x, col in enumerate(cols):
         unmet = col & ~_union(cols, col)
         if unmet:
-            interp_failures.extend((y, x) for y in _indices(unmet))
+            interp_failures += [(y, x) for y in _indices(unmet)]
     is_continuous = not continuity_failures
     return ContinuityReport(
         is_continuous=is_continuous,
@@ -257,17 +268,22 @@ def is_union_complete(sel) -> bool:
       subsets, and any family has the same union as the one it generates, so
       every subfamily must union into the selection.  By induction on its
       size, that is: the empty set is selected, and so is the union of any
-      two selected sets.
+      two selected sets.  It suffices that a | up(x) is selected for each
+      selected a and each element x, k * n tests for k selected sets in
+      place of k^2 / 2: the constructor requires every up(x) to be selected,
+      so these are unions of two selected sets; conversely a selected b is
+      an upper set, the union of up(x) over its members x1, ..., xm, and
+      a | b is reached from a by adding up(x1), ..., up(xm) in turn, every
+      step staying selected.
     """
     kind = sel.kind if sel.kind in BUILTIN_KINDS else sel.recursion_kind
     if kind in (SelectionKind.PRINCIPAL, SelectionKind.FILTERED):
         return True
     if kind is not SelectionKind.UPPER:
         raise SelectionError(f"{kind} has no implicit set family")
-    masks, selected = sel._masks, sel._selected
-    return 0 in selected and all(a | b in selected
-                                 for i, a in enumerate(masks)
-                                 for b in masks[i + 1:])
+    selected, up = sel._selected, sel.poset._upm
+    return 0 in selected and selected.issuperset(
+        [a | u for a in sel._masks for u in up])
 
 
 def fmap(sel_p, sel_q, f, fset) -> frozenset:

@@ -247,21 +247,15 @@ def oracle_covers(p):
 
 
 def oracle_lower_sets(p):
-    """The lower sets of p by the frozenset recursion that the mask
-    recursion replaced, in the order it yields them."""
-    strict_up = tuple(p.up(i) - {i} for i in range(p.n))
-
-    def rec(allowed):
-        if not allowed:
-            yield frozenset()
-            return
-        x = max(i for i in allowed if not (strict_up[i] & allowed))
-        yield from rec(allowed - {x})
-        dx = p.down(x) & allowed
-        for part in rec(allowed - dx):
-            yield part | dx
-
-    return list(rec(frozenset(range(p.n))))
+    """The lower sets of p as frozensets, in the order of the mask pass: the
+    elements are taken in the order of the sums of 2^j over their principal
+    ideals, and each is joined to every lower set listed before it that
+    holds its strict down-set."""
+    lows = [frozenset()]
+    for x in sorted(range(p.n), key=lambda i: sum(2 ** j for j in p.down(i))):
+        below = p.down(x) - {x}
+        lows += [low | {x} for low in lows if below <= low]
+    return lows
 
 
 def oracle_upper_sets(p):
@@ -637,7 +631,8 @@ def oracle_continuity_report(p, sel):
 
 
 class WholeBaseTraces:
-    """An order extension whose upper and lower traces are the whole base.
+    """An order extension whose upper and lower traces are the whole base,
+    as masks and as frozensets.
 
     Deliberately wrong: the star and lower-star extensions built on it no
     longer restrict to the map, so their invariant checks must fire.
@@ -645,6 +640,8 @@ class WholeBaseTraces:
 
     def __init__(self, ext):
         self._ext = ext
+        full = (1 << ext.base.n) - 1
+        self._up_traces = self._down_traces = (full,) * ext.complete.n
 
     def __getattr__(self, name):
         return getattr(self._ext, name)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -501,6 +502,21 @@ class TestWorkCounts:
         for name in names:
             monkeypatch.setattr(harness, name, counting(name))
         return calls
+
+    def test_the_poset_claims_leave_no_cyclic_garbage(self):
+        # reference counting frees everything the poset kernels and the
+        # three poset claims make, so the cycle collector has nothing to do
+        gc.collect()
+        gc.disable()
+        try:
+            for p in enumerate_posets(4):
+                p._lower_masks()
+            for claim in ("interpolation", "singleton-collapse",
+                          "supercontinuity-distributivity"):
+                list(run_suite(claim, max_size=4))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_thm_5_4_scans_each_map_once(self, monkeypatch):
         from maxilat import maxitive, residuation

@@ -432,6 +432,20 @@ class TestCli:
             "error: unknown selection kind 'bogus'\n")
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("spec", ["explicit", "explicit:sel.json"])
+    def test_map_extend_refuses_an_explicit_selection(self, indicator_path,
+                                                      tmp_path, capsys, spec):
+        # one flag selects on both posets, and an explicit file names the
+        # sets of one; the file is never read
+        out_path = tmp_path / "out.json"
+        assert main(["map", "extend", str(indicator_path), "--mode", "star",
+                     "--selection", spec, "--out", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: map extend builds the source's and the "
+                              "target's selection")
+        assert "principal, filtered or upper" in err
+        assert not out_path.exists()
+
     def test_map_residuated_and_adjoint(self, tmp_path, capsys):
         doc = {"source": {"elements": ["0", "1"], "covers": [["0", "1"]]},
                "target": {"elements": ["0", "1"], "covers": [["0", "1"]]},
