@@ -13,9 +13,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .poset import (_BITS, _BITS_LIMIT, FinitePoset, _closure_memo,
-                    _common, _cover_pairs, _indices, _pair_tables,
-                    _union, classify, join_table)
+from .poset import (_BITS, _BITS_LIMIT, FinitePoset, _bounding_member,
+                    _closure_memo, _common, _cover_pairs, _indices,
+                    _pair_tables, _union, classify, join_table)
 from .selections import FilterSelection, WayAboveRelation, continuity_report
 
 
@@ -201,8 +201,12 @@ class IdealFamily:
             if mask >> n:
                 raise MapError(f"member at {t} has a bit outside the {n} "
                                "source elements")
-            if ((mask not in memo and _union(down, mask) != mask)
-                    or memo[mask] is not None):
+            # one lookup: 0 is no entry, as an unclosed family is nonempty;
+            # a set that is not lower keeps the 0 and is refused
+            family = memo.get(mask, 0)
+            if family == 0 and _union(down, mask) == mask:
+                family = memo[mask]
+            if family is not None:
                 raise MapError(f"member at {t} is not an ideal of the source")
         for s, t in _cover_pairs(target):
             if masks[s] & ~masks[t]:
@@ -218,11 +222,39 @@ class IdealFamily:
         it under rel, a way-above relation on the target."""
         if rel.poset is not self.target and rel.poset != self.target:
             raise MapError("way-above relation was built on a different target")
-        masks, n = self._masks, self.source.n
+        masks, full = self._masks, (1 << self.source.n) - 1
         for col, mask in zip(rel._cols, masks):
-            if _common(masks, col, n) != mask:
+            common = full
+            for t in _BITS[col] if col < _BITS_LIMIT else _indices(col):
+                common &= masks[t]
+            if common != mask:
                 return False
         return True
+
+
+def _ideal_family_values(fam: IdealFamily, sel_l: FilterSelection) -> tuple:
+    """The value tuple of from_ideal_family(fam, sel_l), with its checks
+    and errors, not built into a map."""
+    l = fam.target
+    if sel_l.poset is not l and sel_l.poset != l:
+        raise MapError("selection was built on a different target poset")
+    members = [0] * fam.source.n
+    bit = 1
+    for mask in fam._masks:
+        for g in _BITS[mask] if mask < _BITS_LIMIT else _indices(mask):
+            members[g] |= bit
+        bit <<= 1
+    infima = sel_l._infimum_table()
+    values = []
+    for g, ts in enumerate(members):
+        # -1 marks a set the selection lacks, None a missing infimum
+        m = infima.get(ts, -1)
+        if m is None:
+            raise MapError(f"membership set of {g} has no infimum")
+        if m < 0:
+            raise MapError(f"membership set of {g} is not a selected set")
+        values.append(m)
+    return tuple(values)
 
 
 def from_ideal_family(fam: IdealFamily, sel_l: FilterSelection) -> MonotoneMap:
@@ -233,24 +265,7 @@ def from_ideal_family(fam: IdealFamily, sel_l: FilterSelection) -> MonotoneMap:
     right-continuous under sel_l's way-above, the result is maxitive.  An
     empty membership set has the top as its infimum.
     """
-    l = fam.target
-    if sel_l.poset is not l and sel_l.poset != l:
-        raise MapError("selection was built on a different target poset")
-    members = [0] * fam.source.n
-    for t, mask in enumerate(fam._masks):
-        bit = 1 << t
-        for g in _BITS[mask] if mask < _BITS_LIMIT else _indices(mask):
-            members[g] |= bit
-    infima = sel_l._infimum_table()
-    values = []
-    for g, ts in enumerate(members):
-        if ts not in infima:
-            raise MapError(f"membership set of {g} is not a selected set")
-        m = infima[ts]
-        if m is None:
-            raise MapError(f"membership set of {g} has no infimum")
-        values.append(m)
-    return MonotoneMap(fam.source, l, tuple(values))
+    return MonotoneMap(fam.source, fam.target, _ideal_family_values(fam, sel_l))
 
 
 def ideal_family_of(v: MonotoneMap) -> IdealFamily:
@@ -281,7 +296,8 @@ class RationalConeMap:
     and the order and maxitivity checks, run on the values times the lcm of
     their denominators: exact ints with the same signs and order, scaled
     once; int values are their own scaling.  Joins come from the source's
-    `join_table`, built once for all its cones.  Order preservation is
+    `join_table`, and the join-semilattice test from its `classify`
+    profile, each computed once for all its cones.  Order preservation is
     decided on the covering pairs, as in MonotoneMap, and the scan of all
     pairs runs only to name the first offending (g, h).
     """
@@ -290,28 +306,30 @@ class RationalConeMap:
     values: tuple
 
     def __post_init__(self):
-        raw = tuple(self.values)
+        source, raw = self.source, tuple(self.values)
+        ints = True
         for x in raw:
-            if isinstance(x, bool):
-                raise MapError(f"value {x} is not a rational number")
+            if x.__class__ is not int:
+                if isinstance(x, bool):
+                    raise MapError(f"value {x} is not a rational number")
+                ints = False
         values = tuple(map(Fraction, raw))
         object.__setattr__(self, "values", values)
-        if len(values) != self.source.n:
-            raise MapError(f"expected {self.source.n} values, got {len(values)}")
-        if all(type(x) is int for x in raw):
+        if len(values) != source.n:
+            raise MapError(f"expected {source.n} values, got {len(values)}")
+        if ints:
             scaled = raw
         else:
-            scale = math.lcm(*(x.denominator for x in values))
-            scaled = tuple(x.numerator * (scale // x.denominator)
-                           for x in values)
+            scale = math.lcm(*[x.denominator for x in values])
+            scaled = tuple([x.numerator * (scale // x.denominator)
+                            for x in values])
         object.__setattr__(self, "_scaled", scaled)
-        if any(x < 0 for x in scaled):
-            raise MapError("cone values must be nonnegative")
-        source = self.source
-        joins = join_table(source)
-        if any(None in row for row in joins):
+        for x in scaled:
+            if x < 0:
+                raise MapError("cone values must be nonnegative")
+        if not classify(source).is_join_semilattice:
             raise MapError("the source must be a join-semilattice")
-        object.__setattr__(self, "_joins", joins)
+        object.__setattr__(self, "_joins", join_table(source))
         for g, h in _cover_pairs(source):
             if scaled[g] > scaled[h]:
                 g, h = next((g, h) for g in range(source.n)
@@ -323,13 +341,18 @@ class RationalConeMap:
         join-semilattice every nonempty finite sup is an iterated join, so
         this is full maxitivity.
 
-        Each pair g < h is checked once.  The join table is symmetric, as
-        the join is, so the pair (h, g) asks what (g, h) asks; and the
-        diagonal always holds, as g join g = g and max(x, x) = x."""
+        Each pair g < h is checked once, and the scan stops at the first
+        that fails.  The join table is symmetric, as the join is, so the
+        pair (h, g) asks what (g, h) asks; and the diagonal always holds,
+        as g join g = g and max(x, x) = x."""
         values = self._scaled
-        return all(values[row[h]] == max(values[g], values[h])
-                   for g, row in enumerate(self._joins)
-                   for h in range(g + 1, len(row)))
+        for g, row in enumerate(self._joins):
+            x = values[g]
+            for h in range(g + 1, len(row)):
+                y = values[h]
+                if values[row[h]] != (x if x > y else y):
+                    return False
+        return True
 
 
 def _sparse(packed, width, n):
@@ -426,6 +449,32 @@ def e_star(ext, sel_e: FilterSelection) -> frozenset:
     return star
 
 
+@lru_cache(maxsize=64)
+def _region(ext, region):
+    """A sorted region of the completion, a tuple, with its induced poset
+    and the position of each base element's image in it, None where the
+    image lies outside; built once per extension and region, so a star
+    and a lower-star region that coincide share one poset."""
+    index = {a: k for k, a in enumerate(region)}
+    return (region, ext.complete.restrict(region),
+            tuple(index.get(a) for a in ext.embed))
+
+
+@lru_cache(maxsize=64)
+def _star_region(ext, sel_e):
+    """The _region of e_star(ext, sel_e), computed once per extension and
+    selection: it depends on nothing else, and every map on the
+    extension is extended to it."""
+    return _region(ext, tuple(sorted(e_star(ext, sel_e))))
+
+
+@lru_cache(maxsize=256)
+def _is_domain(l, sel_l):
+    """Whether l is a domain under sel_l, one continuity report per target
+    poset and selection for all the maps into it."""
+    return continuity_report(l, sel_l).is_domain
+
+
 def extend_star(v: MonotoneMap, ext, sel_e: FilterSelection,
                 sel_l: FilterSelection) -> MonotoneMap:
     """Maximal maxitive extension of v to the star region of the completion.
@@ -442,31 +491,38 @@ def extend_star(v: MonotoneMap, ext, sel_e: FilterSelection,
         raise MapError("target selection was built on a different poset")
     if not classify(v.source).is_join_semilattice:
         raise MapError("the base must be a join-semilattice")
-    if not continuity_report(v.target, sel_l).is_domain:
+    if not _is_domain(v.target, sel_l):
         raise MapError("the target must be a domain under the given selection")
     witness = maxitivity_witness(v)
     if witness is not None:
         raise MapError(f"map is not maxitive; offending family {sorted(witness)}")
-    star = sorted(e_star(ext, sel_e))
+    star, region, positions = _star_region(ext, sel_e)
     l = v.target
     infima = sel_l._infimum_table()
     # at_least[g]: the mask of up(v(g)) in the target
     at_least = [l._upm[t] for t in v.values]
+    traces = ext._up_traces
     values = []
     for a in star:
-        image = _union(at_least, ext._up_traces[a])
-        if image not in infima:
-            raise MapError(f"value trace of {a} escapes the target selection")
-        m = infima[image]
+        # -1 marks a set the selection lacks, None a missing infimum
+        m = infima.get(_union(at_least, traces[a]), -1)
         if m is None:
             raise MapError(f"value trace of {a} has no infimum")
+        if m < 0:
+            raise MapError(f"value trace of {a} escapes the target selection")
         values.append(m)
-    result = MonotoneMap(ext.complete.restrict(star), l, tuple(values))
-    index = {a: k for k, a in enumerate(star)}
-    for g in range(v.source.n):
-        if result.values[index[ext.embed[g]]] != v.values[g]:
-            raise InvariantError(f"star extension does not restrict to v at {g}")
+    result = MonotoneMap(region, l, tuple(values))
+    _check_restriction(result.values, v.values, positions, "star")
     return result
+
+
+def _check_restriction(extended, values, positions, side):
+    """Raise InvariantError at the first base element whose image lies in
+    the region and whose extended value is not its value."""
+    for g, k in enumerate(positions):
+        if k is not None and extended[k] != values[g]:
+            raise InvariantError(
+                f"{side} extension does not restrict to v at {g}")
 
 
 def e_lower_star(ext) -> frozenset:
@@ -488,12 +544,20 @@ def e_lower_star(ext) -> frozenset:
     return members
 
 
+@lru_cache(maxsize=64)
+def _lower_star_region(ext):
+    """The _region of e_lower_star(ext), built once per extension."""
+    return _region(ext, tuple(sorted(e_lower_star(ext))))
+
+
 def extend_lower_star(v: MonotoneMap, ext) -> MonotoneMap:
     """Minimal maxitive extension of v to the lower-star region.
 
     Requires a distributive completion; raises NoSupremumError when some
     needed supremum of values is missing in the target, which can happen
-    for targets that are not complete.
+    for targets that are not complete.  The value at a is the supremum of
+    the values on a's down-trace: the least member of the meet of the
+    masks up(v(g)) over that trace.
     """
     if v.source != ext.base:
         raise MapError("map and extension have different base posets")
@@ -502,22 +566,21 @@ def extend_lower_star(v: MonotoneMap, ext) -> MonotoneMap:
     witness = maxitivity_witness(v)
     if witness is not None:
         raise MapError(f"map is not maxitive; offending family {sorted(witness)}")
-    members = sorted(e_lower_star(ext))
+    members, region, positions = _lower_star_region(ext)
     l = v.target
+    up = l._upm
+    at_least = [up[t] for t in v.values]
+    traces = ext._down_traces
     values = []
     for a in members:
-        trace = ext.down_in_base(a)
+        trace = traces[a]
         if not trace:
             raise MapError(f"lower trace of {a} is empty")
-        s = l.sup_of(frozenset(v.values[g] for g in trace))
+        s = _bounding_member(up, _common(at_least, trace, l.n))
         if s is None:
             raise NoSupremumError(
                 f"values under {a} have no supremum in the target")
         values.append(s)
-    result = MonotoneMap(ext.complete.restrict(members), l, tuple(values))
-    index = {a: k for k, a in enumerate(members)}
-    for g in range(v.source.n):
-        a = ext.embed[g]
-        if a in index and result.values[index[a]] != v.values[g]:
-            raise InvariantError(f"lower-star extension does not restrict to v at {g}")
+    result = MonotoneMap(region, l, tuple(values))
+    _check_restriction(result.values, v.values, positions, "lower-star")
     return result

@@ -627,13 +627,6 @@ class OrderExtension:
     def image(self):
         return frozenset(self.embed)
 
-    def up_in_base(self, a):
-        """Base elements whose image lies above a (the paper's up-a meet E)."""
-        return _frozen(self._up_traces[a])
-
-    def down_in_base(self, a):
-        return _frozen(self._down_traces[a])
-
 
 def dm_completion(p: FinitePoset) -> OrderExtension:
     """Dedekind-MacNeille completion of p with its canonical embedding.

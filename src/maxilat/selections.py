@@ -125,13 +125,10 @@ def build_selection(p, kind, explicit_sets=None,
     else:
         if explicit_sets is None:
             raise SelectionError("explicit selections require explicit_sets")
-        masks = set()
-        for f in explicit_sets:
-            mask = p._mask(f)
-            if _union(p._upm, mask) != mask:
-                raise SelectionError(f"explicit set {_indices(mask)} is not upper")
-            masks.add(mask)
-        masks.update(p._upm)
+        # the given sets in order, then the principal filters, each once;
+        # the constructor refuses a set that is not upper
+        masks = dict.fromkeys(map(p._mask, explicit_sets))
+        masks.update(dict.fromkeys(p._upm))
         return FilterSelection(p, kind, masks, SelectionKind(recursion_kind))
     return FilterSelection(p, kind, masks, kind)
 

@@ -631,8 +631,8 @@ def oracle_continuity_report(p, sel):
 
 
 class WholeBaseTraces:
-    """An order extension whose upper and lower traces are the whole base,
-    as masks and as frozensets.
+    """An order extension whose upper and lower trace masks are the whole
+    base.
 
     Deliberately wrong: the star and lower-star extensions built on it no
     longer restrict to the map, so their invariant checks must fire.
@@ -646,11 +646,17 @@ class WholeBaseTraces:
     def __getattr__(self, name):
         return getattr(self._ext, name)
 
-    def up_in_base(self, a):
-        return frozenset(range(self._ext.base.n))
 
-    def down_in_base(self, a):
-        return frozenset(range(self._ext.base.n))
+def up_in_base(ext, a):
+    """The frozenset view of the up-trace mask of a: the base elements whose
+    image lies above a (the paper's up-a meet E)."""
+    return _frozen(ext._up_traces[a])
+
+
+def down_in_base(ext, a):
+    """The frozenset view of the down-trace mask of a: the base elements
+    whose image lies below a."""
+    return _frozen(ext._down_traces[a])
 
 
 # -- order-extension oracles: the subset scan and the frozenset traces that

@@ -264,6 +264,35 @@ class TestWitnessReplay:
             assert len(set(rec.witness["values"])) > 1
 
 
+class TestNegativeControls:
+    """Each claim made faster still rests on the library piece it checks:
+    a planted defect in that piece yields FAIL records."""
+
+    def test_a_wrong_round_trip_value_fails_the_claim(self, monkeypatch):
+        real = harness._ideal_family_values
+
+        def shifted(fam, sel):
+            values = real(fam, sel)
+            return ((values[0] + 1) % fam.target.n,) + values[1:]
+        monkeypatch.setattr(harness, "_ideal_family_values", shifted)
+        records = list(run_suite("ideal-round-trip", max_size=3))
+        failed = [r for r in records if r.verdict == FAIL]
+        # the shift changes a value exactly when the target has two elements
+        assert failed == [r for r in records
+                          if r.instance["target"]["n"] >= 2]
+        for rec in failed:
+            assert rec.witness["returned"] != rec.witness["values"]
+
+    def test_a_cone_test_that_accepts_every_map_fails_the_claim(
+            self, monkeypatch):
+        from maxilat import maxitive
+        monkeypatch.setattr(maxitive.RationalConeMap, "is_maxitive",
+                            lambda cone: True)
+        records = list(run_suite("alternating", max_size=4, depth=4))
+        assert len(records) == 88
+        assert sum(r.verdict == FAIL for r in records) == 12
+
+
 class TestExceptionHandler:
     """An exception raised inside a check is a failing record and the
     stream goes on; an error while generating instances propagates."""
@@ -570,6 +599,94 @@ class TestWorkCounts:
         records = list(run_suite("ideal-round-trip", max_size=4))
         assert sum(r.instance["maxitive_maps"] for r in records) == 17990
         assert calls and max(calls.values()) == 1
+
+    def test_ideal_round_trip_builds_no_monotone_map(self, monkeypatch):
+        # the round trip compares the value tuple of the family's core with
+        # the map's tuple, so no MonotoneMap is validated per map
+        from maxilat import maxitive
+        built = []
+        real = maxitive.MonotoneMap.__post_init__
+
+        def counted(v):
+            built.append(v)
+            real(v)
+        monkeypatch.setattr(maxitive.MonotoneMap, "__post_init__", counted)
+        records = list(run_suite("ideal-round-trip", max_size=4))
+        assert sum(r.instance["maxitive_maps"] for r in records) == 17990
+        assert {r.verdict for r in records} == {PASS}
+        assert built == []
+
+    def test_extension_extremality_builds_each_invariant_once(self,
+                                                              monkeypatch):
+        # a region poset depends on the extension and the source selection
+        # alone, and a target's domain test on the target and its
+        # selection alone: each is built once, not once per extended map
+        from maxilat import maxitive
+        for cached in (maxitive._region, maxitive._star_region,
+                       maxitive._lower_star_region, maxitive._is_domain):
+            cached.cache_clear()
+        regions, reports = Counter(), Counter()
+        real_restrict = FinitePoset.restrict
+        real_report = maxitive.continuity_report
+
+        def restrict(p, elements):
+            regions[p, tuple(elements)] += 1
+            return real_restrict(p, elements)
+
+        def report(p, sel):
+            reports[p, sel] += 1
+            return real_report(p, sel)
+        monkeypatch.setattr(FinitePoset, "restrict", restrict)
+        monkeypatch.setattr(maxitive, "continuity_report", report)
+        records = list(run_suite("extension-extremality", max_size=4))
+        assert len(records) == 192
+        assert sum(r.instance["star_checked"] for r in records) == 383
+        assert sum(r.instance["lower_checked"] for r in records) > 0
+        assert regions and max(regions.values()) == 1
+        # 8 targets of size <= 3, each with its one principal selection
+        assert len(reports) == 8 and set(reports.values()) == {1}
+
+    def test_the_tuple_core_matches_from_ideal_family(self):
+        # on the sublevel families of every monotone map between unlabeled
+        # posets of size <= 4, and on every family of subsets at size <= 3,
+        # under the three built-in selections, the core that the round trip
+        # reads returns from_ideal_family's values or raises its MapError
+        from maxilat import maxitive
+
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except MapError as exc:
+                return "MapError", str(exc)
+
+        def families(e, l):
+            if e.n <= 3 and l.n <= 3:
+                masks = itertools.product(range(1 << e.n), repeat=l.n)
+            else:
+                masks = (maxitive._sublevel_masks(l, values)
+                         for values in maxitive.iter_monotone_values(e, l))
+            for family in masks:
+                try:
+                    yield maxitive.IdealFamily(e, l, family)
+                except MapError:
+                    continue
+        posets = list(enumerate_unlabeled_posets(4))
+        errors, checked = set(), 0
+        for l in posets:
+            sels = [build_selection(l, kind)
+                    for kind in ("principal", "filtered", "upper")]
+            for e in posets:
+                for fam in families(e, l):
+                    for sel in sels:
+                        expected = outcome(
+                            lambda: maxitive.from_ideal_family(fam, sel).values)
+                        assert outcome(maxitive._ideal_family_values,
+                                       fam, sel) == expected
+                        checked += 1
+                        if expected[0] == "MapError":
+                            errors.add(expected[1].split(" ", 4)[-1])
+        assert checked > 3 * 17990
+        assert errors == {"is not a selected set", "has no infimum"}
 
     def test_ideal_round_trip_builds_one_way_above_per_target(self,
                                                             monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from maxilat import (FinitePoset, InvariantError, MonotoneMap,
                      RationalConeMap, SelectionError, enumerate_posets,
                      enumerate_unlabeled_posets, iter_monotone_values)
-from maxilat import cli, harness
+from maxilat import cli, harness, maxitive
 from maxilat.catalog import antichain, chain, m3, seven_element
 from maxilat.cli import main
 from maxilat.io import (FormatError, fixture, fixture_map, fixture_poset,
@@ -215,7 +215,7 @@ MALFORMED = {
         r"fsets\[0\] must be a list of labels"),
     "explicit-set-not-upper": (
         "selection", {"fsets": [["1"]]},
-        r"explicit set \[1\] is not upper"),
+        r"\[1\] is not an upper set"),
 }
 
 
@@ -652,11 +652,12 @@ class TestCli:
     def test_harness_invariant_failure_exits_1(self, tmp_path, monkeypatch,
                                                capsys):
         # an InvariantError while generating instances stops the run as a
-        # failed check: exit 1, the error on stderr, no --out file
+        # failed check: exit 1, the error on stderr, no --out file; the
+        # claim reads each star region through maxitive's cached region
         def broken(ext, sel_e):
             raise InvariantError("the star region misses part of the base "
                                  "image")
-        monkeypatch.setattr(harness, "e_star", broken)
+        monkeypatch.setattr(maxitive, "e_star", broken)
         out_path = tmp_path / "f"
         assert main(["harness", "run", "extension-extremality", "--max-size",
                      "2", "--out", str(out_path)]) == 1

@@ -14,7 +14,7 @@ from maxilat import poset
 from maxilat.catalog import antichain, chain
 from maxilat.poset import _bits, _ensure_complete_lattice
 
-from conftest import (FrozensetBounds, brute_force_posets,
+from conftest import (FrozensetBounds, brute_force_posets, down_in_base,
                       oracle_bounding_member, oracle_canonical_form,
                       oracle_classify, oracle_common, oracle_covers, oracle_dm_completion,
                       oracle_ensure_complete_lattice, oracle_enumerate_posets,
@@ -22,7 +22,8 @@ from conftest import (FrozensetBounds, brute_force_posets,
                       oracle_from_relation, oracle_indices, oracle_inf, oracle_is_ideal,
                       oracle_is_meet_continuous, oracle_lower_sets,
                       oracle_order_error, oracle_order_extension, oracle_sup,
-                      oracle_traces, oracle_union, order_embeddings)
+                      oracle_traces, oracle_union, order_embeddings,
+                      up_in_base)
 
 
 def lower_sets(p):
@@ -471,15 +472,15 @@ class TestOrderExtension:
     def test_any_base_size_is_accepted(self):
         ext = dm_completion(antichain(20))
         assert ext.complete.n == 22
-        assert ext.up_in_base(ext.embed[7]) == {7}
-        assert ext.down_in_base(ext.complete.n - 1) == frozenset(range(20))
+        assert up_in_base(ext, ext.embed[7]) == {7}
+        assert down_in_base(ext, ext.complete.n - 1) == frozenset(range(20))
 
     def test_traces_match_their_definitions(self):
         for p in enumerate_posets(5):
             ext = dm_completion(p)
             down, up = oracle_traces(ext)
-            assert [ext.down_in_base(a) for a in range(ext.complete.n)] == down
-            assert [ext.up_in_base(a) for a in range(ext.complete.n)] == up
+            assert [down_in_base(ext, a) for a in range(ext.complete.n)] == down
+            assert [up_in_base(ext, a) for a in range(ext.complete.n)] == up
 
 
 class TestEnumeration:

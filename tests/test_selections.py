@@ -59,7 +59,7 @@ class TestBuildSelection:
         assert fsets_as_sets(sel) == {(), (0,), (1,), (0, 1)}
 
     def test_explicit_requires_upper_sets(self, chain3):
-        with pytest.raises(SelectionError, match="not upper"):
+        with pytest.raises(SelectionError, match=r"^\[0\] is not an upper set$"):
             build_selection(chain3, "explicit", explicit_sets=[{0}])
 
     def test_explicit_gains_principal_filters(self, b2):
