@@ -14,7 +14,8 @@ from .maxitive import (IdealFamily, InvariantError, MapError, MonotoneMap,
                        e_star, extend_lower_star, extend_star,
                        from_ideal_family, ideal_family_of,
                        is_pairwise_maxitive, iter_maxitive_values,
-                       iter_monotone_values, maxitivity_witness)
+                       iter_monotone_values, iter_orbit_values,
+                       maxitivity_witness)
 from .residuation import (Adjoint, Theorem54Verdict, adjoint_of,
                           heyting_arrow, is_meet_continuous_over,
                           is_residuated, theorem_5_4)

@@ -132,7 +132,7 @@ class FinitePoset:
     """
 
     __slots__ = ("n", "_upm", "_downm", "labels", "_label_index",
-                 "_top", "_bottom", "_canon", "_hash")
+                 "_top", "_bottom", "_canon", "_aut", "_hash")
 
     def __init__(self, leq, labels=None):
         rows = tuple(tuple(map(bool, row)) for row in leq)
@@ -190,7 +190,7 @@ class FinitePoset:
         self._downm = tuple(down)
         self.labels = labels
         self._label_index = None
-        self._top = self._bottom = self._canon = self._hash = None
+        self._top = self._bottom = self._canon = self._aut = self._hash = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -325,17 +325,15 @@ class FinitePoset:
                     out.append((i, j))
         return out
 
-    def _arrangements(self):
-        """The element orders that canonical_form tries, each a list.
+    def _colours(self):
+        """Each element's colour, a rank from 0, with the number of colours
+        and each element's (strict down-mask, strict up-mask).
 
-        Each element gets a colour: first the sizes of its strict down- and
-        up-set, then, round by round, its colour with the sorted colours of
-        the elements strictly below and strictly above it, each round's
-        colours ranked by their sorted distinct values, until a round adds
-        no class.  Twins, elements with equal strict down- and up-masks,
-        share every colour.  An arrangement lists the classes by colour;
-        within a class the twin groups stand in any order, and a group's
-        members stand together in index order.
+        The colour is first the sizes of the strict down- and up-set, then,
+        round by round, the colour with the sorted colours of the elements
+        strictly below and strictly above, each round's colours ranked by
+        their sorted distinct values, until a round adds no class.  It is
+        computed from the order alone, so an isomorphism keeps it.
         """
         n = self.n
         strict = [(d & ~(1 << i), u & ~(1 << i))
@@ -352,6 +350,17 @@ class FinitePoset:
             if count == classes:
                 break
             colour, classes = refined, count
+        return colour, classes, strict
+
+    def _arrangements(self):
+        """The element orders that canonical_form tries, each a list.
+
+        Twins, elements with equal strict down- and up-masks, share every
+        colour of `_colours`.  An arrangement lists the classes by colour;
+        within a class the twin groups stand in any order, and a group's
+        members stand together in index order.
+        """
+        colour, classes, strict = self._colours()
         cells = [[] for _ in range(classes)]
         groups = {}
         for i, twin in enumerate(strict):
@@ -394,6 +403,33 @@ class FinitePoset:
                     best = key
             self._canon = (self.n, best)
         return self._canon
+
+    def automorphisms(self):
+        """The automorphism group, as a tuple of permutations, each a tuple
+        with entry i the image of i, identity first; computed once per
+        poset.
+
+        An automorphism keeps every colour of `_colours`, so the search
+        tries only the permutations within each colour class, and keeps
+        those that map each principal filter onto the principal filter of
+        the image.  The scan of all n! permutations is the test oracle.
+        """
+        if self._aut is None:
+            n, up = self.n, self._upm
+            colour, classes, _ = self._colours()
+            cells = [[i for i in range(n) if colour[i] == c]
+                     for c in range(classes)]
+            found = []
+            perm, pos = [0] * n, [0] * n
+            for images in itertools.product(*map(itertools.permutations,
+                                                 cells)):
+                for cell, image in zip(cells, images):
+                    for i, j in zip(cell, image):
+                        perm[i], pos[i] = j, 1 << j
+                if all(_union(pos, up[i]) == up[perm[i]] for i in range(n)):
+                    found.append(tuple(perm))
+            self._aut = tuple(found)
+        return self._aut
 
     # -- constructors ---------------------------------------------------------
 

@@ -3,8 +3,9 @@ arrow of a distributive lattice.
 
 Residuation is judged against an order extension of the source: a map is
 residuated when each of its sublevel sets is the trace of a principal ideal
-of the completion.  Residuated maps are always completely maxitive; the
-converse needs a meet-continuous completion or a complete source.
+of the completion.  Residuated maps are always completely maxitive, and
+sup maps when the extension keeps the bottom; the converse needs a
+meet-continuous completion or a complete source.
 """
 
 from dataclasses import dataclass
@@ -14,16 +15,7 @@ from .poset import (FinitePoset, OrderExtension, PosetError, _bits,
                     _bounding_member, _indices, _pair_tables,
                     classify)
 from .maxitive import (MapError, MonotoneMap, _sublevel_masks,
-                       maxitivity_witness)
-
-
-def _keeps_bottom(v: MonotoneMap) -> bool:
-    """The empty-family half of a sup map, complete maxitivity with the
-    empty family included: the empty family's supremum is the bottom of
-    the source, and its value join is the bottom of the target, so a
-    bottom must go to a bottom."""
-    b = v.source.bottom()
-    return b is None or v.values[b] == v.target.bottom()
+                       _unclosed_sublevel)
 
 
 def is_meet_continuous_over(ext: OrderExtension) -> bool:
@@ -74,9 +66,14 @@ def is_residuated(v: MonotoneMap, ext: OrderExtension) -> bool:
     down-traces."""
     if v.source != ext.base:
         raise MapError("map and extension have different base posets")
+    return _traced(ext, _sublevel_masks(v.target, v.values))
+
+
+def _traced(ext, sublevels):
+    """Whether each of the sublevel masks is one of ext's down-traces: the
+    residuation test of is_residuated and of theorem_5_4."""
     traces = ext._down_traces
-    return all(level in traces
-               for level in _sublevel_masks(v.target, v.values))
+    return all(level in traces for level in sublevels)
 
 
 @dataclass(frozen=True)
@@ -129,14 +126,32 @@ class Theorem54Verdict:
     source_complete: bool
     completion_meet_continuous: bool
     completion_meet_continuous_over_base: bool
+    forward_applicable: bool
     forward_holds: bool
     converse_applicable: bool
     converse_holds: bool
 
 
 def theorem_5_4(v: MonotoneMap, ext: OrderExtension) -> Theorem54Verdict:
-    """Evaluate: residuated implies completely maxitive (must always hold),
-    and the converse under the hypotheses that actually support it.
+    """Evaluate: residuated implies sup map, when the extension keeps the
+    bottom, and the converse under the hypotheses that actually support it.
+
+    A sup map is completely maxitive and sends a bottom of the source, the
+    supremum of the empty family, to a bottom of the target.
+
+    Forward.  Let v be residuated: each sublevel set D_t is the trace of
+    some a_t in the completion.  A family F with supremum s in E has
+    e(s) = sup e[F], as e preserves existing suprema; if v[F] lies below t
+    then F lies in D_t, so e(s) <= a_t, so s is in D_t.  Hence v(s) is the
+    join of v[F]: v is completely maxitive.  For the empty family, if E has
+    a bottom b and e(b) is the bottom of the completion, then e(b) <= a_t
+    for every t, so v(b) lies below every t.  That hypothesis, e keeps the
+    bottom, is vacuous when E has no bottom, and the Dedekind-MacNeille
+    completion always meets it.  Without it the forward direction fails:
+    E one point g, the completion the 2-chain bottom < g, L the 2-antichain
+    {x, y} and v(g) = x.  The empty sublevel set D_y is the trace of the
+    new bottom, so v is residuated, but L has no bottom for v(g) to be.
+    Where the hypothesis fails the direction is reported not applicable.
 
     The converse direction consumes the sup-map variant of complete
     maxitivity and meet-continuity of the completion over base ideals; with
@@ -146,13 +161,28 @@ def theorem_5_4(v: MonotoneMap, ext: OrderExtension) -> Theorem54Verdict:
 
     Complete maxitivity, the preservation of all existing suprema of
     nonempty families, is plain maxitivity here: on a finite source every
-    family is finite.  One maxitivity scan serves it and the sup-map variant.
+    family is finite.  The verdict is _theorem_5_4_on_values on v's values.
     """
-    resid = is_residuated(v, ext)
-    cmax = maxitivity_witness(v) is None
-    sup_map = cmax and _keeps_bottom(v)
-    source_complete = classify(v.source).is_complete_lattice
-    mc_plain = classify(ext.complete).is_meet_continuous
+    if v.source != ext.base:
+        raise MapError("map and extension have different base posets")
+    return _theorem_5_4_on_values(v.source, v.target, v.values, ext)
+
+
+def _theorem_5_4_on_values(e, l, values, ext) -> Theorem54Verdict:
+    """The verdict of theorem_5_4 on a monotone value tuple e -> l, with e
+    the extension's base, built from the tuple's sublevel masks: v is
+    residuated iff each mask is among the extension's down-traces,
+    completely maxitive iff the scan of _unclosed_sublevel finds no
+    unclosed one, and keeps the bottom iff the bottom of e, if any, has the
+    bottom of l as its value.  The facts of the extension alone are read
+    from caches."""
+    sublevels = _sublevel_masks(l, values)
+    resid = _traced(ext, sublevels)
+    cmax = _unclosed_sublevel(e, sublevels) is None
+    b = e.bottom()
+    sup_map = cmax and (b is None or values[b] == l.bottom())
+    forward = b is None or ext.embed[b] == ext.complete.bottom()
+    source_complete = classify(e).is_complete_lattice
     mc_over = _meet_continuous_over_once(ext)
     applicable = source_complete or mc_over
     return Theorem54Verdict(
@@ -160,9 +190,10 @@ def theorem_5_4(v: MonotoneMap, ext: OrderExtension) -> Theorem54Verdict:
         completely_maxitive=cmax,
         sup_map=sup_map,
         source_complete=source_complete,
-        completion_meet_continuous=mc_plain,
+        completion_meet_continuous=classify(ext.complete).is_meet_continuous,
         completion_meet_continuous_over_base=mc_over,
-        forward_holds=(not resid) or (cmax and sup_map),
+        forward_applicable=forward,
+        forward_holds=(not forward) or (not resid) or sup_map,
         converse_applicable=applicable,
         converse_holds=(not applicable) or (not sup_map) or resid,
     )

@@ -7,9 +7,9 @@ import pytest
 
 from maxilat import (ContinuityReport, FinitePoset, IdealFamily,
                      MapError, PosetError, PosetProfile, SelectionError,
-                     SelectionKind, build_selection, classify,
-                     from_ideal_family, maxitivity_witness, pointwise_inf,
-                     way_above)
+                     SelectionKind, Theorem54Verdict, build_selection,
+                     classify, from_ideal_family, maxitivity_witness,
+                     pointwise_inf, way_above)
 from maxilat.catalog import antichain, chain, diamond, m3, n5, seven_element
 from maxilat.harness import run_suite, summarize
 from maxilat.io import map_to_dict, poset_to_dict
@@ -1048,3 +1048,101 @@ def oracle_alternating_witness(v, depth):
                 if sign * x < 0:
                     return g, gs
     return None
+
+
+# -- symmetry orbits of maps -------------------------------------------------
+
+
+def oracle_automorphisms(p):
+    """The automorphisms of p by the scan of all n! permutations, as the set
+    of tuples perm with perm[i] the image of i."""
+    n = p.n
+    return {perm for perm in itertools.permutations(range(n))
+            if all(p.leq(i, j) == p.leq(perm[i], perm[j])
+                   for i in range(n) for j in range(n))}
+
+
+def automorphism_mismatches(posets):
+    """The posets whose automorphisms differ from the n! scan, with the
+    permutations found by one side only."""
+    out = []
+    for p in posets:
+        found = set(p.automorphisms())
+        expected = oracle_automorphisms(p)
+        if found != expected:
+            out.append((p, sorted(found ^ expected)))
+    return out
+
+
+def oracle_orbits(e, l, group):
+    """The orbits of the monotone maps e -> l under the pairs (alpha, beta)
+    of group, each as (its least tuple, its size), sorted: every image
+    beta . v . alpha^-1 of every map, by brute force."""
+    seen, out = set(), []
+    for values in oracle_iter_monotone_values(e, l):
+        if values in seen:
+            continue
+        orbit = set()
+        for alpha, beta in group:
+            image = [None] * e.n
+            for g, t in enumerate(values):
+                image[alpha[g]] = beta[t]
+            orbit.add(tuple(image))
+        seen |= orbit
+        out.append((min(orbit), len(orbit)))
+    return sorted(out)
+
+
+def oracle_multichains(p, length):
+    """The multichains x_1 <= ... <= x_length of the ideals of p, the subsets
+    that pass oracle_is_ideal, counted by extending each one element at a
+    time.  The maxitive maps into the k-chain are the multichains of length
+    k - 1, by their sublevel sets below the top."""
+    ideals = [a for r in range(p.n + 1)
+              for a in map(frozenset, itertools.combinations(range(p.n), r))
+              if oracle_is_ideal(p, a)]
+    if not length:
+        return 1
+    # counts[k]: the multichains so far whose last member is ideals[k]
+    counts = [1] * len(ideals)
+    for _ in range(length - 1):
+        counts = [sum(c for below, c in zip(ideals, counts) if below <= a)
+                  for a in ideals]
+    return sum(counts)
+
+
+@functools.lru_cache(maxsize=256)
+def _oracle_extension_facts(ext):
+    """The parts of oracle_theorem_5_4 that depend on the extension alone:
+    whether the base is a complete lattice, and whether the completion is
+    meet-continuous, plainly and over the base."""
+    return (oracle_classify(ext.base).is_complete_lattice,
+            oracle_is_meet_continuous(ext.complete),
+            oracle_is_meet_continuous_over(ext))
+
+
+def oracle_theorem_5_4(v, ext):
+    """theorem_5_4 from the definitions: residuation by the sublevel
+    frozensets among the down-traces, complete maxitivity by the subset
+    scan, the sup-map test of is_sup_map with that scan, the hypotheses
+    from oracle_classify and the definition of meet-continuity over the
+    base, and the forward hypothesis, e keeps the bottom, read off the
+    completion's order."""
+    e, big = v.source, ext.complete
+    resid = oracle_is_residuated(v, ext)
+    cmax = oracle_is_maxitive(v)
+    b = e.bottom()
+    sup_map = cmax and (b is None or v.values[b] == v.target.bottom())
+    forward = b is None or all(big.leq(ext.embed[b], a)
+                               for a in range(big.n))
+    source_complete, mc_plain, mc_over = _oracle_extension_facts(ext)
+    applicable = source_complete or mc_over
+    return Theorem54Verdict(
+        residuated=resid, completely_maxitive=cmax, sup_map=sup_map,
+        source_complete=source_complete,
+        completion_meet_continuous=mc_plain,
+        completion_meet_continuous_over_base=mc_over,
+        forward_applicable=forward,
+        forward_holds=not forward or not resid or sup_map,
+        converse_applicable=applicable,
+        converse_holds=not applicable or not sup_map or resid)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -9,7 +10,8 @@ import pytest
 from maxilat import (FinitePoset, MapError, MonotoneMap, build_selection,
                      build_space, classify, enumerate_posets,
                      enumerate_unlabeled_posets, heyting_arrow,
-                     is_pairwise_maxitive, m_arrow, maxitivity_witness)
+                     is_pairwise_maxitive, iter_orbit_values, m_arrow,
+                     maxitivity_witness)
 from maxilat import harness
 from maxilat.cli import main
 from maxilat.harness import (FAIL, PASS, SKIP, HarnessError, VerdictRecord,
@@ -17,7 +19,8 @@ from maxilat.harness import (FAIL, PASS, SKIP, HarnessError, VerdictRecord,
 from maxilat.io import poset_from_dict
 from maxilat.poset import _bits
 
-from conftest import (WholeBaseTraces, oracle_adjunction_violations,
+from conftest import (WholeBaseTraces, automorphism_mismatches,
+                      oracle_adjunction_violations, oracle_automorphisms,
                       oracle_canonical_form, oracle_enumerate_posets,
                       oracle_space_poset, oracle_way_above)
 
@@ -264,6 +267,81 @@ class TestWitnessReplay:
             assert len(set(rec.witness["values"])) > 1
 
 
+def _without_elapsed(records):
+    return [{k: x for k, x in rec.to_dict().items() if k != "elapsed"}
+            for rec in records]
+
+
+class TestOrbitScan:
+    """The three map claims check one map per Aut(E) x Aut(L) orbit; the
+    full scan, every map with weight 1, is the oracle."""
+
+    @staticmethod
+    def _full_scan(monkeypatch):
+        monkeypatch.setattr(harness, "iter_orbit_values", harness._every_map)
+
+    @pytest.mark.parametrize("claim", ["ideal-round-trip", "thm-5-4",
+                                       "extension-extremality"])
+    def test_records_equal_the_full_scan_at_4x4(self, monkeypatch, claim):
+        # per pair and per counter, on all 576 pairs of sources and targets
+        # of size <= 4; the orbit scan checks fewer maps than it counts
+        monkeypatch.setattr(harness, "MAX_TARGET_SIZE", 4)
+        seen = Counter()
+        real = harness.iter_orbit_values
+
+        def counted(e, l):
+            for values, weight in real(e, l):
+                seen["maps"] += 1
+                seen["weights"] += weight
+                yield values, weight
+        monkeypatch.setattr(harness, "iter_orbit_values", counted)
+        orbits = _without_elapsed(run_suite(claim, max_size=4))
+        self._full_scan(monkeypatch)
+        full = _without_elapsed(run_suite(claim, max_size=4))
+        assert len(full) == 576
+        assert orbits == full
+        assert seen == {"maps": 7803, "weights": 19702}
+
+    @pytest.mark.parametrize("claim, planted", [
+        ("ideal-round-trip", "round-trip"),
+        ("thm-5-4", "residuated"),
+        ("extension-extremality", "traces"),
+    ])
+    def test_a_failing_pair_gets_the_full_scans_record(self, monkeypatch,
+                                                       claim, planted):
+        # under a planted defect that fails every map of some orbits, each
+        # record, failing ones and their counters included, is the full
+        # scan's
+        if planted == "round-trip":
+            real = harness._ideal_family_values
+
+            def to_top(fam, sel):
+                top = fam.target.top()
+                values = real(fam, sel)
+                return values if top is None else (top,) * len(values)
+            monkeypatch.setattr(harness, "_ideal_family_values", to_top)
+        elif planted == "residuated":
+            real = harness._theorem_5_4_on_values
+
+            def every_map_residuated(e, l, values, ext):
+                verdict = real(e, l, values, ext)
+                return dataclasses.replace(verdict,
+                                           forward_holds=verdict.sup_map)
+            monkeypatch.setattr(harness, "_theorem_5_4_on_values",
+                                every_map_residuated)
+        else:
+            real = harness.extend_star
+            monkeypatch.setattr(harness, "extend_star",
+                                lambda v, ext, *sels: real(
+                                    v, WholeBaseTraces(ext), *sels))
+        orbits = _without_elapsed(run_suite(claim, max_size=3))
+        self._full_scan(monkeypatch)
+        full = _without_elapsed(run_suite(claim, max_size=3))
+        failed = [r for r in full if r["verdict"] == FAIL]
+        assert failed and len(failed) < len(full)
+        assert orbits == full
+
+
 class TestNegativeControls:
     """Each claim made faster still rests on the library piece it checks:
     a planted defect in that piece yields FAIL records."""
@@ -282,6 +360,33 @@ class TestNegativeControls:
                           if r.instance["target"]["n"] >= 2]
         for rec in failed:
             assert rec.witness["returned"] != rec.witness["values"]
+
+    def test_weights_fixed_at_1_fail_a_count_test(self, monkeypatch):
+        # each orbit counted once: every record still passes, but the count
+        # of maxitive maps falls below the 17,990 of the full scan
+        real = harness.iter_orbit_values
+        monkeypatch.setattr(harness, "iter_orbit_values",
+                            lambda e, l: ((values, 1)
+                                          for values, _ in real(e, l)))
+        records = list(run_suite("ideal-round-trip", max_size=4))
+        assert {r.verdict for r in records} == {PASS}
+        assert sum(r.instance["maxitive_maps"] for r in records) < 17990
+
+    def test_a_non_automorphism_fails_the_automorphism_oracle(
+            self, monkeypatch):
+        # the index reversal added to every group: the oracle flags exactly
+        # the posets on which it is not an automorphism
+        real = FinitePoset.automorphisms
+
+        def padded(p):
+            return real(p) + (tuple(reversed(range(p.n))),)
+        monkeypatch.setattr(FinitePoset, "automorphisms", padded)
+        posets = list(enumerate_unlabeled_posets(4))
+        flagged = [p for p, _ in automorphism_mismatches(posets)]
+        assert flagged == [p for p in posets
+                           if tuple(reversed(range(p.n)))
+                           not in oracle_automorphisms(p)]
+        assert len(flagged) > len(posets) // 2
 
     def test_a_cone_test_that_accepts_every_map_fails_the_claim(
             self, monkeypatch):
@@ -307,11 +412,6 @@ class TestExceptionHandler:
             return real(v, *args)
         monkeypatch.setattr(harness, "extend_star", extend)
 
-    @staticmethod
-    def _without_elapsed(records):
-        return [{k: x for k, x in rec.to_dict().items() if k != "elapsed"}
-                for rec in records]
-
     def test_an_exception_in_a_check_is_a_fail_record(self, monkeypatch):
         clean = list(run_suite("extension-extremality", max_size=3))
         self._boom_on_two_elements(monkeypatch)
@@ -329,8 +429,8 @@ class TestExceptionHandler:
                                           "join_semilattice",
                                           "completion_distributive"]
         kept = [k for k, r in enumerate(records) if r.verdict != FAIL]
-        assert (self._without_elapsed(records[k] for k in kept)
-                == self._without_elapsed(clean[k] for k in kept))
+        assert (_without_elapsed(records[k] for k in kept)
+                == _without_elapsed(clean[k] for k in kept))
 
     def test_the_run_exits_1_with_a_complete_document(self, monkeypatch,
                                                       tmp_path, capsys):
@@ -548,18 +648,22 @@ class TestWorkCounts:
             gc.enable()
 
     def test_thm_5_4_scans_each_map_once(self, monkeypatch):
-        from maxilat import maxitive, residuation
+        # the claim runs the core's one maxitivity scan once per orbit
+        # representative, and the weights add up to every monotone map
+        from maxilat import residuation
         calls = []
-        real = maxitive.maxitivity_witness
+        real = residuation._unclosed_sublevel
 
-        def counted(v):
-            calls.append(v)
-            return real(v)
-        for module in (maxitive, residuation):
-            monkeypatch.setattr(module, "maxitivity_witness", counted)
+        def counted(e, sublevels):
+            calls.append(sublevels)
+            return real(e, sublevels)
+        monkeypatch.setattr(residuation, "_unclosed_sublevel", counted)
         records = list(run_suite("thm-5-4", max_size=4))
         assert sum(r.instance["monotone_maps"] for r in records) == 2436
-        assert len(calls) == 2436
+        posets = list(enumerate_unlabeled_posets(4))
+        orbits = sum(1 for e in posets for l in posets if l.n <= 3
+                     for _ in iter_orbit_values(e, l))
+        assert len(calls) == orbits == 1200
 
     def test_alternating_builds_one_join_table_per_source(self, monkeypatch):
         # every bound taken on a poset, by sup_of, inf_of, top, bottom or the
@@ -645,6 +749,20 @@ class TestWorkCounts:
         assert regions and max(regions.values()) == 1
         # 8 targets of size <= 3, each with its one principal selection
         assert len(reports) == 8 and set(reports.values()) == {1}
+
+    def test_star_regions_are_cached_across_runs(self):
+        # the star region cache is keyed by the extension and the
+        # selection's value, so a second run hits every entry the first made
+        from maxilat import maxitive
+        maxitive._star_region.cache_clear()
+        list(run_suite("extension-extremality", max_size=4))
+        first = maxitive._star_region.cache_info()
+        list(run_suite("extension-extremality", max_size=4))
+        second = maxitive._star_region.cache_info()
+        assert first.misses > 0
+        assert second.misses == first.misses
+        assert second.currsize == first.currsize
+        assert second.hits > first.hits
 
     def test_the_tuple_core_matches_from_ideal_family(self):
         # on the sublevel families of every monotone map between unlabeled

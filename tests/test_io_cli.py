@@ -653,11 +653,13 @@ class TestCli:
                                                capsys):
         # an InvariantError while generating instances stops the run as a
         # failed check: exit 1, the error on stderr, no --out file; the
-        # claim reads each star region through maxitive's cached region
+        # claim reads each star region through maxitive's cached region,
+        # which an earlier run in this process may have filled
         def broken(ext, sel_e):
             raise InvariantError("the star region misses part of the base "
                                  "image")
         monkeypatch.setattr(maxitive, "e_star", broken)
+        maxitive._star_region.cache_clear()
         out_path = tmp_path / "f"
         assert main(["harness", "run", "extension-extremality", "--max-size",
                      "2", "--out", str(out_path)]) == 1

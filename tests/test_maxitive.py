@@ -16,20 +16,22 @@ from maxilat import (FinitePoset, IdealFamily, InvariantError, MapError,
                      extend_lower_star, extend_star,
                      from_ideal_family, ideal_family_of,
                      is_pairwise_maxitive, iter_maxitive_values,
-                     iter_monotone_values, maxitivity_witness, way_above)
+                     iter_monotone_values, iter_orbit_values,
+                     maxitivity_witness, way_above)
 from maxilat.selections import continuity_report
 from maxilat import maxitive
 from maxilat.catalog import antichain, chain, diamond, m3
 
 from conftest import (FrozensetBounds, WholeBaseTraces, delta, members,
-                      oracle_alternating_witness, oracle_cone_is_maxitive,
-                      oracle_cone_pairwise, oracle_e_lower_star,
-                      oracle_extend_star_values, oracle_from_ideal_family,
-                      oracle_ideal_family, oracle_is_ideal, oracle_is_maxitive,
+                      oracle_alternating_witness, oracle_automorphisms,
+                      oracle_cone_is_maxitive, oracle_cone_pairwise,
+                      oracle_e_lower_star, oracle_extend_star_values,
+                      oracle_from_ideal_family, oracle_ideal_family,
+                      oracle_is_ideal, oracle_is_maxitive,
                       oracle_is_right_continuous, oracle_iter_monotone_values,
                       oracle_lower_sets, oracle_monotone_map,
-                      oracle_monotone_maps, oracle_sublevel_family,
-                      oracle_sup, oracle_traces)
+                      oracle_monotone_maps, oracle_multichains, oracle_orbits,
+                      oracle_sublevel_family, oracle_sup, oracle_traces)
 
 
 def assert_agrees_with_oracle(v):
@@ -169,6 +171,54 @@ class TestMonotoneMap:
             for l in enumerate_unlabeled_posets(3):
                 assert (list(iter_monotone_values(e, l))
                         == sorted(oracle_monotone_maps(e, l)))
+
+
+class TestOrbitValues:
+    def test_representatives_are_the_least_tuples_of_the_orbits(self):
+        # every pair of unlabeled posets of size <= 4, and of labeled posets
+        # of size <= 3, whose index order need not extend the order: the
+        # least tuple and the size of each orbit under Aut(E) x Aut(L),
+        # with both groups from the n! scan
+        unlabeled = list(enumerate_unlabeled_posets(4))
+        maps = orbits = 0
+        for posets in (unlabeled, list(enumerate_posets(3))):
+            for e in posets:
+                for l in posets:
+                    group = [(a, b) for a in oracle_automorphisms(e)
+                             for b in oracle_automorphisms(l)]
+                    got = list(iter_orbit_values(e, l))
+                    assert got == oracle_orbits(e, l, group)
+                    if posets is unlabeled:
+                        maps += sum(weight for _, weight in got)
+                        orbits += len(got)
+        assert (maps, orbits) == (19702, 7803)
+
+    def test_the_trivial_group_yields_every_tuple_with_weight_1(self):
+        posets = [FinitePoset(())] + list(enumerate_unlabeled_posets(4))
+        for e in posets:
+            for l in posets:
+                trivial = [(tuple(range(e.n)), tuple(range(l.n)))]
+                assert (list(iter_orbit_values(e, l, trivial))
+                        == [(values, 1)
+                            for values in iter_monotone_values(e, l)])
+        # the one map of the empty source is fixed by the whole group
+        assert list(iter_orbit_values(FinitePoset(()), antichain(3))) == [
+            ((), 1)]
+
+    def test_weights_count_the_multichains_of_ideals(self):
+        # into the k-chain the maxitive maps are, by their sublevel sets
+        # below the top, the multichains of k - 1 ideals; the weights of
+        # the maxitive representatives add up to that count
+        checked = 0
+        for e in enumerate_unlabeled_posets(5):
+            for k in range(1, 6):
+                c = chain(k)
+                weights = sum(
+                    weight for values, weight in iter_orbit_values(e, c)
+                    if maxitivity_witness(MonotoneMap(e, c, values)) is None)
+                assert weights == oracle_multichains(e, k - 1)
+                checked += 1
+        assert checked == 87 * 5
 
 
 class TestMaxitivity:

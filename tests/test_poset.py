@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 from collections import Counter
@@ -14,7 +15,8 @@ from maxilat import poset
 from maxilat.catalog import antichain, chain
 from maxilat.poset import _bits, _ensure_complete_lattice
 
-from conftest import (FrozensetBounds, brute_force_posets, down_in_base,
+from conftest import (FrozensetBounds, automorphism_mismatches,
+                      brute_force_posets, down_in_base,
                       oracle_bounding_member, oracle_canonical_form,
                       oracle_classify, oracle_common, oracle_covers, oracle_dm_completion,
                       oracle_ensure_complete_lattice, oracle_enumerate_posets,
@@ -481,6 +483,28 @@ class TestOrderExtension:
             down, up = oracle_traces(ext)
             assert [down_in_base(ext, a) for a in range(ext.complete.n)] == down
             assert [up_in_base(ext, a) for a in range(ext.complete.n)] == up
+
+
+class TestAutomorphisms:
+    def test_the_group_is_the_scan_of_all_permutations(self):
+        # every unlabeled poset of size <= 5, and every labeled poset of size
+        # <= 4, whose index order need not extend the order
+        posets = [*enumerate_unlabeled_posets(5), *enumerate_posets(4)]
+        assert automorphism_mismatches(posets) == []
+        assert all(p.automorphisms()[0] == tuple(range(p.n)) for p in posets)
+
+    def test_orbit_sizes_count_the_labeled_posets(self):
+        # a class of size n has n! / |Aut| labelings: OEIS A001035
+        labeled = Counter()
+        for p in enumerate_unlabeled_posets(5):
+            labeled[p.n] += math.factorial(p.n) // len(p.automorphisms())
+        assert labeled == {1: 1, 2: 3, 3: 19, 4: 219, 5: 4231}
+
+    def test_computed_once_per_poset(self):
+        p = antichain(3)
+        assert p.automorphisms() is p.automorphisms()
+        assert len(p.automorphisms()) == 6
+        assert chain(4).automorphisms() == ((0, 1, 2, 3),)
 
 
 class TestEnumeration:

@@ -15,7 +15,8 @@ from maxilat.poset import _frozen
 
 from conftest import (down_in_base, is_sup_map,
                       oracle_is_meet_continuous_over,
-                      oracle_is_residuated, oracle_sublevel_family)
+                      oracle_is_residuated, oracle_sublevel_family,
+                      oracle_theorem_5_4, order_embeddings)
 
 
 @pytest.fixture
@@ -178,6 +179,58 @@ class TestTheorem54:
                 for values in iter_monotone_values(e, l):
                     verdict = theorem_5_4(MonotoneMap(e, l, values), ext)
                     assert verdict.converse_holds
+
+    def test_the_tuple_core_matches_the_definitions(self):
+        # the core that the claim calls, and the wrapper on a MonotoneMap,
+        # against the definitional verdict: on the claim's maps at size 4,
+        # on the completions, and into targets of size <= 3 on every order
+        # extension of a source of size <= 2 into a lattice of size <= 4
+        posets = list(enumerate_unlabeled_posets(4))
+        targets = [l for l in posets if l.n <= 3]
+        extensions = [dm_completion(e) for e in posets]
+        for e in posets[:3]:
+            for big in posets:
+                if not classify(big).is_complete_lattice:
+                    continue
+                for embed in order_embeddings(e, big):
+                    try:
+                        extensions.append(OrderExtension(e, big, embed))
+                    except PosetError:
+                        continue
+        verdicts = set()
+        for ext in extensions:
+            e = ext.base
+            for l in targets:
+                for values in iter_monotone_values(e, l):
+                    verdict = residuation._theorem_5_4_on_values(e, l, values,
+                                                                 ext)
+                    v = MonotoneMap(e, l, values)
+                    assert verdict == theorem_5_4(v, ext)
+                    assert verdict == oracle_theorem_5_4(v, ext)
+                    verdicts.add((verdict.forward_applicable,
+                                  verdict.residuated, verdict.sup_map))
+        # the forward hypothesis fails on some extension, and there a
+        # residuated map need not be a sup map
+        assert (False, True, False) in verdicts
+        assert (True, True, False) not in verdicts
+
+    def test_the_forward_direction_needs_the_bottom_kept(self):
+        # E one point g, the extension the 2-chain bottom < g, L the
+        # 2-antichain {x, y}, v(g) = x: the empty sublevel set D_y is the
+        # trace of the new bottom, so v is residuated, but L has no bottom
+        # for v(g) to be, so v is not a sup map
+        point = chain(1)
+        ext = OrderExtension(point, chain(2), (1,))
+        v = MonotoneMap(point, antichain(2), (0,))
+        assert is_residuated(v, ext) and not is_sup_map(v)
+        adjoint_of(v, ext)    # the Galois condition holds
+        verdict = theorem_5_4(v, ext)
+        assert not verdict.forward_applicable and verdict.forward_holds
+        assert verdict.residuated and not verdict.sup_map
+        # the completion keeps the bottom, and there v is not residuated
+        verdict = theorem_5_4(v, dm_completion(point))
+        assert verdict.forward_applicable and verdict.forward_holds
+        assert not verdict.residuated
 
     def test_nonempty_convention_counterexample_is_reported_not_asserted(self):
         # the smallest instance separating the two complete-maxitivity
