@@ -73,28 +73,20 @@ class VerdictRecord:
 
 @lru_cache(maxsize=64)
 def _default_names(n):
-    """The labels "0", ..., "n-1" of a poset without labels, and the repr of
-    each index pair (i, j), for a poset of size n."""
-    return (tuple(map(str, range(n))),
-            [[f"({i}, {j})" for j in range(n)] for i in range(n)])
+    """The labels "0", ..., "n-1" of a poset of size n without labels."""
+    return tuple(map(str, range(n)))
 
 
 def describe_poset(p) -> dict:
     """Elements, covering pairs and the key, a stable short digest of the
-    presentation: the first 12 hex digits of the SHA-1 of
-    repr((n, covers, labels)), which a poset without labels spells from the
-    table of _default_names."""
-    n, covers, labels = p.n, p.covers(), p.labels
-    if labels is None:
-        labels, pairs = _default_names(n)
-        payload = (f"({n}, [{', '.join([pairs[i][j] for i, j in covers])}]"
-                   ", None)")
-    else:
-        payload = repr((n, covers, labels))
+    presentation."""
+    n, covers = p.n, p.covers()
+    labels = p.labels or _default_names(n)
+    payload = repr((n, covers, p.labels)).encode()
     return {"n": n,
             "elements": list(labels),
             "covers": [[labels[i], labels[j]] for i, j in covers],
-            "key": hashlib.sha1(payload.encode()).hexdigest()[:12]}
+            "key": hashlib.sha1(payload).hexdigest()[:12]}
 
 
 def _unlabeled(max_size):
@@ -251,11 +243,14 @@ def _scan_orbits(check, e, l):
     so a passing scan sums to the counters of the full scan.  A failing scan
     stops at its failure, and its counters count the maps seen before it,
     so the failing record is the full scan's, counters included.  An
-    exception is a failure too: the full scan raises it again or settles
-    the record.
+    exception raised by the check is a failure too: the full scan raises it
+    again or settles the record.  The representatives are listed before
+    the check runs, so an error of the generator itself is not taken for
+    the check's and reaches the caller.
     """
+    representatives = list(iter_orbit_values(e, l))
     try:
-        result = check(iter_orbit_values(e, l))
+        result = check(representatives)
         if result[1] != FAIL:
             return result
     except Exception:    # the full scan below reports it

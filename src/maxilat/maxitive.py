@@ -154,21 +154,20 @@ def _beta_tables(betas, m):
     return tuple(map(tuple, same)), tuple(lower)
 
 
-def iter_orbit_values(e, l, group=None):
+def iter_orbit_values(e, l):
     """One (values, weight) pair per orbit of the monotone value tuples
-    E -> L under a group of symmetries, in lexicographic order: values is
+    E -> L under G = Aut(E) x Aut(L), in lexicographic order: values is
     the least tuple of its orbit and weight the orbit's size,
     |G| / |Stab(values)|.
 
-    An element (alpha, beta) of the group, a permutation of E and one of L,
-    sends v to beta . v . alpha^-1, whose value at alpha(g) is beta(v(g)).
-    The group defaults to Aut(E) x Aut(L), from each poset's
-    `automorphisms`, which sends monotone tuples to monotone tuples; a
-    group given as a sequence of such pairs must do so too.  The group of
-    the identity alone yields every tuple of iter_monotone_values with
-    weight 1.  A claim whose verdict and counters are the same on every map
-    of an orbit sums its counters over the representatives, each counted
-    weight times, and gets the sums of the full scan.
+    An element (alpha, beta) of G, an automorphism of E and one of L from
+    each poset's `automorphisms`, sends v to beta . v . alpha^-1, whose
+    value at alpha(g) is beta(v(g)); it sends monotone tuples to monotone
+    tuples.  Where both groups are trivial, as for chains, every tuple of
+    iter_monotone_values comes with weight 1.  A claim whose verdict and
+    counters are the same on every map of an orbit sums its counters over
+    the representatives, each counted weight times, and gets the sums of
+    the full scan.
 
     This is orderly generation (Read 1978): the depth-first scan of
     iter_monotone_values, cut at a prefix as soon as some live group
@@ -189,31 +188,23 @@ def iter_orbit_values(e, l, group=None):
     order extends the order of E.
 
     The live elements are kept grouped by alpha, with their betas as a
-    bitmask over the distinct betas of the group.  The live betas of one
-    alpha agree with the tuple up to the same position, alpha's first
-    unknown one, so a step that leaves it in place costs the group one
-    test.  A step that passes position i, with s = v(alpha^-1(i)) and
+    bitmask over Aut(L).  The live betas of one alpha agree with the tuple
+    up to the same position, alpha's first unknown one, so a step that
+    leaves it in place costs the group one test.  A step that passes position i, with s = v(alpha^-1(i)) and
     t = v(i), drops the prefix if a live beta has beta(s) < t, and keeps
     the betas with beta(s) = t: two table lookups and a mask AND per
     position, whatever the number of betas.  The positions each alpha
-    passes, and the tables of the betas, are cached per permutation and per
-    tuple of betas.
+    passes, and the tables of Aut(L), are cached per permutation and per
+    group.
     """
     n = e.n
-    if group is None:
-        group = [(a, b) for a in e.automorphisms() for b in l.automorphisms()]
-    size = len(group)
-    identity = (tuple(range(n)), tuple(range(l.n)))
-    betas, index, masks_of = [], {}, {}
-    for alpha, beta in group:
-        alpha, beta = tuple(alpha), tuple(beta)
-        if (alpha, beta) != identity:
-            k = index.setdefault(beta, len(betas))
-            if k == len(betas):
-                betas.append(beta)
-            masks_of[alpha] = masks_of.get(alpha, 0) | 1 << k
-    moves = [(_passed_positions(alpha), mask)
-             for alpha, mask in masks_of.items()]
+    alphas, betas = e.automorphisms(), l.automorphisms()
+    size = len(alphas) * len(betas)
+    # every beta is live with every alpha, bar the identity pair, the first
+    # alpha with the first beta, which fixes every tuple
+    every = (1 << len(betas)) - 1
+    moves = [(_passed_positions(alpha), every & ~1 if k == 0 else every)
+             for k, alpha in enumerate(alphas) if k or len(betas) > 1]
     if n == 0:
         yield (), size // (1 + sum(mask.bit_count() for _, mask in moves))
         return
@@ -221,7 +212,7 @@ def iter_orbit_values(e, l, group=None):
         for values in iter_monotone_values(e, l):
             yield values, size
         return
-    same, lower = _beta_tables(tuple(betas), l.n)
+    same, lower = _beta_tables(betas, l.n)
     up, down, full = l._upm, l._downm, (1 << l.n) - 1
     earlier = [(_indices(e._downm[g] & ((1 << g) - 1)),
                 _indices(e._upm[g] & ((1 << g) - 1))) for g in range(n)]
@@ -624,12 +615,19 @@ def _region(ext, region):
             tuple(index.get(a) for a in ext.embed))
 
 
-@lru_cache(maxsize=64)
 def _star_region(ext, sel_e):
     """The _region of e_star(ext, sel_e), computed once per extension and
     selection: it depends on nothing else, and every map on the
-    extension is extended to it.  Both keys compare by value, so the
-    selections that later runs build on the same poset hit the cache."""
+    extension is extended to it."""
+    return _star_region_of(ext, sel_e.poset, sel_e.kind, sel_e._masks)
+
+
+@lru_cache(maxsize=64)
+def _star_region_of(ext, poset, kind, masks):
+    """_star_region's cache, keyed by the data of the selection, which
+    compares by identity: the selections that later runs build on the same
+    poset hit it."""
+    sel_e = FilterSelection(poset, kind, masks)
     return _region(ext, tuple(sorted(e_star(ext, sel_e))))
 
 

@@ -45,13 +45,10 @@ class FilterSelection:
     of each set by its mask, are built on first request.
     The constructor takes the masks of the sets, bit i for element i;
     `build_selection` is the usual way to make one.
-    Equality and hashing compare the poset, the two kinds and the masks, so
-    a cache keyed by a selection serves every selection with those data,
-    not one object.
     """
 
     __slots__ = ("poset", "kind", "recursion_kind", "_masks", "_selected",
-                 "_fsets", "_infima", "_hash")
+                 "_fsets", "_infima")
 
     def __init__(self, poset: FinitePoset, kind: SelectionKind, masks,
                  recursion_kind=SelectionKind.PRINCIPAL):
@@ -81,20 +78,7 @@ class FilterSelection:
         self.recursion_kind = recursion_kind
         self._masks = masks
         self._selected = selected
-        self._fsets = self._infima = self._hash = None
-
-    def _key(self):
-        return self.poset, self.kind, self.recursion_kind, self._masks
-
-    def __eq__(self, other):
-        if not isinstance(other, FilterSelection):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self._key())
-        return self._hash
+        self._fsets = self._infima = None
 
     @property
     def fsets(self) -> frozenset:

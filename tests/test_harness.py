@@ -341,6 +341,22 @@ class TestOrbitScan:
         assert failed and len(failed) < len(full)
         assert orbits == full
 
+    def test_an_error_of_the_generator_is_not_retried(self, monkeypatch):
+        # only the check's own failures trigger the full scan: an error
+        # raised while listing the representatives is the pair's record
+        def broken(e, l):
+            yield (0,) * e.n, 1
+            raise IndexError("generator")
+        rescans = []
+        monkeypatch.setattr(harness, "iter_orbit_values", broken)
+        monkeypatch.setattr(harness, "_every_map",
+                            lambda e, l: rescans.append((e, l)) or iter(()))
+        records = list(run_suite("thm-5-4", max_size=2))
+        assert records and rescans == []
+        assert {r.verdict for r in records} == {FAIL}
+        assert {r.witness["error"] for r in records} == {
+            "IndexError: generator"}
+
 
 class TestNegativeControls:
     """Each claim made faster still rests on the library piece it checks:
@@ -726,7 +742,7 @@ class TestWorkCounts:
         # alone, and a target's domain test on the target and its
         # selection alone: each is built once, not once per extended map
         from maxilat import maxitive
-        for cached in (maxitive._region, maxitive._star_region,
+        for cached in (maxitive._region, maxitive._star_region_of,
                        maxitive._lower_star_region, maxitive._is_domain):
             cached.cache_clear()
         regions, reports = Counter(), Counter()
@@ -752,13 +768,13 @@ class TestWorkCounts:
 
     def test_star_regions_are_cached_across_runs(self):
         # the star region cache is keyed by the extension and the
-        # selection's value, so a second run hits every entry the first made
+        # selection's data, so a second run hits every entry the first made
         from maxilat import maxitive
-        maxitive._star_region.cache_clear()
+        maxitive._star_region_of.cache_clear()
         list(run_suite("extension-extremality", max_size=4))
-        first = maxitive._star_region.cache_info()
+        first = maxitive._star_region_of.cache_info()
         list(run_suite("extension-extremality", max_size=4))
-        second = maxitive._star_region.cache_info()
+        second = maxitive._star_region_of.cache_info()
         assert first.misses > 0
         assert second.misses == first.misses
         assert second.currsize == first.currsize

@@ -659,7 +659,7 @@ class TestCli:
             raise InvariantError("the star region misses part of the base "
                                  "image")
         monkeypatch.setattr(maxitive, "e_star", broken)
-        maxitive._star_region.cache_clear()
+        maxitive._star_region_of.cache_clear()
         out_path = tmp_path / "f"
         assert main(["harness", "run", "extension-extremality", "--max-size",
                      "2", "--out", str(out_path)]) == 1
