@@ -95,6 +95,36 @@ def _unlabeled(max_size):
             for p in enumerate_unlabeled_posets(max_size)]
 
 
+# -- labeled-poset sweeps by shape -------------------------------------------
+
+
+def _shape(p):
+    """p's up-masks relabeled by the elements sorted by (|up|, -|down|),
+    ties by index: they spell a poset isomorphic to p, so equal keys mean
+    isomorphic posets.  Isomorphic posets may get different keys; a class
+    is then checked more than once."""
+    up, down = p._upm, p._downm
+    order = sorted(range(p.n),
+                   key=lambda i: (up[i].bit_count(), -down[i].bit_count()))
+    pos = [0] * p.n
+    for k, i in enumerate(order):
+        pos[i] = 1 << k
+    return tuple([_union(pos, up[i]) for i in order])
+
+
+def _replayed(memo, key, check, *args):
+    """check(*args), or the result without a witness (a pass or an unmet
+    hypothesis) that an earlier check of key stored in memo.  A failure or
+    an exception is never stored, so a failing record is computed on its
+    own poset, with its own labels."""
+    result = memo.get(key)
+    if result is None:
+        result = check(*args)
+        if result[2] is None:
+            memo[key] = result
+    return result
+
+
 # -- claim: the seven-element counterexample --------------------------------
 
 
@@ -120,23 +150,24 @@ def _check_seven_element(v):
 
 
 def _claim_interpolation(bounds):
+    """Each kind defines its selected sets from the order, so an
+    isomorphism maps them, union-completeness, way-above, continuity and
+    interpolation onto the other poset's: per kind, a shape's verdict and
+    measured fields hold for all its relabelings."""
     kinds = tuple(map(SelectionKind, bounds.selections or BUILTIN_KINDS))
+    memo = {}
     for p in enumerate_posets(bounds.max_size or 5):
-        desc = describe_poset(p)
-        # the report depends on the selected masks alone, and FILTERED
-        # selects PRINCIPAL's masks (see build_selection): one per family
-        reports = {}
+        desc, shape = describe_poset(p), _shape(p)
         for kind in kinds:
             yield ({"poset": desc, "selection": kind},
-                   partial(_check_interpolation, p, kind, reports))
+                   partial(_replayed, memo, (shape, kind),
+                           _check_interpolation, p, kind))
 
 
-def _check_interpolation(p, kind, reports):
+def _check_interpolation(p, kind):
     sel = build_selection(p, kind)
     union_complete = is_union_complete(sel)
-    report = reports.get(sel._masks)
-    if report is None:
-        report = reports[sel._masks] = continuity_report(p, sel)
+    report = continuity_report(p, sel)
     measured = {"union_complete": union_complete,
                 "continuous": report.is_continuous}
     if not union_complete:
@@ -152,8 +183,14 @@ def _check_interpolation(p, kind, reports):
 
 
 def _claim_singleton_collapse(bounds):
+    """An isomorphism maps the principal filters, way-above and the order
+    onto the other poset's, so a shape's verdict holds for all its
+    relabelings."""
+    memo = {}
     for p in enumerate_posets(bounds.max_size or 5):
-        yield {"poset": describe_poset(p)}, partial(_check_singleton_collapse, p)
+        yield ({"poset": describe_poset(p)},
+               partial(_replayed, memo, _shape(p),
+                       _check_singleton_collapse, p))
 
 
 def _check_singleton_collapse(p):
@@ -168,36 +205,46 @@ def _check_singleton_collapse(p):
 
 
 def _claim_supercontinuity(bounds):
+    """Distributivity, the upper sets and continuity are defined by the
+    order, so a shape's verdict and distributivity hold for all its
+    relabelings."""
+    memo = {}
     for p in enumerate_posets(bounds.max_size or 5):
         # a finite lattice has a top and a bottom; most posets have not
         if p.top() is None or p.bottom() is None:
             continue
-        profile = classify(p)
-        if profile.is_lattice:
-            yield ({"poset": describe_poset(p),
-                    "distributive": profile.is_distributive},
-                   partial(_check_supercontinuity, p, profile.is_distributive))
+        if classify(p).is_lattice:
+            yield ({"poset": describe_poset(p)},
+                   partial(_replayed, memo, _shape(p),
+                           _check_supercontinuity, p))
 
 
-def _check_supercontinuity(p, distributive):
+def _check_supercontinuity(p):
+    distributive = classify(p).is_distributive
+    measured = {"distributive": distributive}
     report = continuity_report(p, build_selection(p, SelectionKind.UPPER))
     if report.is_continuous == distributive:
-        return {}, PASS, None
-    return {}, FAIL, {"continuous": report.is_continuous,
-                      "distributive": distributive,
-                      "elements": list(report.continuity_failures)}
+        return measured, PASS, None
+    return measured, FAIL, {"continuous": report.is_continuous,
+                            "distributive": distributive,
+                            "elements": list(report.continuity_failures)}
 
 
 # -- claim: maxitive cone maps are alternating of infinite order -------------
 
 
 def _claim_alternating(bounds):
+    """An isomorphism s from p onto q sends each map v on p to v . s^-1 on
+    q, a bijection that keeps maxitivity and alternation, so a shape's
+    verdict and count of maxitive maps hold for all its relabelings."""
     depth = bounds.depth or 4
     value_range = FinitePoset.chain(4)
+    memo = {}
     for p in enumerate_posets(bounds.max_size or 4):
         if classify(p).is_join_semilattice:
             yield ({"poset": describe_poset(p), "depth": depth},
-                   partial(_check_alternating, p, value_range, depth))
+                   partial(_replayed, memo, _shape(p), _check_alternating,
+                           p, value_range, depth))
 
 
 def _check_alternating(p, value_range, depth):
@@ -666,13 +713,19 @@ def _claim_frame_adjunction(bounds):
     The smallest sources with I(E) not distributive have four elements:
     three atoms under a top, where I(E) is shaped like M3, and a 2-chain
     and a point under a top, where it is shaped like N5.
+
+    The lattice half's table and arrow are defined by the order, and
+    heyting_arrow refuses every non-distributive lattice whatever r and s,
+    so a shape's verdict holds for all its relabelings.
     """
+    memo = {}
     for l in enumerate_posets(bounds.max_size or 5):
         profile = classify(l)
         if profile.is_lattice and l.n:
             yield ({"lattice": describe_poset(l),
                     "distributive": profile.is_distributive},
-                   partial(_check_lattice_adjunction, l,
+                   partial(_replayed, memo, _shape(l),
+                           _check_lattice_adjunction, l,
                            profile.is_distributive))
     posets = _unlabeled(bounds.max_size or 3)
     targets = [(l, l_desc) for l, l_desc in posets

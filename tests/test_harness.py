@@ -199,17 +199,15 @@ class TestRunSuite:
     def test_singleton_collapse_names_mismatches_in_scan_order(self,
                                                                monkeypatch):
         # under all upper sets way-above differs from the order; the witness
-        # lists the (y, x) with gg[y][x] != (x <= y), x outer, y inner
-        upper = {}
-
-        def build_upper(p, kind):
-            upper[p] = sel = build_selection(p, "upper")
-            return sel
-        monkeypatch.setattr(harness, "build_selection", build_upper)
+        # lists the (y, x) with gg[y][x] != (x <= y), x outer, y inner.  A
+        # replayed record runs no check, so the oracle builds its own
+        # selection
+        monkeypatch.setattr(harness, "build_selection",
+                            lambda p, kind: build_selection(p, "upper"))
         off_diagonal = 0
         for p, rec in zip(enumerate_posets(4),
                           run_suite("singleton-collapse", max_size=4)):
-            gg = oracle_way_above(p, upper[p])
+            gg = oracle_way_above(p, build_selection(p, "upper"))
             expected = [(y, x) for x in range(p.n) for y in range(p.n)
                         if gg[y][x] != p.leq(x, y)]
             assert rec.witness == ({"pairs": expected} if expected else None)
@@ -358,6 +356,46 @@ class TestOrbitScan:
             "IndexError: generator"}
 
 
+class TestShapeMemo:
+    """The claims over labeled posets check one poset per shape and replay
+    a result without a witness to its relabelings; the full scan, which
+    runs every check, is the oracle."""
+
+    @staticmethod
+    def _full_scan(monkeypatch):
+        # bypass the memo itself, not only the key, so that a key that
+        # drops part of what the claim must key by cannot hide in both runs
+        monkeypatch.setattr(harness, "_replayed",
+                            lambda memo, key, check, *args: check(*args))
+
+    @pytest.mark.parametrize("claim, bounds", [
+        ("interpolation", {"max_size": 5}),
+        ("interpolation", {"max_size": 5, "selections": ("upper",)}),
+        ("singleton-collapse", {"max_size": 5}),
+        ("supercontinuity-distributivity", {"max_size": 5}),
+        ("alternating", {"max_size": 4, "depth": 4}),
+        ("frame-adjunction", {"max_size": 4}),
+    ])
+    def test_records_equal_the_full_scan(self, monkeypatch, claim, bounds):
+        memo = _without_elapsed(run_suite(claim, **bounds))
+        self._full_scan(monkeypatch)
+        assert memo == _without_elapsed(run_suite(claim, **bounds))
+
+    def test_the_key_spells_an_isomorphic_poset(self):
+        posets = list(enumerate_posets(5))
+        for p in posets:
+            q = FinitePoset._from_up_masks(harness._shape(p))
+            assert q.canonical_form() == p.canonical_form()
+        assert len({p.canonical_form() for p in posets}) == 87
+        assert len({harness._shape(p) for p in posets}) == 99
+        lattices = [p for p in posets if classify(p).is_lattice]
+        joins = [p for p in posets
+                 if p.n <= 4 and classify(p).is_join_semilattice]
+        assert (len(lattices), len(joins)) == (425, 88)
+        assert len({harness._shape(p) for p in lattices}) == 10
+        assert len({harness._shape(p) for p in joins}) == 9
+
+
 class TestNegativeControls:
     """Each claim made faster still rests on the library piece it checks:
     a planted defect in that piece yields FAIL records."""
@@ -403,6 +441,50 @@ class TestNegativeControls:
                            if tuple(reversed(range(p.n)))
                            not in oracle_automorphisms(p)]
         assert len(flagged) > len(posets) // 2
+
+    def test_an_unsound_shape_key_changes_the_records(self, monkeypatch):
+        # keyed by size alone, the memo replays a result to posets of other
+        # classes, and the measured fields show it (union_complete holds on
+        # every poset under the three built-in kinds, so it cannot)
+        claims = ("interpolation", "singleton-collapse",
+                  "supercontinuity-distributivity")
+        sound = [_without_elapsed(run_suite(claim, max_size=5))
+                 for claim in claims]
+        monkeypatch.setattr(harness, "_shape", lambda p: p.n)
+        changed = set()
+        for claim, records in zip(claims, sound):
+            unsound = _without_elapsed(run_suite(claim, max_size=5))
+            assert len(unsound) == len(records)
+            changed.update(key for ours, theirs in zip(unsound, records)
+                           for key, value in theirs["instance"].items()
+                           if ours["instance"][key] != value)
+        assert changed == {"continuous", "distributive"}
+
+    def test_a_check_failing_on_one_class_fails_every_copy(self,
+                                                          monkeypatch):
+        # a failure names its own poset's elements, so it is never
+        # replayed: each of the 24 labelings of the 4-element N gets its own
+        # record, as in the full scan
+        n_shape = FinitePoset.from_relation(
+            4, [(0, 2), (1, 2), (1, 3)]).canonical_form()
+        real = harness._check_singleton_collapse
+
+        def planted(p):
+            if p.canonical_form() == n_shape:
+                return {}, FAIL, {"covers": [[p.label_of(i), p.label_of(j)]
+                                             for i, j in p.covers()]}
+            return real(p)
+        monkeypatch.setattr(harness, "_check_singleton_collapse", planted)
+        memo = _without_elapsed(run_suite("singleton-collapse", max_size=4))
+        TestShapeMemo._full_scan(monkeypatch)
+        assert memo == _without_elapsed(run_suite("singleton-collapse",
+                                                  max_size=4))
+        failed = [r for r in memo if r["verdict"] == FAIL]
+        assert len(failed) == 24
+        for rec in failed:
+            assert (rec["witness"]["covers"]
+                    == rec["instance"]["poset"]["covers"])
+        assert len({json.dumps(r["witness"]) for r in failed}) == 24
 
     def test_a_cone_test_that_accepts_every_map_fails_the_claim(
             self, monkeypatch):
@@ -864,7 +946,8 @@ class TestWorkCounts:
 
     def test_alternating_builds_one_plan_per_source(self, monkeypatch):
         # building a plan runs combinations_with_replacement once per length,
-        # so one plan per source at depth 4 is 4 runs for each of 88 sources
+        # so one plan per checked source at depth 4 is 4 runs for each of
+        # the 9 shapes of the 88 sources
         from maxilat import maxitive
         maxitive._alternating_plan.cache_clear()
         runs = []
@@ -876,11 +959,11 @@ class TestWorkCounts:
         monkeypatch.setattr(maxitive, "combinations_with_replacement", counted)
         records = list(run_suite("alternating", max_size=4, depth=4))
         assert sum(r.instance["maxitive_maps"] for r in records) == 2464
-        assert sorted(runs) == sorted([1, 2, 3, 4] * 88)
+        assert sorted(runs) == sorted([1, 2, 3, 4] * 9)
 
     def test_interpolation_builds_one_report_per_family(self, monkeypatch):
-        # on a finite poset FILTERED selects exactly PRINCIPAL's masks, so
-        # its record reuses PRINCIPAL's continuity report
+        # one selection and one continuity report per (shape, kind): 3 x 99
+        # at size 5 for 13,419 records, and 2 x 25 at size 4 for 484
         calls = self._count_calls(monkeypatch, "build_selection",
                                   "continuity_report")
 
@@ -890,14 +973,24 @@ class TestWorkCounts:
             return doc
         records = list(run_suite("interpolation", max_size=5))
         assert len(records) == 13419
-        assert calls == {"build_selection": 13419, "continuity_report": 8946}
+        assert calls == {"build_selection": 297, "continuity_report": 297}
+        # on a finite poset FILTERED selects exactly PRINCIPAL's masks
         principal, filtered = records[0::3], records[1::3]
         assert {r.instance["selection"] for r in filtered} == {"filtered"}
         assert ([without_kind(r) for r in filtered]
                 == [without_kind(r) for r in principal])
-        # without PRINCIPAL, FILTERED computes its own report
         calls.clear()
         records = list(run_suite("interpolation", max_size=4,
                                  selections=("filtered", "upper")))
         assert len(records) == 2 * 242
-        assert calls == {"build_selection": 484, "continuity_report": 484}
+        assert calls == {"build_selection": 50, "continuity_report": 50}
+
+    def test_the_shape_memo_lasts_one_run(self, monkeypatch):
+        # the memo lives in the claim's generator: a second run in the same
+        # process checks every shape again
+        calls = self._count_calls(monkeypatch, "build_selection")
+        list(run_suite("interpolation", max_size=4))
+        first = calls["build_selection"]
+        list(run_suite("interpolation", max_size=4))
+        assert first == 3 * 25
+        assert calls["build_selection"] == 2 * first
