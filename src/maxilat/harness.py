@@ -205,17 +205,22 @@ def _check_singleton_collapse(p):
 
 
 def _claim_supercontinuity(bounds):
-    """Distributivity, the upper sets and continuity are defined by the
-    order, so a shape's verdict and distributivity hold for all its
-    relabelings."""
-    memo = {}
+    """Being a lattice, distributivity, the upper sets and continuity are
+    defined by the order, so whether a shape is a lattice, and a shape's
+    verdict and distributivity, hold for all its relabelings: `classify`
+    runs once per shape of a bounded poset."""
+    memo, lattice = {}, {}
     for p in enumerate_posets(bounds.max_size or 5):
         # a finite lattice has a top and a bottom; most posets have not
         if p.top() is None or p.bottom() is None:
             continue
-        if classify(p).is_lattice:
+        shape = _shape(p)
+        is_lattice = lattice.get(shape)
+        if is_lattice is None:
+            is_lattice = lattice[shape] = classify(p).is_lattice
+        if is_lattice:
             yield ({"poset": describe_poset(p)},
-                   partial(_replayed, memo, _shape(p),
+                   partial(_replayed, memo, shape,
                            _check_supercontinuity, p))
 
 

@@ -14,7 +14,9 @@ Everything here is immutable after construction and safe to share.
 Two generators enumerate posets up to DEFAULT_ENUMERATION_CAP points:
 `enumerate_posets` yields every labeled poset, and
 `enumerate_unlabeled_posets` one poset per isomorphism class, grown by a
-new maximal element and kept by `canonical_form`.
+new maximal element and kept by `canonical_form`.  Both grow each size
+from the posets of the size before, hold that one level of parents, and
+yield the posets of the largest size as they are built.
 
 The kernels that walk the set bits of a mask (`_indices`, `_union`,
 `_common`, `_bounding_member` and the transpose in `FinitePoset._set_order`)
@@ -122,11 +124,12 @@ class FinitePoset:
     public constructor reads the rows of an n x n boolean matrix as
     up-masks; `from_relation`, `chain`, `antichain`, `restrict` and the
     rest of the library build up-masks for `_from_up_masks`.  Either way
-    they are checked for reflexivity, antisymmetry and transitivity, the
-    down-masks are their transpose, and the masks carry the bounds, sups
-    and infs.  Equality and hashing compare the up-masks and labels;
-    `matrix` is built on request, and the frozensets returned by `up` and
-    `down` are shared between posets.
+    they are checked for reflexivity, antisymmetry and transitivity; only
+    the generators build their children unchecked, by `_from_masks`.  The
+    down-masks are the transpose of the up-masks, and the masks carry the
+    bounds, sups and infs.  Equality and hashing compare the up-masks and
+    labels; `matrix` is built on request, and the frozensets returned by
+    `up` and `down` are shared between posets.
     Optional labels name elements for I/O; they play no role in the order
     itself.
     """
@@ -149,6 +152,15 @@ class FinitePoset:
         the matrix constructor validates its rows."""
         p = cls.__new__(cls)
         p._set_order(tuple(up), labels)
+        return p
+
+    @classmethod
+    def _from_masks(cls, up, down):
+        """The unlabeled poset with the up-mask tuple up and its transpose,
+        the down-mask tuple down, unchecked.  Only the generators call it,
+        on children whose order their docstrings prove."""
+        p = cls.__new__(cls)
+        p._assign(up, down, None)
         return p
 
     def _set_order(self, up, labels):
@@ -185,9 +197,13 @@ class FinitePoset:
                 raise PosetError(f"expected {n} labels, got {len(labels)}")
             if len(set(labels)) != n:
                 raise PosetError("labels must be distinct")
-        self.n = n
+        self._assign(up, tuple(down), labels)
+
+    def _assign(self, up, down, labels):
+        """Store the mask tuples and labels, with every cache empty."""
+        self.n = len(up)
         self._upm = up
-        self._downm = tuple(down)
+        self._downm = down
         self.labels = labels
         self._label_index = None
         self._top = self._bottom = self._canon = self._aut = self._hash = None
@@ -701,55 +717,114 @@ def _check_enumeration_cap(n_max):
                          f"{DEFAULT_ENUMERATION_CAP}")
 
 
-def enumerate_posets(n_max):
-    """Yield every labeled partial order on 1..n_max points, each exactly once.
-
-    Posets of size k are grown from posets of size k-1 by attaching element
-    k-1 with a chosen strict down-set D (a lower set) and strict up-set U (an
-    upper set, disjoint from D, with D x U inside the existing order); every
-    labeled poset arises from exactly one such triple.  D and U are taken
-    in order of size, then of their sorted elements.  A child is built from
-    masks: the parent's up-masks gain bit k-1 on D, and up(k-1) is U plus
-    k-1.
-    """
+def _levels(n_max, grow):
+    """The posets of sizes 1 to n_max, size by size: the one-point poset,
+    then grow(level) of the list of each size's posets, in turn.  Only one
+    level is held, as the parents of the next: the posets of size n_max are
+    yielded as they are built and are not kept."""
     _check_enumeration_cap(n_max)
     if n_max < 1:
         return
     level = [FinitePoset._from_up_masks((1,))]
     yield from level
     for size in range(2, n_max + 1):
-        e = size - 1
-        bit, full = 1 << e, (1 << e) - 1
+        keep = size < n_max
         nxt = []
-        for parent in level:
-            pup, pdown = parent._upm, parent._downm
-            lows = sorted(parent._lower_masks(), key=_size_then_indices)
-            # the children with strict down-set dset: the parent's up-masks
-            # gain e on dset, and up(e) is uset plus e
-            grown = [(dset, tuple(m | bit if dset >> i & 1 else m
-                                  for i, m in enumerate(pup)))
-                     for dset in lows]
-            # dset fits uset iff it misses uset and lies below all of uset
-            fits = [(uset | bit, _common(pdown, uset, e) & ~uset)
-                    for uset in sorted((full ^ low for low in lows),
-                                       key=_size_then_indices)]
-            for dset, up in grown:
-                for up_e, below in fits:
-                    if not dset & ~below:
-                        nxt.append(FinitePoset._from_up_masks(up + (up_e,)))
+        for child in grow(level):
+            if keep:
+                nxt.append(child)
+            yield child
         level = nxt
-        yield from level
+
+
+def _labeled_children(level):
+    """Every child of each parent in level, the parents in turn: the parent
+    of size e with a new element e over a strict down-set D below a strict
+    up-set U, both in order of size, then of their sorted elements, D in the
+    outer loop.
+
+    The child's up-masks are the parent's, with bit e added on D, and
+    up(e) = U + e; its down-masks are the parent's, with bit e added on U,
+    and down(e) = D + e.  The up-masks are built once per D and the
+    down-masks once per U.  The pair fits when D is a lower set, U an upper
+    set, and D lies below every element of U and misses U (the lower bounds
+    of U outside U); the child is then an order, and it is built unchecked.
+    With the parent an order, by induction from the one-point poset:
+    reflexivity holds at e, and antisymmetry, since i <= e <= i would put i
+    in both D and U.  Transitivity through e: i <= j <= e puts j, so i, in
+    the lower set D; e <= i <= j puts i, so j, in the upper set U; and
+    i <= e <= j has i in D and j in U, so i <= j.  The down-masks are the
+    transpose of the up-masks by construction.
+    """
+    for parent in level:
+        e = parent.n
+        bit, full = 1 << e, (1 << e) - 1
+        pup, pdown = parent._upm, parent._downm
+        lows = sorted(parent._lower_masks(), key=_size_then_indices)
+        fits = [(uset | bit, _common(pdown, uset, e) & ~uset,
+                 tuple([m | bit if uset >> i & 1 else m
+                        for i, m in enumerate(pdown)]))
+                for uset in sorted((full ^ low for low in lows),
+                                   key=_size_then_indices)]
+        for dset in lows:
+            up = tuple([m | bit if dset >> i & 1 else m
+                        for i, m in enumerate(pup)])
+            down_e = dset | bit
+            for up_e, below, down in fits:
+                if not dset & ~below:
+                    yield FinitePoset._from_masks(up + (up_e,),
+                                                  down + (down_e,))
+
+
+def enumerate_posets(n_max):
+    """Yield every labeled partial order on 1..n_max points, each exactly
+    once, sizes in turn.
+
+    Posets of size k are grown from posets of size k-1 by attaching element
+    k-1 with a chosen strict down-set D (a lower set) and strict up-set U (an
+    upper set, disjoint from D, with D x U inside the existing order); every
+    labeled poset arises from exactly one such triple.  `_labeled_children`
+    builds each child from its parent's masks and proves it an order.  One
+    level of parents is held at a time, and the posets of size n_max are
+    yielded as they are built: 219 parents, not the 4,231 posets of size
+    5, are held while the last level streams.
+    """
+    return _levels(n_max, _labeled_children)
+
+
+def _unlabeled_children(level):
+    """The first child of each `canonical_form` among the children of the
+    representatives in level, in turn: each representative r of size e gets
+    a new maximal element e over each lower set D of r, in order of size,
+    then of their sorted elements.  r's up-masks gain bit e on D and
+    up(e) = {e}; r's down-masks are kept and down(e) = D + e.  This is the
+    child of `_labeled_children` with U empty, so it is an order.  Of the
+    children it holds only the keys seen so far."""
+    seen = set()
+    for parent in level:
+        e = parent.n
+        bit = 1 << e
+        pup, down = parent._upm, parent._downm
+        for low in sorted(parent._lower_masks(), key=_size_then_indices):
+            q = FinitePoset._from_masks(
+                tuple([m | bit if low >> i & 1 else m
+                       for i, m in enumerate(pup)]) + (bit,),
+                down + (low | bit,))
+            key = q.canonical_form()
+            if key not in seen:
+                seen.add(key)
+                yield q
 
 
 def enumerate_unlabeled_posets(n_max):
     """Yield one poset per isomorphism class on 1..n_max points, sizes in
     turn.
 
-    The posets of size k are grown from the representatives of size k-1:
-    each representative r gets a new maximal element k-1 over each lower
-    set D of r, in order of size, then of their sorted elements (its
-    up-masks gain bit k-1 on D, and up(k-1) is k-1 alone), and the first
-    child of each `canonical_form` is yielded.
+    The posets of size k are the first child of each class among the
+    children of the representatives of size k-1 (`_unlabeled_children`),
+    each grown by a new maximal element.  The representatives of one size
+    are held as parents, and the canonical keys of the size being built;
+    the posets of size n_max are yielded as they are built.
 
     No class is missed, by induction on k.  A poset q of size k has a
     maximal element x.  Removing x leaves a poset of size k-1, isomorphic
@@ -758,23 +833,4 @@ def enumerate_unlabeled_posets(n_max):
     over D is isomorphic to q, by s extended with x -> k-1.  The key is
     exact, so no class is yielded twice.
     """
-    _check_enumeration_cap(n_max)
-    if n_max < 1:
-        return
-    level = [FinitePoset._from_up_masks((1,))]
-    yield from level
-    for size in range(2, n_max + 1):
-        bit = 1 << (size - 1)
-        nxt = {}
-        for parent in level:
-            pup = parent._upm
-            for low in sorted(parent._lower_masks(),
-                              key=_size_then_indices):
-                q = FinitePoset._from_up_masks(
-                    tuple(m | bit if low >> i & 1 else m
-                          for i, m in enumerate(pup)) + (bit,))
-                key = q.canonical_form()
-                if key not in nxt:
-                    nxt[key] = q
-                    yield q
-        level = list(nxt.values())
+    return _levels(n_max, _unlabeled_children)

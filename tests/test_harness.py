@@ -745,6 +745,17 @@ class TestWorkCounts:
         finally:
             gc.enable()
 
+    def test_supercontinuity_classifies_each_bounded_shape_once(
+            self, monkeypatch):
+        # whether a bounded poset is a lattice is read once per shape
+        calls = self._count_calls(monkeypatch, "classify")
+        instances = list(harness._claim_supercontinuity(
+            harness.Bounds(max_size=5)))
+        shapes = {harness._shape(p) for p in enumerate_posets(5)
+                  if p.top() is not None and p.bottom() is not None}
+        assert len(instances) == 425
+        assert calls["classify"] == len(shapes) == 10
+
     def test_thm_5_4_scans_each_map_once(self, monkeypatch):
         # the claim runs the core's one maxitivity scan once per orbit
         # representative, and the weights add up to every monotone map

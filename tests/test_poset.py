@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -514,13 +515,40 @@ class TestEnumeration:
             counts[p.n] = counts.get(p.n, 0) + 1
         assert counts == {1: 1, 2: 3, 3: 19, 4: 219}
 
+    @staticmethod
+    def _checked(p):
+        """p, after the validating constructor has rebuilt it from its
+        up-masks: the generators build their children unchecked."""
+        rebuilt = FinitePoset._from_up_masks(p._upm)
+        assert rebuilt._downm == p._downm and p.labels is None
+        return p
+
     def test_size_five_count(self):
-        assert sum(1 for p in enumerate_posets(5) if p.n == 5) == 4231
+        assert sum(1 for p in enumerate_posets(5)
+                   if self._checked(p).n == 5) == 4231
+
+    def test_labeled_counts_through_six(self, monkeypatch):
+        # OEIS A001035 through n = 6, past the default cap
+        monkeypatch.setattr(poset, "DEFAULT_ENUMERATION_CAP", 6)
+        counts = Counter(p.n for p in enumerate_posets(6))
+        assert counts == {1: 1, 2: 3, 3: 19, 4: 219, 5: 4231, 6: 130023}
+
+    def test_the_last_level_is_streamed(self):
+        # one level of parents is held, not the 4,231 posets of size 5
+        tracemalloc.start()
+        try:
+            for p in enumerate_posets(5):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
 
     def test_unlabeled_counts(self, monkeypatch):
         # OEIS A000112 through n = 8, past the default cap
         monkeypatch.setattr(poset, "DEFAULT_ENUMERATION_CAP", 8)
-        counts = Counter(p.n for p in enumerate_unlabeled_posets(8))
+        counts = Counter(self._checked(p).n
+                         for p in enumerate_unlabeled_posets(8))
         assert counts == {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045,
                           8: 16999}
 
