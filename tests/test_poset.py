@@ -509,11 +509,11 @@ class TestAutomorphisms:
 
 
 class TestEnumeration:
-    def test_labeled_counts(self):
-        counts = {}
-        for p in enumerate_posets(4):
-            counts[p.n] = counts.get(p.n, 0) + 1
-        assert counts == {1: 1, 2: 3, 3: 19, 4: 219}
+    def test_labeled_counts(self, monkeypatch):
+        # OEIS A001035 through n = 6, past the default cap
+        monkeypatch.setattr(poset, "DEFAULT_ENUMERATION_CAP", 6)
+        counts = Counter(p.n for p in enumerate_posets(6))
+        assert counts == {1: 1, 2: 3, 3: 19, 4: 219, 5: 4231, 6: 130023}
 
     @staticmethod
     def _checked(p):
@@ -526,12 +526,6 @@ class TestEnumeration:
     def test_size_five_count(self):
         assert sum(1 for p in enumerate_posets(5)
                    if self._checked(p).n == 5) == 4231
-
-    def test_labeled_counts_through_six(self, monkeypatch):
-        # OEIS A001035 through n = 6, past the default cap
-        monkeypatch.setattr(poset, "DEFAULT_ENUMERATION_CAP", 6)
-        counts = Counter(p.n for p in enumerate_posets(6))
-        assert counts == {1: 1, 2: 3, 3: 19, 4: 219, 5: 4231, 6: 130023}
 
     def test_the_last_level_is_streamed(self):
         # one level of parents is held, not the 4,231 posets of size 5
