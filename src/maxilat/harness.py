@@ -11,7 +11,6 @@ fields.  A failing record always carries a witness that replays through the
 library.
 """
 
-import hashlib
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
@@ -34,6 +33,13 @@ from .mspace import (_arrow_values, _heyting_join_failure, build_space,
                      ideal_lattice, join_irreducibles, pointwise_inf,
                      way_above_in_space)
 from . import io as iomod
+
+try:
+    # the built-in SHA-1 spares the import of hashlib and OpenSSL's
+    # libcrypto, the largest share of the process's import
+    from _sha1 import sha1
+except ImportError:
+    from hashlib import sha1
 
 PASS = "pass"
 FAIL = "fail"
@@ -86,7 +92,7 @@ def describe_poset(p) -> dict:
     return {"n": n,
             "elements": list(labels),
             "covers": [[labels[i], labels[j]] for i, j in covers],
-            "key": hashlib.sha1(payload).hexdigest()[:12]}
+            "key": sha1(payload).hexdigest()[:12]}
 
 
 def _unlabeled(max_size):

@@ -7,8 +7,7 @@ by label.
 """
 
 import json
-from fractions import Fraction
-from importlib import resources
+import os
 
 from .poset import FinitePoset, PosetError
 from .selections import FilterSelection, SelectionKind, build_selection
@@ -103,6 +102,9 @@ def map_from_dict(doc, where="map"):
             return MonotoneMap(source, target, tuple(values))
         except ValueError as exc:
             raise FormatError(f"{where}: {exc}") from exc
+    # imported here, so that a process without cone maps does not load
+    # fractions and its decimal stack
+    from fractions import Fraction
     for g in range(source.n):
         raw = values_doc[source.labels[g]]
         try:
@@ -172,9 +174,11 @@ def selection_from_dict(p, doc, where="selection") -> FilterSelection:
 
 
 def fixture(name):
-    """Parsed JSON of a bundled fixture file."""
-    text = resources.files("maxilat.data").joinpath(name).read_text("utf-8")
-    return json.loads(text)
+    """Parsed JSON of a bundled fixture file, data/<name> beside this
+    module."""
+    path = os.path.join(os.path.dirname(__file__), "data", name)
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def fixture_poset(name) -> FinitePoset:

@@ -9,7 +9,6 @@ semilattice this reduces to the pairwise law, but not in general.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
@@ -461,6 +460,9 @@ class RationalConeMap:
     values: tuple
 
     def __post_init__(self):
+        # imported here, so that a process without cone maps does not load
+        # fractions and its decimal stack
+        from fractions import Fraction
         source, raw = self.source, tuple(self.values)
         ints = True
         for x in raw:

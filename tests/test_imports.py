@@ -1,8 +1,12 @@
 """A dead-import check with the standard library's ast: no module of the
 package, apart from __init__.py, which re-exports, imports a name it never
-uses."""
+uses.  And an import-footprint guard: importing the command line loads
+neither hashlib nor fractions nor importlib.resources."""
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +14,7 @@ import pytest
 import maxilat
 
 PACKAGE = Path(maxilat.__file__).parent
+PROBE = Path(__file__).with_name("import_probe.py")
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py")
                  if path.name != "__init__.py")
 
@@ -39,3 +44,17 @@ def test_the_check_finds_an_unused_name():
 def test_no_module_imports_an_unused_name(module):
     source = (PACKAGE / module).read_text(encoding="utf-8")
     assert unused_imports(source) == []
+
+
+def test_the_import_of_the_command_line_loads_no_heavy_module():
+    """tests/import_probe.py in a fresh interpreter without site; the cone
+    document it reads afterwards must load fractions, so the probe does see
+    a lazy import."""
+    proc = subprocess.run([sys.executable, "-E", "-S", str(PROBE),
+                           str(PACKAGE.parent)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stderr == ""
+    report = json.loads(proc.stdout)
+    assert Path(report["package"]).resolve().parent == PACKAGE.resolve()
+    assert report["loaded"] == []
+    assert "fractions" in report["cone_loads"]
