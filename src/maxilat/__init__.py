@@ -7,8 +7,7 @@ from .poset import (FinitePoset, OrderExtension, PosetError, PosetProfile,
                     enumerate_unlabeled_posets)
 from .selections import (ContinuityReport, FilterSelection, SelectionError,
                          SelectionKind, WayAboveRelation, build_selection,
-                         continuity_report, fmap, is_union_complete,
-                         way_above)
+                         continuity_report, is_union_complete, way_above)
 from .maxitive import (IdealFamily, InvariantError, MapError, MonotoneMap,
                        RationalConeMap, alternating_witness, e_lower_star,
                        e_star, extend_lower_star, extend_star,

@@ -16,9 +16,8 @@ from .poset import PosetError, classify, dm_completion
 from .selections import (SelectionError, SelectionKind, continuity_report,
                          is_union_complete)
 from .maxitive import (InvariantError, MapError, MonotoneMap,
-                       alternating_witness, e_lower_star, e_star,
-                       extend_lower_star, extend_star, is_pairwise_maxitive,
-                       maxitivity_witness)
+                       alternating_witness, extend_lower_star, extend_star,
+                       is_pairwise_maxitive, maxitivity_witness)
 from .residuation import adjoint_of, heyting_arrow, is_residuated
 from .mspace import build_space, m_arrow
 from . import harness, io
@@ -169,6 +168,8 @@ def cmd_map_check(args):
 
 
 def cmd_map_extend(args):
+    """The star or lower-star extension of a map, written to --out as a map
+    document on its region of the completion, which `map check` reads."""
     if args.selection.partition(":")[0] == SelectionKind.EXPLICIT:
         raise SelectionError(
             "map extend builds the source's and the target's selection from "
@@ -182,19 +183,14 @@ def cmd_map_extend(args):
     sel_e = build_selection(v.source, args.selection)
     sel_l = build_selection(v.target, args.selection)
     if args.mode == "star":
-        region = sorted(e_star(ext, sel_e))
         extended = extend_star(v, ext, sel_e, sel_l)
     else:
-        region = sorted(e_lower_star(ext))
         extended = extend_lower_star(v, ext)
-    print(f"{args.mode} region: "
-          f"{[ext.complete.label_of(a) for a in region]}")
-    values = {ext.complete.label_of(a): v.target.label_of(extended.values[k])
-              for k, a in enumerate(region)}
-    for name, val in values.items():
+    doc = io.map_to_dict(extended)
+    print(f"{args.mode} region: {doc['source']['elements']}")
+    for name, val in doc["values"].items():
         print(f"  {name} -> {val}")
-    _write_out(args, {"region": [ext.complete.label_of(a) for a in region],
-                      "values": values})
+    _write_out(args, doc)
     return 0
 
 

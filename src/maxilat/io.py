@@ -121,6 +121,7 @@ def map_from_dict(doc, where="map"):
 
 
 def map_to_dict(v) -> dict:
+    """The map document of v, which map_from_dict reads back."""
     doc = {"source": poset_to_dict(v.source)}
     name = v.source.label_of
     if isinstance(v, MonotoneMap):

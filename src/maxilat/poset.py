@@ -226,7 +226,8 @@ class FinitePoset:
 
     @property
     def matrix(self):
-        """The relation as a tuple of n rows of bools, row i holding i <= j."""
+        """The relation as a tuple of n rows of bools, row i holding i <= j.
+        The library does not read it; perfbench/check_expected.py does."""
         n = self.n
         return tuple(tuple(bool(mask >> j & 1) for j in range(n))
                      for mask in self._upm)
@@ -254,11 +255,7 @@ class FinitePoset:
             mask |= 1 << i
         return mask
 
-    # -- closures and bounds ----------------------------------------------
-
-    def upper_closure(self, a):
-        """Upper set generated by a: all y with some x in a, x <= y."""
-        return frozenset(_indices(_union(self._upm, self._mask(a))))
+    # -- bounds -------------------------------------------------------------
 
     def sup_of(self, a):
         """Least upper bound of the nonempty subset a, or None if missing."""

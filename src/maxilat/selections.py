@@ -281,27 +281,3 @@ def is_union_complete(sel) -> bool:
     selected, up = sel._selected, sel.poset._upm
     return 0 in selected and selected.issuperset(
         [a | u for a in sel._masks for u in up])
-
-
-def fmap(sel_p, sel_q, f, fset) -> frozenset:
-    """Upper closure of the image of a selected set under an order-preserving map.
-
-    f may be a MonotoneMap or a bare sequence of target indices.  For built-in
-    kinds the image is checked to be selected in the target, as functoriality
-    demands.
-    """
-    values = tuple(getattr(f, "values", f))
-    p, q = sel_p.poset, sel_q.poset
-    if len(values) != p.n:
-        raise SelectionError("map does not cover the source poset")
-    for g in range(p.n):
-        for h in range(p.n):
-            if p.leq(g, h) and not q.leq(values[g], values[h]):
-                raise SelectionError(f"map is not order-preserving on ({g}, {h})")
-    fset = frozenset(fset)
-    if fset not in sel_p.fsets:
-        raise SelectionError(f"{sorted(fset)} is not a selected set of the source")
-    image = q.upper_closure(values[g] for g in fset)
-    if sel_q.kind in BUILTIN_KINDS and image not in sel_q.fsets:
-        raise SelectionError(f"image {sorted(image)} escapes the target selection")
-    return image

@@ -10,7 +10,6 @@ from maxilat import (ContinuityReport, FinitePoset, IdealFamily,
                      SelectionKind, Theorem54Verdict, build_selection,
                      classify, from_ideal_family, maxitivity_witness,
                      pointwise_inf, way_above)
-from maxilat.catalog import antichain, chain, diamond, m3, n5, seven_element
 from maxilat.harness import run_suite, summarize
 from maxilat.io import map_to_dict, poset_to_dict
 from maxilat.poset import _frozen
@@ -18,32 +17,47 @@ from maxilat.poset import _frozen
 
 @pytest.fixture
 def chain3():
-    return chain(3)
+    return FinitePoset.chain(3)
 
 
 @pytest.fixture
 def two_antichain():
-    return antichain(2)
+    return FinitePoset.antichain(2)
 
 
 @pytest.fixture
 def b2():
-    return diamond()
+    """The four-element Boolean lattice, the diamond: bot < a, b < top."""
+    return FinitePoset.from_relation(4, [(0, 1), (0, 2), (1, 3), (2, 3)],
+                                     labels=["bot", "a", "b", "top"])
 
 
 @pytest.fixture
 def pentagon():
-    return n5()
+    """N5: bot < x < z < top and bot < y < top; the smallest non-modular
+    lattice."""
+    return FinitePoset.from_relation(
+        5, [(0, 1), (1, 3), (0, 2), (3, 4), (2, 4)],
+        labels=["bot", "x", "y", "z", "top"])
 
 
 @pytest.fixture
 def m3_lattice():
-    return m3()
+    """M3: three incomparable atoms between bot and top; the smallest
+    modular non-distributive lattice."""
+    return FinitePoset.from_relation(
+        5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)],
+        labels=["bot", "a", "b", "c", "top"])
 
 
 @pytest.fixture
 def seven():
-    return seven_element()
+    """The seven-element poset separating the pairwise law from maxitivity:
+    a, b <= alpha; b, c <= beta; c, a <= gamma; a, b, c <= z."""
+    return FinitePoset.from_relation(
+        7,
+        [(0, 3), (1, 3), (1, 4), (2, 4), (2, 5), (0, 5), (0, 6), (1, 6), (2, 6)],
+        labels=["a", "b", "c", "alpha", "beta", "gamma", "z"])
 
 
 @pytest.fixture
@@ -54,7 +68,7 @@ def three_atoms_under_top():
     element, and m_arrow raises MapError."""
     source = FinitePoset.from_relation(4, [(0, 3), (1, 3), (2, 3)],
                                        ("a", "b", "c", "t"))
-    return SimpleNamespace(source=source, target=chain(2),
+    return SimpleNamespace(source=source, target=FinitePoset.chain(2),
                            u=(1, 1, 0, 1), v=(1, 1, 1, 1))
 
 
@@ -87,6 +101,12 @@ def _is_partial_order(rows):
                 if rows[i][j] and rows[j][k] and not rows[i][k]:
                     return False
     return True
+
+
+def upper_closure(p, a):
+    """The upper set generated by a: every y with some x in a, x <= y."""
+    a = frozenset(a)
+    return frozenset(y for y in range(p.n) if any(p.leq(x, y) for x in a))
 
 
 def oracle_sup(p, subset):
@@ -730,7 +750,7 @@ def oracle_extend_star_values(v, ext, star, sel_l):
     l, up = v.target, oracle_traces(ext)[1]
     values = []
     for a in star:
-        image = l.upper_closure(v.values[g] for g in up[a])
+        image = upper_closure(l, (v.values[g] for g in up[a]))
         if image not in sel_l.fsets:
             raise MapError(f"value trace of {a} escapes the target selection")
         m = _inf_or_top(l, image)

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from maxilat import (FinitePoset, InvariantError, MonotoneMap,
-                     RationalConeMap, SelectionError, enumerate_posets,
-                     enumerate_unlabeled_posets, iter_monotone_values)
+                     RationalConeMap, SelectionError, build_selection,
+                     dm_completion, enumerate_posets,
+                     enumerate_unlabeled_posets, extend_lower_star,
+                     extend_star, iter_monotone_values)
 from maxilat import cli, harness, maxitive
-from maxilat.catalog import antichain, chain, m3, seven_element
 from maxilat.cli import main
 from maxilat.io import (FormatError, fixture, fixture_map, fixture_poset,
                         load_map, load_poset, map_from_dict, map_to_dict,
@@ -60,7 +61,7 @@ class TestPosetFiles:
 
 
 class TestBundledFixtures:
-    def test_seven_poset_has_exactly_the_stated_relations(self):
+    def test_seven_poset_has_exactly_the_stated_relations(self, seven):
         p = fixture_poset("seven.json")
         assert p.n == 7
         expected = {("a", "alpha"), ("b", "alpha"), ("b", "beta"),
@@ -70,7 +71,7 @@ class TestBundledFixtures:
                   for i in range(p.n) for j in range(p.n)
                   if i != j and p.leq(i, j)}
         assert strict == expected
-        assert p.matrix == seven_element().matrix
+        assert p.matrix == seven.matrix
 
     def test_seven_indicator_map(self):
         v = fixture_map("seven_indicator.json")
@@ -168,7 +169,7 @@ class TestSelectionSpecs:
             parse_selection_spec(chain3, "bogus")
 
     def test_explicit_file(self, tmp_path):
-        labeled = chain(3, labels=("0", "1", "2"))
+        labeled = FinitePoset.chain(3, labels=("0", "1", "2"))
         path = tmp_path / "sel.json"
         path.write_text(json.dumps({"fsets": [["1", "2"]],
                                     "recursion": "principal"}))
@@ -176,7 +177,7 @@ class TestSelectionSpecs:
         assert frozenset({1, 2}) in sel.fsets
 
     def test_explicit_dict_rejects_bad_labels(self):
-        labeled = chain(3, labels=("0", "1", "2"))
+        labeled = FinitePoset.chain(3, labels=("0", "1", "2"))
         with pytest.raises(FormatError, match="unknown element"):
             selection_from_dict(labeled, {"fsets": [["zz"]]})
 
@@ -395,15 +396,45 @@ class TestCli:
         assert main(["lattice", "arrow", str(path), "--r", "a", "--s", "b"]) == 2
         assert "distributive" in capsys.readouterr().err
 
-    def test_map_extend_star(self, tmp_path, capsys):
+    @pytest.fixture
+    def two_atoms_map(self, tmp_path):
+        """The document of a map of a, b < z into the 2-chain."""
         doc = {"source": {"elements": ["a", "b", "z"],
                           "covers": [["a", "z"], ["b", "z"]]},
                "target": {"elements": ["0", "1"], "covers": [["0", "1"]]},
                "values": {"a": "0", "b": "1", "z": "1"}}
         path = tmp_path / "v.json"
         path.write_text(json.dumps(doc))
-        assert main(["map", "extend", str(path), "--mode", "star"]) == 0
+        return path
+
+    def test_map_extend_star(self, two_atoms_map, capsys):
+        assert main(["map", "extend", str(two_atoms_map),
+                     "--mode", "star"]) == 0
         assert "star region" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode", ["star", "lower-star"])
+    def test_map_extend_out_is_a_map_document(self, two_atoms_map, tmp_path,
+                                              capsys, mode):
+        # load_map reads the extension back on its region, and map check
+        # finds it maxitive
+        path, out = two_atoms_map, tmp_path / "ext.json"
+        assert main(["map", "extend", str(path), "--mode", mode,
+                     "--out", str(out)]) == 0
+        v = load_map(path)
+        ext = dm_completion(v.source)
+        if mode == "star":
+            sel = build_selection(v.source, "principal")
+            extended = extend_star(v, ext, sel,
+                                   build_selection(v.target, "principal"))
+        else:
+            extended = extend_lower_star(v, ext)
+        again = load_map(out)
+        assert (again.source, again.target, again.values) == (
+            extended.source, extended.target, extended.values)
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[0] == f"{mode} region: {list(again.source.labels)}"
+        assert main(["map", "check", str(out)]) == 0
+        assert capsys.readouterr().out == "maxitive: True\n"
 
     def test_map_extend_invariant_failure_is_not_a_usage_error(
             self, tmp_path, monkeypatch, capsys):
@@ -493,7 +524,7 @@ class TestCli:
             assert "ok" in capsys.readouterr().out
 
     def test_mspace_verify_reports_the_frame_counterexample(
-            self, tmp_path, capsys, three_atoms_under_top):
+            self, tmp_path, capsys, three_atoms_under_top, m3_lattice):
         cx = three_atoms_under_top
         e, l, out = (tmp_path / name for name in ("e.json", "l.json",
                                                   "out.json"))
@@ -506,7 +537,7 @@ class TestCli:
         assert [list(cx.u), list(cx.v)] in [[bad["u"], bad["v"]]
                                             for bad in doc["violations"]]
         # a non-distributive target fails the hypothesis, not the lemma
-        write_poset(m3(), l)
+        write_poset(m3_lattice, l)
         assert main(["mspace", "verify", str(e), str(l),
                      "--lemma", "frame"]) == 2
         assert "distributive" in capsys.readouterr().err
@@ -526,7 +557,7 @@ class TestCli:
                              "ideals", "violations"]
         assert (doc["ideal_lattice_distributive"], doc["ideals"]) == (False, 5)
         assert "I(E): 5 ideals, not distributive" in capsys.readouterr().out
-        write_poset(chain(3), e)
+        write_poset(FinitePoset.chain(3), e)
         assert main(["mspace", "verify", str(e), str(l), "--lemma", "frame",
                      "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
@@ -540,8 +571,8 @@ class TestCli:
         # A4 -> C4: 65,536 arrows and their adjunctions, on the masks
         e, l, out = (tmp_path / name for name in ("e.json", "l.json",
                                                   "out.json"))
-        write_poset(antichain(4), e)
-        write_poset(chain(4), l)
+        write_poset(FinitePoset.antichain(4), e)
+        write_poset(FinitePoset.chain(4), l)
         assert main(["mspace", "verify", str(e), str(l), "--lemma", "frame",
                      "--out", str(out)]) == 0
         doc = json.loads(out.read_text())

@@ -20,7 +20,6 @@ from maxilat import (FinitePoset, IdealFamily, InvariantError, MapError,
                      maxitivity_witness, way_above)
 from maxilat.selections import continuity_report
 from maxilat import maxitive
-from maxilat.catalog import antichain, chain, diamond, m3
 
 from conftest import (FrozensetBounds, WholeBaseTraces, delta, members,
                       oracle_alternating_witness, oracle_automorphisms,
@@ -69,7 +68,7 @@ def outcome(fn, *args):
 
 @pytest.fixture
 def seven_indicator(seven):
-    two = chain(2)
+    two = FinitePoset.chain(2)
     values = tuple(1 if seven.label_of(g) == "z" else 0
                    for g in range(seven.n))
     return MonotoneMap(seven, two, values)
@@ -87,14 +86,14 @@ class TestMonotoneMap:
             MonotoneMap(chain3, chain3, (0, 1, 7))
 
     def test_a_value_that_is_not_an_int_is_out_of_range(self):
-        c2 = chain(2)
+        c2 = FinitePoset.chain(2)
         for bad in (1.0, "1", None):
             with pytest.raises(MapError,
                                match=f"value {bad} out of range"):
                 MonotoneMap(c2, c2, (0, bad))
 
     def test_a_bool_is_not_an_index(self):
-        c2 = chain(2)
+        c2 = FinitePoset.chain(2)
         for values, bad in (((False, True), False), ((0, True), True)):
             with pytest.raises(MapError) as info:
                 MonotoneMap(c2, c2, values)
@@ -107,7 +106,7 @@ class TestMonotoneMap:
         assert v.values == (0, 1, 1) and v(2) == 1
         assert v == w and hash(v) == hash(w) and len({v, w}) == 1
         assert v != MonotoneMap(chain3, chain3, (0, 1, 2))
-        assert v != MonotoneMap(chain3, chain(2), (0, 1, 1))
+        assert v != MonotoneMap(chain3, FinitePoset.chain(2), (0, 1, 1))
         assert v != (0, 1, 1) and v != RationalConeMap(chain3, (0, 1, 1))
         assert repr(v) == (f"MonotoneMap(source={chain3!r}, "
                            f"target={chain3!r}, values=(0, 1, 1))")
@@ -144,7 +143,8 @@ class TestMonotoneMap:
                 got = list(iter_monotone_values(e, l))
                 assert got == list(oracle_iter_monotone_values(e, l))
                 maps += len(got)
-        assert list(iter_monotone_values(FinitePoset(()), chain(2))) == [()]
+        assert list(iter_monotone_values(FinitePoset(()),
+                                         FinitePoset.chain(2))) == [()]
         assert maps > 0
 
     def test_iter_maxitive_values_matches_the_oracle(self):
@@ -195,8 +195,8 @@ class TestOrbitValues:
 
     def test_the_map_of_the_empty_source_has_weight_1(self):
         # the one map of the empty source is fixed by the whole group
-        assert list(iter_orbit_values(FinitePoset(()), antichain(3))) == [
-            ((), 1)]
+        assert list(iter_orbit_values(FinitePoset(()),
+                                      FinitePoset.antichain(3))) == [((), 1)]
 
     def test_weights_count_the_multichains_of_ideals(self):
         # into the k-chain the maxitive maps are, by their sublevel sets
@@ -205,7 +205,7 @@ class TestOrbitValues:
         checked = 0
         for e in enumerate_unlabeled_posets(5):
             for k in range(1, 6):
-                c = chain(k)
+                c = FinitePoset.chain(k)
                 weights = sum(
                     weight for values, weight in iter_orbit_values(e, c)
                     if maxitivity_witness(MonotoneMap(e, c, values)) is None)
@@ -221,7 +221,7 @@ class TestMaxitivity:
         assert witness == {seven.index_of(x) for x in ("a", "b", "c")}
 
     def test_constant_maps_are_maxitive(self, seven):
-        two = chain(2)
+        two = FinitePoset.chain(2)
         for c in range(2):
             assert maxitivity_witness(
                 MonotoneMap(seven, two, (c,) * seven.n)) is None
@@ -240,7 +240,7 @@ class TestMaxitivity:
         assert checked == 19702
 
     def test_agrees_with_the_oracle_on_labeled_5_posets_into_c2(self):
-        c2 = chain(2)
+        c2 = FinitePoset.chain(2)
         checked = 0
         for e in enumerate_posets(5):
             if e.n == 5:
@@ -371,21 +371,21 @@ class TestIdealFamilies:
             IdealFamily(chain3, chain3, map(chain3._mask, ({0, 1}, {0}, {0})))
 
     def test_sublevel_family_evaluates_back(self):
-        c2, c3 = chain(2), chain(3)
+        c2, c3 = FinitePoset.chain(2), FinitePoset.chain(3)
         sel = build_selection(c3, "principal")
         fam = IdealFamily(c2, c3, map(c2._mask, ((), {0}, {0, 1})))
         v = from_ideal_family(fam, sel)
         assert v.values == (1, 2)
 
     def test_missing_membership_set_is_an_error(self, chain3):
-        c2 = chain(2)
+        c2 = FinitePoset.chain(2)
         sel = build_selection(chain3, "principal")
         fam = IdealFamily(c2, chain3, map(c2._mask, ((), {0}, {0})))
         with pytest.raises(MapError, match="membership"):
             from_ideal_family(fam, sel)
 
     def test_both_errors_name_the_first_element(self, chain3):
-        c2 = chain(2)
+        c2 = FinitePoset.chain(2)
         # g = 0 has membership {1, 2}, a principal filter; g = 1 the empty
         # set, which the principal selection does not hold
         sel = build_selection(chain3, "principal")
@@ -395,7 +395,7 @@ class TestIdealFamilies:
         assert outcome(oracle_from_ideal_family, fam, sel) == expected
         # the upper sets of an antichain hold the empty set, whose infimum
         # would be a top that the antichain lacks
-        a2 = antichain(2)
+        a2 = FinitePoset.antichain(2)
         sel = build_selection(a2, "upper")
         for family, g in (((frozenset(), frozenset({0})), 1),
                           ((frozenset(), frozenset()), 0)):
@@ -407,7 +407,7 @@ class TestIdealFamilies:
     def test_empty_membership_allowed_under_upper_selection(self, chain3):
         # the all-empty family gives the constant top map; it is not
         # right-continuous, yet evaluation is still well defined
-        c2 = chain(2)
+        c2 = FinitePoset.chain(2)
         sel = build_selection(chain3, "upper")
         fam = IdealFamily(c2, chain3, (0, 0, 0))
         v = from_ideal_family(fam, sel)
@@ -429,7 +429,7 @@ class TestIdealFamilies:
 
     def test_right_continuous_families_evaluate_to_maxitive_maps(self):
         # the construction direction of the representation result
-        c3 = chain(3)
+        c3 = FinitePoset.chain(3)
         sel = build_selection(c3, "filtered")
         rel = way_above(c3, sel)
         for e in enumerate_unlabeled_posets(3):
@@ -461,7 +461,8 @@ class TestRationalCone:
         with pytest.raises(MapError, match="order-preserving"):
             RationalConeMap(chain3, (1, 0, 2))
         with pytest.raises(MapError, match="not order-preserving"):
-            RationalConeMap(chain(2), (Fraction(1, 2), Fraction(1, 3)))
+            RationalConeMap(FinitePoset.chain(2),
+                            (Fraction(1, 2), Fraction(1, 3)))
 
     def test_order_check_names_the_first_pair_of_the_full_scan(self):
         # covering pairs decide; the scan of every g <= h names the pair
@@ -488,7 +489,7 @@ class TestRationalCone:
     def test_is_maxitive_agrees_with_the_all_pairs_law(self):
         # the 4,234 cones of the alternating claim at size 4: one check
         # per pair g < h decides as the law on every ordered pair does
-        value_range = chain(4)
+        value_range = FinitePoset.chain(4)
         cones = verdicts = 0
         for p in enumerate_posets(4):
             if not classify(p).is_join_semilattice:
@@ -529,7 +530,7 @@ class TestRationalCone:
             assert len(vals) == 1
 
     def test_maxitive_maps_alternate_small(self):
-        value_range = chain(4)
+        value_range = FinitePoset.chain(4)
         for p in enumerate_unlabeled_posets(3):
             if not classify(p).is_join_semilattice:
                 continue
@@ -542,7 +543,7 @@ class TestRationalCone:
         # every cone of the alternating claim at size <= 4, and the same
         # values divided by 2, 3 and 6 (which mixes denominators 1, 2, 3 and
         # 6 in one tuple): the scaled ints keep every verdict
-        value_range = chain(4)
+        value_range = FinitePoset.chain(4)
         verdicts = set()
         for p in enumerate_posets(4):
             if not classify(p).is_join_semilattice:
@@ -560,7 +561,7 @@ class TestRationalCone:
         # every monotone cone of the claim, maxitive or not, divided by 2, 3
         # and 6, which mixes denominators 1, 2, 3 and 6 in one tuple; the
         # non-maxitive cones on size-4 lattices supply failing witnesses
-        value_range = chain(4)
+        value_range = FinitePoset.chain(4)
         failures = 0
         for p in enumerate_unlabeled_posets(4):
             if not classify(p).is_join_semilattice:
@@ -579,7 +580,7 @@ class TestRationalCone:
         # (every monotone cone on its 88 labeled join-semilattices of size
         # <= 4) at depths 1 to 4, and on the same values divided by 2, 3
         # and 6
-        value_range = chain(4)
+        value_range = FinitePoset.chain(4)
         cones = failures = 0
         for p in enumerate_posets(4):
             if not classify(p).is_join_semilattice:
@@ -635,7 +636,7 @@ class TestStarRegion:
             assert e_star(ext, sel) == expected
 
     def test_extension_restricts_to_the_original(self):
-        c3 = chain(3)
+        c3 = FinitePoset.chain(3)
         for e in enumerate_unlabeled_posets(3):
             if not classify(e).is_join_semilattice:
                 continue
@@ -691,7 +692,6 @@ class TestStarRegion:
     def test_star_region_of_a_join_semilattice_without_bottom(self):
         # a, b < z completes to a diamond; the new bottom cut has a
         # non-principal upper trace, so the star region is just the image
-        from maxilat import FinitePoset
         base = FinitePoset.from_relation(3, [(0, 2), (1, 2)],
                                          labels=("a", "b", "z"))
         ext = dm_completion(base)
@@ -699,13 +699,14 @@ class TestStarRegion:
         sel = build_selection(base, "principal")
         star = sorted(e_star(ext, sel))
         assert frozenset(star) == ext.image()
-        v = MonotoneMap(base, chain(2), (0, 1, 1))
-        vstar = extend_star(v, ext, sel, build_selection(chain(2), "principal"))
+        v = MonotoneMap(base, FinitePoset.chain(2), (0, 1, 1))
+        vstar = extend_star(v, ext, sel,
+                            build_selection(v.target, "principal"))
         for g in range(base.n):
             assert vstar.values[star.index(ext.embed[g])] == v.values[g]
 
     def test_failed_restriction_is_an_invariant_error(self):
-        c2 = chain(2)
+        c2 = FinitePoset.chain(2)
         ext = WholeBaseTraces(dm_completion(c2))
         v = MonotoneMap(c2, c2, (0, 1))
         sel = build_selection(c2, "principal")
@@ -716,7 +717,7 @@ class TestStarRegion:
 
 class TestLowerStarRegion:
     def test_failed_restriction_is_an_invariant_error(self):
-        c2 = chain(2)
+        c2 = FinitePoset.chain(2)
         ext = WholeBaseTraces(dm_completion(c2))
         v = MonotoneMap(c2, c2, (0, 1))
         with pytest.raises(InvariantError, match="does not restrict") as info:
@@ -744,38 +745,38 @@ class TestLowerStarRegion:
                 assert ext.image() <= e_lower_star(ext)
 
     def test_extension_of_a_constant(self, two_antichain):
-        c3 = chain(3)
+        c3 = FinitePoset.chain(3)
         ext = dm_completion(two_antichain)
         v = MonotoneMap(two_antichain, c3, (1, 1))
         vlow = extend_lower_star(v, ext)
         assert vlow.values == (1,)
 
     def test_value_is_the_join_of_the_lower_trace(self, two_antichain):
-        c3 = chain(3)
+        c3 = FinitePoset.chain(3)
         ext = dm_completion(two_antichain)
         v = MonotoneMap(two_antichain, c3, (1, 2))
         assert extend_lower_star(v, ext).values == (2,)
 
     def test_missing_target_join_is_an_error(self, two_antichain):
-        target = antichain(2)
+        target = FinitePoset.antichain(2)
         ext = dm_completion(two_antichain)
         v = MonotoneMap(two_antichain, target, (0, 1))
         with pytest.raises(MapError, match="supremum"):
             extend_lower_star(v, ext)
 
-    def test_non_distributive_completion_is_an_error(self):
-        lattice = m3()
+    def test_non_distributive_completion_is_an_error(self, m3_lattice):
+        lattice = m3_lattice
         ext = OrderExtension(lattice, lattice, tuple(range(lattice.n)))
-        v = MonotoneMap(lattice, chain(2), (0,) * 4 + (1,))
+        v = MonotoneMap(lattice, FinitePoset.chain(2), (0,) * 4 + (1,))
         with pytest.raises(MapError, match="distributive"):
             extend_lower_star(v, ext)
 
-    def test_minimality_small(self):
+    def test_minimality_small(self, b2):
         # complete base: the lower-star extension is the map itself, which
         # trivially sits below every extension; exercise a non-complete base
-        e = diamond().restrict({0, 1, 2})   # meet-semilattice: bot < a, b
+        e = b2.restrict({0, 1, 2})   # meet-semilattice: bot < a, b
         ext = dm_completion(e)
-        c2 = chain(2)
+        c2 = FinitePoset.chain(2)
         members = sorted(e_lower_star(ext))
         sub = ext.complete.restrict(members)
         for values in iter_monotone_values(e, c2):

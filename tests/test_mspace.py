@@ -9,7 +9,6 @@ from maxilat import (FinitePoset, MapError, MaxMapSpace, MonotoneMap,
                      m_arrow, maxitivity_witness, pointwise_inf,
                      reconstruction, representation, way_above)
 from maxilat import harness
-from maxilat.catalog import antichain, chain, m3
 from maxilat.mspace import join_irreducibles, way_above_in_space
 from maxilat.poset import _bits
 
@@ -30,34 +29,36 @@ def small_spaces(max_size=3):
 
 class TestBuildSpace:
     def test_point_source_two_chain(self):
-        assert len(build_space(chain(1), chain(2))) == 2
+        assert len(build_space(FinitePoset.chain(1),
+                               FinitePoset.chain(2))) == 2
 
     def test_two_chain_to_itself(self):
-        space = build_space(chain(2), chain(2))
+        space = build_space(FinitePoset.chain(2), FinitePoset.chain(2))
         assert space.maps == ((0, 0), (0, 1), (1, 1))
 
     def test_seven_element_counterexample_is_excluded(self, seven):
-        space = build_space(seven, chain(2))
+        space = build_space(seven, FinitePoset.chain(2))
         bad = tuple(1 if seven.label_of(g) == "z" else 0
                     for g in range(seven.n))
         assert bad not in space.index
 
     def test_membership_matches_the_definitional_oracle(self):
+        c2 = FinitePoset.chain(2)
         for e in enumerate_unlabeled_posets(3):
-            space = build_space(e, chain(2))
+            space = build_space(e, c2)
             expected = set()
-            for values in oracle_monotone_maps(e, chain(2)):
-                if oracle_is_maxitive(MonotoneMap(e, chain(2), values)):
+            for values in oracle_monotone_maps(e, c2):
+                if oracle_is_maxitive(MonotoneMap(e, c2, values)):
                     expected.add(values)
             assert set(space.maps) == expected
 
     def test_candidate_cap(self):
         with pytest.raises(MapError, match="cap"):
-            build_space(chain(4), chain(4), cap=10)
+            build_space(FinitePoset.chain(4), FinitePoset.chain(4), cap=10)
 
     def test_target_must_be_complete(self, two_antichain):
         with pytest.raises(MapError, match="complete"):
-            build_space(chain(2), two_antichain)
+            build_space(FinitePoset.chain(2), two_antichain)
 
     def test_space_is_a_complete_lattice(self):
         for space in small_spaces():
@@ -69,13 +70,14 @@ class TestBuildSpace:
                 assert classify(oracle_space_poset(space)).is_distributive
 
     def test_join_is_the_least_upper_bound_in_the_space(
-            self, three_atoms_under_top):
+            self, three_atoms_under_top, m3_lattice):
         # every space of size <= 3, A3 -> C4, the M3-shaped space, and a
         # target that is not a chain
         cx = three_atoms_under_top
-        spaces = [*small_spaces(), build_space(antichain(3), chain(4)),
+        spaces = [*small_spaces(),
+                  build_space(FinitePoset.antichain(3), FinitePoset.chain(4)),
                   build_space(cx.source, cx.target),
-                  build_space(chain(2), m3())]
+                  build_space(FinitePoset.chain(2), m3_lattice)]
         for space in spaces:
             poset = oracle_space_poset(space)
             for i, j in itertools.product(range(len(space)), repeat=2):
@@ -95,11 +97,12 @@ class TestBuildSpace:
             assert join_irreducibles(space) == tuple(
                 k for k in range(len(space)) if lower[k] == 1)
 
-    def test_order_is_built_on_first_use(self, three_atoms_under_top):
+    def test_order_is_built_on_first_use(self, three_atoms_under_top,
+                                         m3_lattice):
         # no poset over the maps at all; the pointwise masks only on demand,
         # and then they are the principal filters of the order
-        space = build_space(antichain(5), chain(4))
-        small = build_space(antichain(3), chain(4))
+        space = build_space(FinitePoset.antichain(5), FinitePoset.chain(4))
+        small = build_space(FinitePoset.antichain(3), FinitePoset.chain(4))
         for sp in (space, small):
             sp.join(1, 2)
             m_arrow(sp, len(sp) - 1, 0)
@@ -108,7 +111,7 @@ class TestBuildSpace:
         assert len(space) == 4 ** 5
         cx = three_atoms_under_top
         for sp in [small, *small_spaces(), build_space(cx.source, cx.target),
-                   build_space(chain(2), m3())]:
+                   build_space(FinitePoset.chain(2), m3_lattice)]:
             poset = oracle_space_poset(sp)
             for k in range(len(sp)):
                 assert sp.ups[k] == _bits(poset.up(k))
@@ -119,12 +122,12 @@ class TestPointwiseInf:
     def test_singleton_family_at_the_top(self):
         # selected sets are upper sets, so the only selected singleton is
         # the top map's
-        space = build_space(chain(2), chain(3))
+        space = build_space(FinitePoset.chain(2), FinitePoset.chain(3))
         top = space.index_of((2, 2))
         assert pointwise_inf(space, {top}).values == (2, 2)
 
     def test_principal_filter_gives_its_generator(self):
-        space = build_space(chain(2), chain(3))
+        space = build_space(FinitePoset.chain(2), FinitePoset.chain(3))
         poset = oracle_space_poset(space)
         for k in range(len(space)):
             fam = poset.up(k)
@@ -143,7 +146,7 @@ class TestPointwiseInf:
     def test_unselected_family_is_rejected(self):
         # the selection check lives in the oracle; the library takes any
         # family, as the upper-set counterexample below needs
-        space = build_space(chain(2), chain(3))
+        space = build_space(FinitePoset.chain(2), FinitePoset.chain(3))
         sel = build_selection(oracle_space_poset(space), "filtered")
         bottom = space.index_of((0, 0))
         top = space.index_of((2, 2))
@@ -155,7 +158,7 @@ class TestPointwiseInf:
         # why the lemma asks for filtered families: two atoms a, b under a
         # top, into C2
         e = FinitePoset.from_relation(3, [(0, 2), (1, 2)], ("a", "b", "top"))
-        space = build_space(e, chain(2))
+        space = build_space(e, FinitePoset.chain(2))
         poset = oracle_space_poset(space)
         family = {space.index_of(values)
                   for values in ((0, 1, 1), (1, 0, 1), (1, 1, 1))}
@@ -167,24 +170,24 @@ class TestPointwiseInf:
         assert inf_map.values not in space.index
 
     def test_empty_family_is_rejected(self):
-        space = build_space(chain(2), chain(2))
+        space = build_space(FinitePoset.chain(2), FinitePoset.chain(2))
         with pytest.raises(SelectionError, match="empty"):
             pointwise_inf(space, frozenset())
 
 
 class TestGenerators:
     def test_top_valued_generator_is_constant_top(self):
-        space = build_space(chain(2), chain(3))
+        space = build_space(FinitePoset.chain(2), FinitePoset.chain(3))
         assert space.generator_maps[0][2] == (2, 2)
         assert (2, 2) in space.index
 
     def test_top_source_generator_is_constant(self):
-        space = build_space(chain(2), chain(3))
+        space = build_space(FinitePoset.chain(2), FinitePoset.chain(3))
         assert space.generator_maps[1][1] == (1, 1)
         assert (1, 1) in space.index
 
     def test_two_chain_generator(self):
-        space = build_space(chain(2), chain(2))
+        space = build_space(FinitePoset.chain(2), FinitePoset.chain(2))
         assert space.generator_maps[0][0] == (0, 1)
         assert (0, 1) in space.index
 
@@ -215,7 +218,7 @@ class TestRepresentation:
                 assert reconstruction(space, gens) == values
 
     def test_constant_top_map(self):
-        space = build_space(chain(2), chain(3))
+        space = build_space(FinitePoset.chain(2), FinitePoset.chain(3))
         gens = representation(space, (2, 2))
         assert reconstruction(space, gens) == (2, 2)
         assert all(space.target.leq(2, s) for _, s in gens)
@@ -224,7 +227,7 @@ class TestRepresentation:
         # beyond the hard-wired filtered selection: a distributive target is
         # continuous under the all-upper-sets selection, so reconstruction
         # still succeeds from the generators of that selection's way-above
-        space = build_space(chain(2), chain(3))
+        space = build_space(FinitePoset.chain(2), FinitePoset.chain(3))
         sel = build_selection(space.target, "upper")
         for values in space.maps:
             gens = oracle_representation(space, values, sel)
@@ -330,12 +333,12 @@ class TestPerSpaceTables:
 
 class TestMArrow:
     def test_self_arrow_is_the_bottom_map(self):
-        space = build_space(chain(2), chain(3))
+        space = build_space(FinitePoset.chain(2), FinitePoset.chain(3))
         for u in range(len(space)):
             assert m_arrow(space, u, u).values == (0, 0)
 
     def test_bottom_arrow_is_the_identity_on_the_right(self):
-        space = build_space(chain(2), chain(3))
+        space = build_space(FinitePoset.chain(2), FinitePoset.chain(3))
         bottom = space.index_of((0, 0))
         for v in range(len(space)):
             assert m_arrow(space, bottom, v).values == space.maps[v]
@@ -358,7 +361,8 @@ class TestMArrow:
         # target, and on A3 -> C4
         spaces = [space for space in small_spaces()
                   if classify(space.target).is_distributive]
-        spaces.append(build_space(antichain(3), chain(4)))
+        spaces.append(build_space(FinitePoset.antichain(3),
+                                  FinitePoset.chain(4)))
         for space in spaces:
             e, l = space.source, space.target
             for u, v in itertools.product(range(len(space)), repeat=2):
@@ -370,7 +374,7 @@ class TestMArrow:
                 assert m_arrow(space, u, v).values == expected
 
     def test_decomposition_when_above(self):
-        space = build_space(chain(2), chain(3))
+        space = build_space(FinitePoset.chain(2), FinitePoset.chain(3))
         poset = oracle_space_poset(space)
         for u, v in itertools.product(range(len(space)), repeat=2):
             if not poset.leq(u, v):
@@ -383,7 +387,7 @@ class TestMArrow:
         # the same values, and a MapError on exactly the same pairs
         pairs = raised = 0
         for e in enumerate_unlabeled_posets(4):
-            for l in (chain(2), chain(3)):
+            for l in (FinitePoset.chain(2), FinitePoset.chain(3)):
                 space = build_space(e, l)
                 for u, v in itertools.product(range(len(space)), repeat=2):
                     outcomes = []
@@ -405,7 +409,7 @@ class TestMArrow:
         with pytest.raises(MapError, match=r"^\(0, 0, 1, 1\) is not a max"):
             m_arrow(space, u, v)
 
-    def test_non_distributive_target_is_rejected(self):
-        space = build_space(chain(1), m3())
+    def test_non_distributive_target_is_rejected(self, m3_lattice):
+        space = build_space(FinitePoset.chain(1), m3_lattice)
         with pytest.raises(PosetError, match="distributive"):
             m_arrow(space, 0, 1)

@@ -2,13 +2,13 @@ import itertools
 
 import pytest
 
-from maxilat import (Adjoint, MapError, MonotoneMap, OrderExtension,
-                     PosetError, adjoint_of, classify, dm_completion,
-                     enumerate_posets, enumerate_unlabeled_posets,
-                     heyting_arrow, is_meet_continuous_over, is_residuated,
+from maxilat import (Adjoint, FinitePoset, MapError, MonotoneMap,
+                     OrderExtension, PosetError, adjoint_of, classify,
+                     dm_completion, enumerate_posets,
+                     enumerate_unlabeled_posets, heyting_arrow,
+                     is_meet_continuous_over, is_residuated,
                      iter_monotone_values, maxitivity_witness, theorem_5_4)
 from maxilat import residuation
-from maxilat.catalog import antichain, chain, m3, n5
 from maxilat.harness import run_suite
 from maxilat.maxitive import _sublevel_masks
 from maxilat.poset import _frozen
@@ -23,7 +23,7 @@ from conftest import (down_in_base, is_sup_map,
 def seven_indicator(seven):
     values = tuple(1 if seven.label_of(g) == "z" else 0
                    for g in range(seven.n))
-    return MonotoneMap(seven, chain(2), values)
+    return MonotoneMap(seven, FinitePoset.chain(2), values)
 
 
 class TestCompletelyMaxitive:
@@ -34,8 +34,8 @@ class TestCompletelyMaxitive:
         assert maxitivity_witness(seven_indicator) is not None
 
     def test_sup_map_needs_bottom_to_go_to_bottom(self, chain3):
-        point = chain(1)
-        v = MonotoneMap(point, antichain(2), (0,))
+        point = FinitePoset.chain(1)
+        v = MonotoneMap(point, FinitePoset.antichain(2), (0,))
         assert maxitivity_witness(v) is None
         assert not is_sup_map(v)    # the target has no bottom
         w = MonotoneMap(chain3, chain3, (0, 0, 1))
@@ -44,7 +44,7 @@ class TestCompletelyMaxitive:
         assert maxitivity_witness(x) is None and not is_sup_map(x)
 
     def test_sup_map_unconstrained_without_a_bottom(self, two_antichain):
-        v = MonotoneMap(two_antichain, chain(2), (1, 1))
+        v = MonotoneMap(two_antichain, FinitePoset.chain(2), (1, 1))
         assert is_sup_map(v)
 
 
@@ -68,8 +68,8 @@ class TestResiduated:
                         assert is_residuated(v, ext)
 
     def test_empty_sublevel_blocks_residuation_on_bottomed_sources(self):
-        point = chain(1)
-        v = MonotoneMap(point, antichain(2), (0,))
+        point = FinitePoset.chain(1)
+        v = MonotoneMap(point, FinitePoset.antichain(2), (0,))
         assert not is_residuated(v, dm_completion(point))
 
 
@@ -125,7 +125,7 @@ class TestAdjoint:
 
 class TestMeetContinuityOverBase:
     def test_plain_and_relative_readings_differ(self):
-        three = antichain(3)
+        three = FinitePoset.antichain(3)
         ext = dm_completion(three)
         assert classify(ext.complete).is_meet_continuous
         assert not is_meet_continuous_over(ext)
@@ -219,9 +219,9 @@ class TestTheorem54:
         # 2-antichain {x, y}, v(g) = x: the empty sublevel set D_y is the
         # trace of the new bottom, so v is residuated, but L has no bottom
         # for v(g) to be, so v is not a sup map
-        point = chain(1)
-        ext = OrderExtension(point, chain(2), (1,))
-        v = MonotoneMap(point, antichain(2), (0,))
+        point = FinitePoset.chain(1)
+        ext = OrderExtension(point, FinitePoset.chain(2), (1,))
+        v = MonotoneMap(point, FinitePoset.antichain(2), (0,))
         assert is_residuated(v, ext) and not is_sup_map(v)
         adjoint_of(v, ext)    # the Galois condition holds
         verdict = theorem_5_4(v, ext)
@@ -235,9 +235,10 @@ class TestTheorem54:
     def test_nonempty_convention_counterexample_is_reported_not_asserted(self):
         # the smallest instance separating the two complete-maxitivity
         # conventions: one point into a two-point antichain
-        point = chain(1)
+        point = FinitePoset.chain(1)
         ext = dm_completion(point)
-        verdict = theorem_5_4(MonotoneMap(point, antichain(2), (0,)), ext)
+        v = MonotoneMap(point, FinitePoset.antichain(2), (0,))
+        verdict = theorem_5_4(v, ext)
         assert verdict.completely_maxitive
         assert not verdict.sup_map
         assert not verdict.residuated
@@ -248,9 +249,9 @@ class TestTheorem54:
         # the three-point antichain admits an unresiduated sup-map, and is
         # excluded from the converse exactly because the relative reading
         # of meet-continuity fails
-        three = antichain(3)
+        three = FinitePoset.antichain(3)
         ext = dm_completion(three)
-        v = MonotoneMap(three, chain(2), (0, 0, 1))
+        v = MonotoneMap(three, FinitePoset.chain(2), (0, 0, 1))
         verdict = theorem_5_4(v, ext)
         assert verdict.sup_map and not verdict.residuated
         assert not verdict.converse_applicable
@@ -296,14 +297,16 @@ class TestHeytingArrow:
                 arrow = heyting_arrow(chain3, r, s)
                 assert chain3.sup_of((r, arrow)) == s
 
-    def test_non_distributive_lattices_are_rejected(self):
-        for lattice in (m3(), n5()):
+    def test_non_distributive_lattices_are_rejected(self, m3_lattice,
+                                                    pentagon):
+        for lattice in (m3_lattice, pentagon):
             with pytest.raises(PosetError, match="distributive"):
                 heyting_arrow(lattice, 1, 2)
 
-    def test_non_distributive_lattices_really_lack_least_elements(self):
+    def test_non_distributive_lattices_really_lack_least_elements(
+            self, m3_lattice, pentagon):
         # the rejection is not gratuitous: some admissible set has no least
-        for lattice in (m3(), n5()):
+        for lattice in (m3_lattice, pentagon):
             gap = False
             for r, s in itertools.product(range(lattice.n), repeat=2):
                 admissible = [t for t in range(lattice.n)

