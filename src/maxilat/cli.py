@@ -12,9 +12,9 @@ import os
 import sys
 from collections.abc import Iterator
 
-from .poset import PosetError, classify, dm_completion
-from .selections import (SelectionError, SelectionKind, continuity_report,
-                         is_union_complete)
+from .poset import OrderExtension, PosetError, classify, dm_completion
+from .selections import (SelectionError, SelectionKind, build_selection,
+                         continuity_report, is_union_complete)
 from .maxitive import (InvariantError, MapError, MonotoneMap,
                        alternating_witness, extend_lower_star, extend_star,
                        is_pairwise_maxitive, maxitivity_witness)
@@ -85,7 +85,6 @@ def _load_extension(map_source, spec):
         embed = tuple(big.index_of(lab) for lab in map_source.labels)
     except PosetError as exc:
         raise io.FormatError(f"completion does not cover the base: {exc}") from exc
-    from .poset import OrderExtension
     return OrderExtension(map_source, big, embed)
 
 
@@ -102,13 +101,13 @@ def cmd_poset_check(args):
         sel = io.parse_selection_spec(p, args.selection)
         report = continuity_report(p, sel)
         uc = is_union_complete(sel)
-        print(f"selection {args.selection}: {len(sel.fsets)} sets, "
+        print(f"selection {args.selection}: {len(sel._masks)} sets, "
               f"union-complete: {uc}")
         print(f"  continuous: {report.is_continuous}")
         print(f"  domain: {report.is_domain}")
         print(f"  interpolation: {report.has_interpolation}")
         payload["selection"] = {
-            "kind": args.selection, "sets": len(sel.fsets),
+            "kind": args.selection, "sets": len(sel._masks),
             "union_complete": uc,
             "continuous": report.is_continuous,
             "domain": report.is_domain,
@@ -158,10 +157,10 @@ def cmd_map_check(args):
             print(f"alternating (depth {args.alternating}): {bad is None}")
             if bad is not None:
                 g, gs = bad
-                payload["witness"] = {"at": v.source.label_of(g),
-                                      "along": [v.source.label_of(x) for x in gs]}
-                print(f"  witness: at {v.source.label_of(g)} along "
-                      f"{[v.source.label_of(x) for x in gs]}")
+                w = payload["witness"] = {
+                    "at": v.source.label_of(g),
+                    "along": [v.source.label_of(x) for x in gs]}
+                print(f"  witness: at {w['at']} along {w['along']}")
                 code = 1
     _write_out(args, payload)
     return code
@@ -179,7 +178,6 @@ def cmd_map_extend(args):
     if not isinstance(v, MonotoneMap):
         raise MapError("extension needs a poset-valued map")
     ext = _load_extension(v.source, args.ext)
-    from .selections import build_selection
     sel_e = build_selection(v.source, args.selection)
     sel_l = build_selection(v.target, args.selection)
     if args.mode == "star":
@@ -194,34 +192,32 @@ def cmd_map_extend(args):
     return 0
 
 
-def cmd_map_residuated(args):
+def _map_and_extension(args):
     v = io.load_map(args.file)
     if not isinstance(v, MonotoneMap):
         raise MapError("residuation needs a poset-valued map")
-    ext = _load_extension(v.source, args.ext)
+    return v, _load_extension(v.source, args.ext)
+
+
+def cmd_map_residuated(args):
+    v, ext = _map_and_extension(args)
     resid = is_residuated(v, ext)
     print(f"residuated: {resid}")
     payload = {"residuated": resid}
     if resid:
-        adj = adjoint_of(v, ext)
-        payload["adjoint"] = {v.target.label_of(t):
-                              ext.complete.label_of(adj(t))
-                              for t in range(v.target.n)}
-        for t in range(v.target.n):
-            print(f"  w({v.target.label_of(t)}) = "
-                  f"{ext.complete.label_of(adj(t))}")
+        adj = adjoint_of(v, ext).map
+        payload["adjoint"] = io.labeled_values(adj.source, adj.target,
+                                               adj.values)
+        for name, val in payload["adjoint"].items():
+            print(f"  w({name}) = {val}")
     _write_out(args, payload)
     return 0
 
 
 def cmd_map_adjoint(args):
-    v = io.load_map(args.file)
-    if not isinstance(v, MonotoneMap):
-        raise MapError("residuation needs a poset-valued map")
-    ext = _load_extension(v.source, args.ext)
-    adj = adjoint_of(v, ext)
-    payload = {v.target.label_of(t): ext.complete.label_of(adj(t))
-               for t in range(v.target.n)}
+    v, ext = _map_and_extension(args)
+    adj = adjoint_of(v, ext).map
+    payload = io.labeled_values(adj.source, adj.target, adj.values)
     for name, val in payload.items():
         print(f"w({name}) = {val}")
     _write_out(args, {"adjoint": payload})
@@ -242,10 +238,7 @@ def cmd_mspace_build(args):
     l = io.load_poset(args.target)
     space = build_space(e, l, cap=args.cap)
     print(f"maxitive maps: {len(space)}")
-    names = [e.label_of(g) for g in range(e.n)]
-    labels = [l.label_of(t) for t in range(l.n)]
-    listing = [{name: labels[t] for name, t in zip(names, values)}
-               for values in space.maps]
+    listing = [io.labeled_values(e, l, values) for values in space.maps]
     sys.stdout.write("".join(
         "  " + ", ".join(f"{k}->{v}" for k, v in row.items()) + "\n"
         for row in listing))
@@ -262,8 +255,7 @@ def cmd_mspace_arrow(args):
         raise MapError("the two maps must share source and target")
     space = build_space(u.source, u.target, cap=args.cap)
     arrow = m_arrow(space, space.index_of(u.values), space.index_of(v.values))
-    payload = {u.source.label_of(g): u.target.label_of(arrow.values[g])
-               for g in range(u.source.n)}
+    payload = io.labeled_values(u.source, u.target, arrow.values)
     for name, val in payload.items():
         print(f"(u <- v)({name}) = {val}")
     _write_out(args, {"arrow": payload})
@@ -379,44 +371,45 @@ def _command_table():
 
 
 def build_parser(command=()):
-    """The parser of the command table.
-
-    When command is a (group, leaf) pair that names a command, only the
-    chain root -> group -> leaf is built.  Its subcommand metavars spell
-    out every name of the full tree, so its usage lines and errors read as
-    the full parser's; any other command builds the full tree.
-    """
+    """The parser of one command when command is a (group, leaf) pair that
+    names one: it reads the words after the pair, as its parser in the full
+    tree does, and gives the full tree's Namespace.  Any other command gets
+    the full tree."""
     table = _command_table()
-    group, leaf = (tuple(command) + (None, None))[:2]
-    chain = group in table and leaf in table[group][1]
-
-    def names(words):
-        return "{" + ",".join(words) + "}" if chain else None
+    group, leaf = (*command, None, None)[:2]
+    if group in table and leaf in table[group][1]:
+        return _command_parser(argparse.ArgumentParser(
+            prog=f"maxilat {group} {leaf}"), table, group, leaf)
     parser = argparse.ArgumentParser(
         prog="maxilat",
         description="Finite-poset engine for way-above relations, maxitive "
                     "maps, extensions, residuation and map spaces.")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar=names(table))
-    for group_name, (group_help, leaves) in table.items():
-        if chain and group_name != group:
-            continue
-        group_parser = sub.add_parser(group_name, help=group_help)
-        group_sub = group_parser.add_subparsers(
-            dest="subcommand", required=True, metavar=names(leaves))
-        for leaf_name, (leaf_help, fn, arguments) in leaves.items():
-            if chain and leaf_name != leaf:
-                continue
-            leaf_parser = group_sub.add_parser(leaf_name, help=leaf_help)
-            for flags, options in arguments:
-                leaf_parser.add_argument(*flags, **options)
-            leaf_parser.set_defaults(fn=fn)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for group, (group_help, leaves) in table.items():
+        group_sub = sub.add_parser(group, help=group_help).add_subparsers(
+            dest="subcommand", required=True)
+        for leaf, (leaf_help, _, _) in leaves.items():
+            _command_parser(group_sub.add_parser(leaf, help=leaf_help),
+                            table, group, leaf)
+    return parser
+
+
+def _command_parser(parser, table, group, leaf):
+    _, fn, arguments = table[group][1][leaf]
+    for flags, options in arguments:
+        parser.add_argument(*flags, **options)
+    parser.set_defaults(fn=fn, command=group, subcommand=leaf)
     return parser
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[:2]).parse_args(argv)
+    parser = build_parser(argv[:2])
+    args, unknown = parser.parse_known_args(
+        argv if parser.prog == "maxilat" else argv[2:])
+    if unknown:
+        # the full tree refuses them in its root parser's words
+        args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (io.FormatError, PosetError, SelectionError, MapError,

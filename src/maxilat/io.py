@@ -120,14 +120,19 @@ def map_from_dict(doc, where="map"):
         raise FormatError(f"{where}: {exc}") from exc
 
 
+def labeled_values(source, target, values) -> dict:
+    """{source label: target label} of target indices in source order."""
+    return dict(zip(map(source.label_of, range(source.n)),
+                    map(target.label_of, values)))
+
+
 def map_to_dict(v) -> dict:
     """The map document of v, which map_from_dict reads back."""
     doc = {"source": poset_to_dict(v.source)}
     name = v.source.label_of
     if isinstance(v, MonotoneMap):
         doc["target"] = poset_to_dict(v.target)
-        doc["values"] = {name(g): v.target.label_of(t)
-                         for g, t in enumerate(v.values)}
+        doc["values"] = labeled_values(v.source, v.target, v.values)
     else:
         doc["values"] = {name(g): str(x) for g, x in enumerate(v.values)}
     return doc

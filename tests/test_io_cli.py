@@ -6,16 +6,17 @@ from fractions import Fraction
 import pytest
 
 from maxilat import (FinitePoset, InvariantError, MonotoneMap,
-                     RationalConeMap, SelectionError, build_selection,
-                     dm_completion, enumerate_posets,
-                     enumerate_unlabeled_posets, extend_lower_star,
-                     extend_star, iter_monotone_values)
+                     RationalConeMap, SelectionError, adjoint_of,
+                     build_selection, build_space, dm_completion,
+                     enumerate_posets, enumerate_unlabeled_posets,
+                     extend_lower_star, extend_star, iter_monotone_values,
+                     m_arrow)
 from maxilat import cli, harness, maxitive
 from maxilat.cli import main
 from maxilat.io import (FormatError, fixture, fixture_map, fixture_poset,
-                        load_map, load_poset, map_from_dict, map_to_dict,
-                        parse_selection_spec, poset_from_dict, poset_to_dict,
-                        selection_from_dict)
+                        labeled_values, load_map, load_poset, map_from_dict,
+                        map_to_dict, parse_selection_spec, poset_from_dict,
+                        poset_to_dict, selection_from_dict)
 
 from conftest import (WholeBaseTraces, buffered_harness_payload, write_map,
                       write_poset)
@@ -603,6 +604,40 @@ class TestCli:
                          "--v", str(pair[1])]) == 2
             assert "poset-valued maps" in capsys.readouterr().err
 
+    def test_labeled_values_are_written_by_io(self, tmp_path):
+        # each {source label: target label} dict of an --out document is
+        # what io gives for the library's result, on labels that are not
+        # the indices: a, b < z into the chain lo < mid < hi
+        e = FinitePoset.from_relation(3, [(0, 2), (1, 2)], ("a", "b", "z"))
+        l = FinitePoset.chain(3, labels=("lo", "mid", "hi"))
+        u, v = MonotoneMap(e, l, (1, 0, 1)), MonotoneMap(e, l, (1, 2, 2))
+        paths = {name: tmp_path / f"{name}.json"
+                 for name in ("e", "l", "u", "v", "out")}
+        write_poset(e, paths["e"])
+        write_poset(l, paths["l"])
+        write_map(u, paths["u"])
+        write_map(v, paths["v"])
+
+        def out_doc(*argv):
+            assert main([*map(str, argv), "--out", str(paths["out"])]) == 0
+            return json.loads(paths["out"].read_text())
+
+        w = adjoint_of(u, dm_completion(e)).map
+        adjoint = labeled_values(w.source, w.target, w.values)
+        assert out_doc("map", "adjoint", paths["u"]) == {"adjoint": adjoint}
+        assert out_doc("map", "residuated", paths["u"]) == {
+            "residuated": True, "adjoint": adjoint}
+        space = build_space(e, l)
+        assert out_doc("mspace", "build", paths["e"], paths["l"]) == {
+            "count": len(space),
+            "maps": [labeled_values(e, l, values) for values in space.maps]}
+        arrow = m_arrow(space, space.index_of(u.values),
+                        space.index_of(v.values))
+        assert arrow.values == (0, 2, 2)
+        assert out_doc("mspace", "arrow", "--u", paths["u"],
+                       "--v", paths["v"]) == {
+            "arrow": labeled_values(arrow.source, arrow.target, arrow.values)}
+
     def test_map_check_refuses_a_value_for_an_unknown_element(
             self, tmp_path, capsys):
         path = tmp_path / "v.json"
@@ -736,8 +771,8 @@ def _exit(parse, argv, capsys):
 
 
 class TestLeafParser:
-    """The root -> group -> leaf chain that main builds for a command reads
-    and reports as the full parser tree."""
+    """The parser that main builds for one command reads and reports as
+    that command's parser in the full tree."""
 
     def test_every_command_has_a_sample(self):
         assert set(VALID_ARGS) == {
@@ -747,24 +782,21 @@ class TestLeafParser:
 
     @pytest.mark.parametrize("command", sorted(VALID_ARGS))
     def test_the_chain_parses_as_the_full_tree(self, command, capsys):
-        full, chain = cli.build_parser(), cli.build_parser(command)
+        full, own = cli.build_parser(), cli.build_parser(command)
         group, leaf = command
-        assert (_subparser(_subparser(chain, group), leaf).format_help()
+        assert (own.format_help()
                 == _subparser(_subparser(full, group), leaf).format_help())
         argv = [*command, *VALID_ARGS[command]]
-        assert chain.parse_args(argv) == full.parse_args(argv)
+        assert own.parse_args(argv[2:]) == full.parse_args(argv)
         for bad in ([*command], [*argv, "--no-such-flag"]):
             expected = _exit(full.parse_args, bad, capsys)
             assert expected[0] == 2 and expected[2]
-            assert _exit(chain.parse_args, bad, capsys) == expected
             assert _exit(main, bad, capsys) == expected
 
-    def test_the_chain_builds_one_group_and_one_leaf(self):
-        chain = cli.build_parser(("mspace", "verify"))
-        with pytest.raises(KeyError):
-            _subparser(chain, "harness")
-        with pytest.raises(KeyError):
-            _subparser(_subparser(chain, "mspace"), "build")
+    def test_a_command_builds_no_subparsers(self):
+        for command in VALID_ARGS:
+            assert not any(isinstance(action, argparse._SubParsersAction)
+                           for action in cli.build_parser(command)._actions)
 
     @pytest.mark.parametrize("argv", [
         [], ["--help"], ["nosuch"], ["nosuch", "run"], ["mspace"],
